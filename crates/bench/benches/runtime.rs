@@ -1,6 +1,6 @@
 //! `bench_runtime`: micro-benchmarks of the threaded runtime's data
-//! plane — inject-and-settle cost of the columnar chunk plane vs the
-//! batched row hand-off vs the degenerate per-tuple configuration, plus
+//! plane — inject-and-settle cost at 256-row chunks vs the degenerate
+//! per-tuple hand-off (`batch_size = 1`), plus
 //! `bench_chunk`: isolated chunk-primitive costs (group hashing,
 //! bucketing, splicing). The sustained-throughput picture (increasing
 //! offered load, settle-latency percentiles, the committed
@@ -14,7 +14,7 @@ use albic_engine::operator::{Counting, Identity};
 use albic_engine::runtime::Runtime;
 use albic_engine::topology::TopologyBuilder;
 use albic_engine::tuple::{Tuple, Value};
-use albic_engine::{ChunkSorter, DataPlane, RuntimeConfig, StreamChunk};
+use albic_engine::{ChunkSorter, RuntimeConfig, StreamChunk};
 use std::sync::Arc;
 
 const WAVE: usize = 2_000;
@@ -22,7 +22,7 @@ const WAVE: usize = 2_000;
 /// wire size in `BENCH_runtime.json`).
 const CHUNK_ROWS: usize = 256;
 
-fn live_job(batch_size: usize, data_plane: DataPlane) -> Job<Runtime> {
+fn live_job(batch_size: usize) -> Job<Runtime> {
     Job::builder()
         .source("events", 8, Identity)
         .operator("count", 8, Counting)
@@ -31,7 +31,6 @@ fn live_job(batch_size: usize, data_plane: DataPlane) -> Job<Runtime> {
         .policy(Policy::noop())
         .runtime_config(RuntimeConfig {
             batch_size,
-            data_plane,
             ..RuntimeConfig::default()
         })
         .build_threaded()
@@ -46,7 +45,7 @@ fn bench_runtime(c: &mut Criterion) {
     let mut group = c.benchmark_group("bench_runtime");
     group.sample_size(10);
 
-    let mut columnar = live_job(256, DataPlane::Columnar);
+    let mut columnar = live_job(256);
     group.bench_function("inject_settle_2k_chunk256", |b| {
         b.iter(|| {
             columnar.inject("events", wave(WAVE));
@@ -54,15 +53,7 @@ fn bench_runtime(c: &mut Criterion) {
         })
     });
 
-    let mut batched = live_job(64, DataPlane::Row);
-    group.bench_function("inject_settle_2k_batch64", |b| {
-        b.iter(|| {
-            batched.inject("events", wave(WAVE));
-            batched.settle();
-        })
-    });
-
-    let mut per_tuple = live_job(1, DataPlane::Row);
+    let mut per_tuple = live_job(1);
     group.bench_function("inject_settle_2k_batch1", |b| {
         b.iter(|| {
             per_tuple.inject("events", wave(WAVE));
@@ -72,7 +63,6 @@ fn bench_runtime(c: &mut Criterion) {
 
     group.finish();
     columnar.shutdown();
-    batched.shutdown();
     per_tuple.shutdown();
 }
 

@@ -1,4 +1,4 @@
-//! Sustained-throughput harness for the threaded runtime's data planes.
+//! Sustained-throughput harness for the threaded runtime's data plane.
 //!
 //! Drives a live source→counter pipeline at increasing offered load and
 //! measures, per load level, the achieved tuples/sec and the
@@ -8,18 +8,14 @@
 //! load past the engine's capacity blocks the producer instead of
 //! growing a queue.
 //!
-//! Three configurations run back to back:
+//! Two configurations run back to back:
 //!
-//! * `columnar` — the chunk plane (`DataPlane::Columnar`, the default
-//!   plane) at its natural 256-row chunk size: one virtual call per
-//!   key-group run over flat column arrays. The headline number. (Row
-//!   batches at 256 measure within noise of 64 — the row plane is
-//!   per-tuple-bound — so chunk size is a columnar-only lever, not a
-//!   batching handicap on the baseline.)
-//! * `batched` — the row-batch plane (`DataPlane::Row`, `batch_size =
-//!   64`): `Vec<Tuple>` hand-offs, kept as the differential oracle.
-//! * `per_tuple` — the degenerate row plane (`batch_size = 1`), what
-//!   every tuple hand-off cost before batching.
+//! * `columnar` — the chunk data plane at its natural 256-row chunk
+//!   size: one virtual call per key-group run over flat column arrays.
+//!   The headline number.
+//! * `per_tuple` — the same plane at `batch_size = 1`: every tuple is
+//!   its own one-row chunk hand-off, what each hop costs without
+//!   batching. The baseline of the speedup gate.
 //!
 //! Every level runs a discarded warm-up pass and then three measured
 //! repetitions; the reported figures are the median repetition by
@@ -32,7 +28,7 @@
 //! an existing file present, the run compares its fresh sustained
 //! throughput against the committed one and **exits non-zero on a
 //! regression** (disable with `--no-gate`). `--min-speedup <x>` gates
-//! the machine-independent columnar-vs-row ratio instead.
+//! the machine-independent ratio of the two configurations instead.
 //!
 //! ```text
 //! cargo run --release -p albic-bench --bin throughput -- --smoke
@@ -43,7 +39,7 @@ use std::time::{Duration, Instant};
 use albic_core::job::{Job, Policy};
 use albic_engine::operator::{Counting, Identity};
 use albic_engine::tuple::{Tuple, Value};
-use albic_engine::{DataPlane, RuntimeConfig};
+use albic_engine::RuntimeConfig;
 
 /// Distinct keys the generator cycles through (spreads load over all key
 /// groups of both operators).
@@ -65,7 +61,6 @@ struct LevelResult {
 
 struct ConfigResult {
     batch_size: usize,
-    data_plane: &'static str,
     sustained_tps: f64,
     p50_settle_ms: f64,
     p99_settle_ms: f64,
@@ -135,16 +130,11 @@ fn run_level(cfg: RuntimeConfig, offered: usize, wave: usize) -> LevelResult {
     }
 }
 
-/// Run one data-plane configuration over every load level: a discarded
+/// Run one batch-size configuration over every load level: a discarded
 /// warm-up pass, then the median of [`REPS`] measured repetitions per
 /// level (median by throughput — its latencies come with it, so the
 /// reported percentiles belong to a coherent run).
-fn run_config(
-    cfg: RuntimeConfig,
-    plane: &'static str,
-    levels: &[usize],
-    wave: usize,
-) -> ConfigResult {
+fn run_config(cfg: RuntimeConfig, levels: &[usize], wave: usize) -> ConfigResult {
     let mut out = Vec::new();
     let mut best_tps = 0.0f64;
     let (mut best_p50, mut best_p99) = (0.0, 0.0);
@@ -156,7 +146,7 @@ fn run_config(
         reps.sort_by(|a, b| a.tuples_per_sec.total_cmp(&b.tuples_per_sec));
         let median = reps.swap_remove(REPS / 2);
         eprintln!(
-            "  plane={plane:<8} batch={:<3} offered={:>7} tuples  {:>10.0} t/s  settle p50={:.3}ms p99={:.3}ms",
+            "  batch={:<3} offered={:>7} tuples  {:>10.0} t/s  settle p50={:.3}ms p99={:.3}ms",
             cfg.batch_size,
             median.offered_tuples,
             median.tuples_per_sec,
@@ -172,7 +162,6 @@ fn run_config(
     }
     ConfigResult {
         batch_size: cfg.batch_size,
-        data_plane: plane,
         sustained_tps: best_tps,
         p50_settle_ms: best_p50,
         p99_settle_ms: best_p99,
@@ -199,9 +188,8 @@ fn config_json(name: &str, r: &ConfigResult) -> String {
         })
         .collect();
     format!(
-        "  \"{}\": {{\n    \"data_plane\": \"{}\",\n    \"batch_size\": {},\n    \"sustained_tps\": {:.0},\n    \"p50_settle_ms\": {:.3},\n    \"p99_settle_ms\": {:.3},\n    \"levels\": [\n{}\n    ]\n  }}",
+        "  \"{}\": {{\n    \"batch_size\": {},\n    \"sustained_tps\": {:.0},\n    \"p50_settle_ms\": {:.3},\n    \"p99_settle_ms\": {:.3},\n    \"levels\": [\n{}\n    ]\n  }}",
         name,
-        r.data_plane,
         r.batch_size,
         r.sustained_tps,
         r.p50_settle_ms,
@@ -283,7 +271,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let gate = !args.iter().any(|a| a == "--no-gate");
-    // Machine-independent floor on the columnar-vs-row speedup: both
+    // Machine-independent floor on the chunked-vs-per-tuple speedup: both
     // sides are measured in the same process on the same machine, so
     // this travels across hardware where the absolute gate cannot.
     let min_speedup: Option<f64> = args
@@ -304,70 +292,45 @@ fn main() {
         .as_deref()
         .and_then(parse_gate_tps);
 
-    eprintln!("per-tuple baseline (row plane, batch_size = 1):");
+    eprintln!("per-tuple baseline (batch_size = 1):");
     let per_tuple = run_config(
         RuntimeConfig {
             batch_size: 1,
-            data_plane: DataPlane::Row,
             ..RuntimeConfig::default()
         },
-        "row",
         &levels,
         wave,
     );
-    eprintln!("row-batch plane (batch_size = 64):");
-    let batched = run_config(
-        RuntimeConfig {
-            data_plane: DataPlane::Row,
-            ..RuntimeConfig::default()
-        },
-        "row",
-        &levels,
-        wave,
-    );
-    // The chunk plane runs 256-row chunks: columnar execution amortizes
-    // per-chunk costs (channel hand-off, bucketing, per-run dispatch)
-    // where the row plane cannot — row batches at 256 measure within
-    // noise of 64 (per-tuple-bound), so chunk size is a columnar-only
-    // lever, not a batching handicap on the row baseline.
-    eprintln!("columnar chunk plane (batch_size = 256):");
+    eprintln!("chunked (batch_size = 256):");
     let columnar = run_config(
         RuntimeConfig {
             batch_size: 256,
             ..RuntimeConfig::default()
         },
-        "columnar",
         &levels,
         wave,
     );
 
-    let speedup_batched = if per_tuple.sustained_tps > 0.0 {
-        batched.sustained_tps / per_tuple.sustained_tps
-    } else {
-        0.0
-    };
-    let speedup_columnar = if batched.sustained_tps > 0.0 {
-        columnar.sustained_tps / batched.sustained_tps
+    let speedup = if per_tuple.sustained_tps > 0.0 {
+        columnar.sustained_tps / per_tuple.sustained_tps
     } else {
         0.0
     };
     println!(
-        "sustained: columnar {:.0} t/s vs row-batch {:.0} t/s ({speedup_columnar:.2}x) vs per-tuple {:.0} t/s",
-        columnar.sustained_tps, batched.sustained_tps, per_tuple.sustained_tps
+        "sustained: columnar {:.0} t/s vs per-tuple {:.0} t/s ({speedup:.2}x)",
+        columnar.sustained_tps, per_tuple.sustained_tps
     );
 
     let json = format!(
-        "{{\n  \"schema\": 2,\n  \"mode\": \"{}\",\n  \"machine\": {{\"cpu\": \"{}\", \"cores\": {}, \"os\": \"{}\"}},\n  \"git_rev\": \"{}\",\n  \"workload\": {{\"nodes\": {NODES}, \"key_groups_per_op\": {KEY_GROUPS}, \"keys\": {KEYS}, \"wave_tuples\": {wave}}},\n  \"gate_tps\": {:.0},\n  \"speedup_columnar_vs_row\": {:.2},\n  \"speedup_batched_vs_per_tuple\": {:.2},\n{},\n{},\n{}\n}}\n",
+        "{{\n  \"schema\": 3,\n  \"mode\": \"{}\",\n  \"machine\": {{\"cpu\": \"{}\", \"cores\": {}, \"os\": \"{}\"}},\n  \"git_rev\": \"{}\",\n  \"workload\": {{\"nodes\": {NODES}, \"key_groups_per_op\": {KEY_GROUPS}, \"keys\": {KEYS}, \"wave_tuples\": {wave}}},\n  \"gate_tps\": {:.0},\n  \"speedup_vs_per_tuple\": {:.2},\n{},\n{}\n}}\n",
         if smoke { "smoke" } else { "full" },
         json_escape(&cpu_model()),
         std::thread::available_parallelism().map_or(0, |n| n.get()),
         json_escape(&os_release()),
         json_escape(&git_rev()),
         columnar.sustained_tps,
-        speedup_columnar,
-        speedup_batched,
+        speedup,
         config_json("columnar", &columnar),
-        config_json("batched", &batched),
         config_json("per_tuple", &per_tuple),
     );
     if let Err(e) = std::fs::write(out_path, &json) {
@@ -377,8 +340,8 @@ fn main() {
     }
 
     if let Some(min) = min_speedup {
-        println!("gate: columnar-vs-row speedup {speedup_columnar:.2}x (floor {min:.2}x)");
-        if speedup_columnar < min {
+        println!("gate: columnar-vs-per-tuple speedup {speedup:.2}x (floor {min:.2}x)");
+        if speedup < min {
             eprintln!("FAIL: columnar speedup fell below the floor");
             std::process::exit(1);
         }

@@ -7,6 +7,8 @@
 //! simulated figures and the live one is `build_simulated(...)` vs
 //! `build_threaded()`.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use albic_core::albic::AlbicConfig;
 use albic_core::allocator::NodeSet;
 use albic_core::baselines::PoTC;
@@ -760,8 +762,15 @@ pub fn fig_recovery(fast: bool, timings: bool) -> Vec<(String, Table)> {
     let steady = 6usize; // a post-spill, pre-fault period
     let warm_keys = 512i64;
     let hot_keys = 8i64;
-    let spill_root =
-        std::env::temp_dir().join(format!("albic-fig-recovery-spill-{}", std::process::id()));
+    // Unique per call, not just per process: concurrent callers in one
+    // process (parallel tests) must never share — and `remove_dir_all`
+    // — each other's spill files.
+    static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
+    let spill_root = std::env::temp_dir().join(format!(
+        "albic-fig-recovery-spill-{}-{}",
+        std::process::id(),
+        SPILL_SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
     let mut totals = Vec::new();
     let mut steady_captures = Vec::new();
     for incremental in [false, true] {

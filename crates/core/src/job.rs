@@ -43,7 +43,7 @@ use std::sync::Arc;
 use albic_engine::checkpoint::{CheckpointMode, SpillConfig};
 use albic_engine::operator::Operator;
 use albic_engine::reconfig::NoopPolicy;
-use albic_engine::runtime::{DataPlane, Injector, Runtime, RuntimeConfig};
+use albic_engine::runtime::{Injector, Runtime, RuntimeConfig};
 use albic_engine::sim::{SimEngine, WorkloadModel};
 use albic_engine::topology::{Topology, TopologyBuilder, TopologyError};
 use albic_engine::transport::TransportOptions;
@@ -649,7 +649,8 @@ impl JobBuilder {
     }
 
     /// Data-plane tuning for [`JobBuilder::build_threaded`]: batch size,
-    /// per-worker channel capacity, and the pending-batch flush interval.
+    /// per-worker channel capacity, the pending-chunk flush interval and
+    /// the periodic barrier interval.
     /// Simulated jobs ignore it (the simulator has no channels). Defaults
     /// to [`RuntimeConfig::default`].
     pub fn runtime_config(mut self, cfg: RuntimeConfig) -> Self {
@@ -662,16 +663,6 @@ impl JobBuilder {
     /// processes ([`TransportOptions::Net`]). Simulated jobs ignore it.
     pub fn transport(mut self, transport: TransportOptions) -> Self {
         self.transport = transport;
-        self
-    }
-
-    /// Select the threaded runtime's data plane: columnar
-    /// [`StreamChunk`](albic_engine::StreamChunk) batches (the default)
-    /// or the row-batch oracle. Shorthand for setting
-    /// [`RuntimeConfig::data_plane`] through
-    /// [`JobBuilder::runtime_config`]; simulated jobs ignore it.
-    pub fn data_plane(mut self, plane: DataPlane) -> Self {
-        self.runtime.data_plane = plane;
         self
     }
 

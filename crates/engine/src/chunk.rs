@@ -1,5 +1,5 @@
-//! Columnar stream chunks: the vectorized unit of the threaded data
-//! plane ([`crate::runtime`], `DataPlane::Columnar`).
+//! Columnar stream chunks: the unit of every tuple hop in the threaded
+//! data plane ([`crate::runtime`]).
 //!
 //! A [`StreamChunk`] stores a batch of tuples as column arrays instead of
 //! `Vec<Tuple>` rows — the shape RisingWave's `stream_chunk.rs` uses: a
@@ -7,7 +7,7 @@
 //! [`Value`] variant (an Arrow-style dense union: a tag byte plus an
 //! index into the variant's array), a key-group column filled by one
 //! vectorized pass over the keys, and a visibility bitmap so rows can be
-//! masked without moving memory. The payoff over row batches:
+//! masked without moving memory. The payoff over `Vec<Tuple>` batches:
 //!
 //! - **Vectorized key-group hashing**: [`StreamChunk::assign_groups`] is
 //!   one tight `base + key % span` loop over the key column, not a
@@ -24,8 +24,9 @@
 //!
 //! Chunks are an engine-internal transport format; operators and tests
 //! can round-trip through rows with [`StreamChunk::from_tuples`] /
-//! [`StreamChunk::tuple_at`], which is also what the differential suite
-//! uses to pin the columnar plane to the row-batch oracle.
+//! [`StreamChunk::tuple_at`] — the runtime itself uses the former to
+//! turn an operator's period-end [`crate::operator::Emissions`] into a
+//! chunk.
 
 use albic_types::OperatorId;
 

@@ -110,7 +110,7 @@ pub use migration::{Migration, MigrationReport};
 pub use operator::{Emissions, Operator, StateBox};
 pub use reconfig::{ClusterView, ReconfigPlan, ReconfigPolicy};
 pub use routing::RoutingTable;
-pub use runtime::{DataPlane, Injector, Runtime, RuntimeConfig};
+pub use runtime::{Injector, Runtime, RuntimeConfig};
 pub use sim::{SimEngine, WorkloadModel, WorkloadSnapshot};
 pub use stats::{NodePressure, PeriodStats};
 pub use substrate::{

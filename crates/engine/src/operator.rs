@@ -46,14 +46,6 @@ impl Emissions {
     pub fn drain(&mut self) -> Vec<Tuple> {
         std::mem::take(&mut self.tuples)
     }
-
-    /// Rebuild an emissions buffer around a recycled allocation — the
-    /// runtime's hot path reuses drained buffers instead of allocating a
-    /// fresh `Vec` per processed tuple.
-    pub fn from_buffer(mut tuples: Vec<Tuple>) -> Self {
-        tuples.clear();
-        Emissions { tuples }
-    }
 }
 
 /// User-defined operator logic.
@@ -86,15 +78,15 @@ pub trait Operator: Send + Sync {
     fn process(&self, tuple: &Tuple, state: &mut StateBox, out: &mut Emissions);
 
     /// Process a whole run of same-key-group rows in one call — the
-    /// columnar data plane's entry point (`DataPlane::Columnar`), paying
+    /// threaded runtime's only entry point into operator logic, paying
     /// one virtual dispatch per batch instead of per tuple.
     ///
     /// The default bridges to [`Operator::process`] row by row, so every
     /// operator is columnar-capable unchanged; vectorizable operators
     /// override it to work on the columns directly (see
-    /// [`Identity`]/[`Counting`]). Overrides must emit exactly what the
-    /// row path would: the differential suite pins the two planes to
-    /// bit-identical results.
+    /// [`Identity`]/[`Counting`]). Overrides must emit exactly what
+    /// `process` would, row for row: the differential suite pins the
+    /// runtime to a tuple-at-a-time reference interpreter.
     fn process_chunk(&self, rows: &ChunkSlice<'_>, state: &mut StateBox, out: &mut ChunkEmissions) {
         let mut tmp = Emissions::new();
         for i in 0..rows.len() {

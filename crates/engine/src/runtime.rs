@@ -50,19 +50,22 @@
 //!
 //! # Data plane
 //!
-//! Tuples travel in `DataBatch` messages, never individually: each
-//! worker coalesces its outbound tuples into one pending batch per
-//! destination and flushes a batch when it reaches
-//! [`RuntimeConfig::batch_size`], when [`RuntimeConfig::flush_interval`]
-//! elapses while the worker is busy, when the worker goes idle, and
-//! always before acknowledging any control message (so barriers,
-//! migrations and statistics see exactly the same tuple flow an unbatched
-//! engine would). Batching is what lets the hand-off between worker
-//! threads approach hardware limits instead of being dominated by
-//! per-message channel overhead.
+//! Every tuple hop between operators or workers is a columnar
+//! [`StreamChunk`] — injection, worker-to-worker hand-off, migration
+//! buffers and their replay, and period-end window emissions alike. Each
+//! worker splices its outbound rows into one pending chunk per
+//! destination and flushes a chunk when it reaches
+//! [`RuntimeConfig::batch_size`] rows, when
+//! [`RuntimeConfig::flush_interval`] elapses while the worker is busy,
+//! when the worker goes idle, and always before acknowledging any control
+//! message (so barriers, migrations and statistics see exactly the same
+//! tuple flow an unbatched engine would). Batching is what lets the
+//! hand-off between worker threads approach hardware limits instead of
+//! being dominated by per-message channel overhead; `batch_size = 1` is
+//! the per-tuple hand-off baseline.
 //!
 //! Channels are *bounded* at [`RuntimeConfig::channel_capacity`] data
-//! batches by a per-worker credit gauge:
+//! chunks by a per-worker credit gauge:
 //!
 //! * [`Runtime::inject`] (and every [`Injector`]) blocks while the
 //!   destination's queue is at capacity — backpressure propagates to the
@@ -187,14 +190,13 @@ use crate::tuple::Tuple;
 /// `Job::builder().runtime_config(..)` or [`Runtime::start_with_config`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeConfig {
-    /// Maximum tuples per data batch. `1` degenerates to the
-    /// per-tuple data plane (the measured baseline of
-    /// `BENCH_runtime.json`).
+    /// Maximum rows per data chunk. `1` degenerates to the per-tuple
+    /// hand-off (the measured baseline of `BENCH_runtime.json`).
     pub batch_size: usize,
-    /// Maximum *data batches* queued per worker before senders feel
+    /// Maximum *data chunks* queued per worker before senders feel
     /// backpressure. Control messages are never gated.
     pub channel_capacity: usize,
-    /// Maximum age of a pending outbound batch while a worker is busy;
+    /// Maximum age of a pending outbound chunk while a worker is busy;
     /// idle workers and control barriers flush immediately.
     pub flush_interval: Duration,
     /// In [`ReconfigMode::Epoch`], inject a numbered no-op epoch barrier
@@ -203,28 +205,6 @@ pub struct RuntimeConfig {
     /// default) disables the periodic waves; reconfiguration waves are
     /// unaffected. Ignored in quiesce mode.
     pub barrier_interval: usize,
-    /// Which hot-path representation the data plane moves: columnar
-    /// [`StreamChunk`]s (the default) or row batches (the differential
-    /// oracle, and the shape of `BENCH_runtime.json`'s historical
-    /// numbers). The two planes are observationally equivalent —
-    /// `tests/columnar.rs` pins multiset-equal delivery and bit-identical
-    /// period statistics — and differ only in throughput.
-    pub data_plane: DataPlane,
-}
-
-/// Hot-path tuple representation of the threaded data plane (see
-/// [`RuntimeConfig::data_plane`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum DataPlane {
-    /// Row batches (`Vec<(operator, group, tuple)>`): one virtual call,
-    /// one hash lookup and one routing lookup per tuple. Kept as the
-    /// differential oracle for the columnar plane.
-    Row,
-    /// Columnar [`StreamChunk`]s: vectorized key-group assignment, one
-    /// counting sort per chunk, one virtual call per key-group run, and
-    /// flat column splices into per-destination outboxes.
-    #[default]
-    Columnar,
 }
 
 impl Default for RuntimeConfig {
@@ -234,7 +214,6 @@ impl Default for RuntimeConfig {
             channel_capacity: 1024,
             flush_interval: Duration::from_micros(200),
             barrier_interval: 0,
-            data_plane: DataPlane::Columnar,
         }
     }
 }
@@ -400,18 +379,15 @@ struct RecoveryAccounting {
     recovery_secs: f64,
 }
 
-/// A batch of routed tuples: the unit of worker-to-worker hand-off.
-pub(crate) type DataBatch = Vec<(OperatorId, KeyGroupId, Tuple)>;
-
 /// Per-worker inbox gauge: the credit counter that bounds the data plane,
 /// plus the pressure counters exported at period end.
 #[derive(Debug, Default)]
 pub(crate) struct WorkerGauge {
-    /// Data batches currently queued in the worker's inbox.
+    /// Data chunks currently queued in the worker's inbox.
     depth: AtomicUsize,
     /// Largest `depth` observed since the last period collection.
     peak_depth: AtomicUsize,
-    /// Batches enqueued past capacity after a bounded wait expired.
+    /// Chunks enqueued past capacity after a bounded wait expired.
     overflow: AtomicU64,
 }
 
@@ -488,9 +464,8 @@ pub(crate) struct RoutingShared {
 /// still published), overshoot with overflow accounting once patience
 /// expires, send, and return the message if the destination is gone — the
 /// caller picks the loss policy (retry at the ingestion edge, a dropped
-/// counter inside a worker). `msg` must be a data message
-/// ([`Msg::DataBatch`] or [`Msg::DataChunk`]): those are the gauge-gated
-/// kinds, and the only ones a caller needs returned on failure.
+/// counter inside a worker). `msg` must be a [`Msg::DataChunk`]: the
+/// gauge-gated kind, and the only one a caller needs returned on failure.
 // The large `Err` is the point: the undeliverable message comes back by
 // value so the caller can retry or account it, and it is moved, not
 // copied, on every path.
@@ -503,7 +478,7 @@ pub(crate) fn send_gated(
     dest: NodeId,
     msg: Msg,
 ) -> Result<(), Msg> {
-    debug_assert!(matches!(msg, Msg::DataBatch(_) | Msg::DataChunk(_)));
+    debug_assert!(matches!(msg, Msg::DataChunk(_)));
     let Some(sender) = senders.read().get(&dest).cloned() else {
         return Err(msg);
     };
@@ -533,11 +508,14 @@ pub(crate) fn send_gated(
     }
 }
 
-/// Iterate the contiguous group runs of a routed chunk: `f(group, start,
-/// end)` per run. After a [`ChunkSorter`] pass each group appears as one
-/// run; on merely concatenated chunks a group may yield several runs,
-/// which every caller handles identically (same destination).
-fn for_each_group_run(chunk: &StreamChunk, mut f: impl FnMut(KeyGroupId, usize, usize)) {
+/// Split a routed chunk by the current owner of each row's key group,
+/// under one routing read: the re-routing step of a failed injector
+/// delivery and of a graveyard drain. Rows move as contiguous group-run
+/// splices; a group split over several runs (a merely concatenated
+/// chunk) lands in the same destination either way.
+fn rebucket(chunk: &StreamChunk, routing: &RoutingShared) -> Vec<(NodeId, StreamChunk)> {
+    let routing = routing.read();
+    let mut out: Vec<(NodeId, StreamChunk)> = Vec::new();
     let n = chunk.len();
     let mut start = 0;
     while start < n {
@@ -546,9 +524,18 @@ fn for_each_group_run(chunk: &StreamChunk, mut f: impl FnMut(KeyGroupId, usize, 
         while end < n && chunk.group_at(end) == g {
             end += 1;
         }
-        f(KeyGroupId::new(g), start, end);
+        let node = routing.node_of(KeyGroupId::new(g));
+        match out.iter_mut().find(|(d, _)| *d == node) {
+            Some((_, c)) => c.append_range(chunk, start, end),
+            None => {
+                let mut c = StreamChunk::new();
+                c.append_range(chunk, start, end);
+                out.push((node, c));
+            }
+        }
         start = end;
     }
+    out
 }
 
 impl RoutingShared {
@@ -655,13 +642,10 @@ impl<T> Clone for ReplyTo<T> {
 // messages by orders of magnitude.
 #[allow(clippy::large_enum_variant)]
 pub(crate) enum Msg {
-    /// A batch of data tuples, each routed to `(operator, key group)`.
-    /// Gated by the channel-capacity gauge (the row data plane).
-    DataBatch(DataBatch),
-    /// A columnar batch with a routed group column; the operator of each
-    /// row is derived from its global group id. Gated by the
-    /// channel-capacity gauge like [`Msg::DataBatch`] (the columnar data
-    /// plane). Chunks on the wire are always fully visible: emitters
+    /// A columnar batch of data tuples with a routed group column; the
+    /// operator of each row is derived from its global group id. The only
+    /// data message, and the only kind gated by the channel-capacity
+    /// gauge. Chunks on the wire are always fully visible: emitters
     /// splice visible rows only.
     DataChunk(StreamChunk),
     /// Start buffering tuples for a key group (migration destination).
@@ -814,29 +798,25 @@ pub(crate) struct WorkerCtx {
     /// Per-key-group operator state, keyed by global key-group id.
     /// Fast-hashed: looked up once per processed tuple.
     states: FastMap<u32, StateBox>,
-    /// Buffers for key groups mid-migration (destination side).
-    buffers: FastMap<u32, Vec<(OperatorId, Tuple)>>,
+    /// Buffers for key groups mid-migration (destination side): the rows
+    /// caught in the receive window, in arrival order, group column set.
+    buffers: FastMap<u32, StreamChunk>,
     /// In-flight epoch barrier alignment, keyed by epoch number.
     epochs: FastMap<u64, EpochProgress>,
-    /// Pending outbound batch per destination worker.
-    outbox: FastMap<NodeId, DataBatch>,
-    /// Pending outbound chunk per destination worker (columnar plane).
+    /// Pending outbound chunk per destination worker.
     chunk_outbox: FastMap<NodeId, StreamChunk>,
     /// When the oldest pending outbound tuple was enqueued.
     oldest_pending: Option<Instant>,
-    /// Recycled emission buffers (one `Vec` allocation per processed
-    /// tuple otherwise).
-    emission_pool: Vec<Vec<Tuple>>,
-    /// Recycled [`StreamChunk`] allocations for the columnar plane
-    /// (sort targets, emission collectors, local re-dispatch).
+    /// Recycled [`StreamChunk`] allocations (sort targets, emission
+    /// collectors, local re-dispatch).
     chunk_pool: Vec<StreamChunk>,
     /// Counting-sort scratch for bucketing inbound chunks by group.
     sorter: ChunkSorter,
     /// Second sorter for emission routing, which nests inside the
     /// inbound-chunk run loop while `sorter` is in use.
     emit_sorter: ChunkSorter,
-    /// Locally emitted chunks awaiting routing (the columnar analogue of
-    /// `on_data` recursion, kept iterative).
+    /// Locally emitted chunks awaiting routing (operator chains on one
+    /// worker are walked iteratively, not by recursion).
     chunk_worklist: Vec<StreamChunk>,
     stats: StatsCollector,
     /// Key groups written since the last checkpoint capture — what an
@@ -896,10 +876,8 @@ impl WorkerCtx {
             states: FastMap::default(),
             buffers: FastMap::default(),
             epochs: FastMap::default(),
-            outbox: FastMap::default(),
             chunk_outbox: FastMap::default(),
             oldest_pending: None,
-            emission_pool: Vec::new(),
             chunk_pool: Vec::new(),
             sorter: ChunkSorter::default(),
             emit_sorter: ChunkSorter::default(),
@@ -950,20 +928,13 @@ impl WorkerCtx {
             return self.inbox;
         }
         // Drain the inbox tail: a concurrent injector racing a scale-in
-        // can land a batch *behind* the Shutdown message (its Sender was
+        // can land a chunk *behind* the Shutdown message (its Sender was
         // cloned before the coordinator unpublished it). Those tuples
         // must re-enter routing — their groups were drained off this
-        // node, so on_data forwards them — not be destroyed with the
+        // node, so on_chunk forwards them — not be destroyed with the
         // channel. Late barriers are acked so no quiescer can hang.
         while let Ok(msg) = self.inbox.try_recv() {
             match msg {
-                Msg::DataBatch(batch) => {
-                    self.gauge.dequeued();
-                    self.stats.record_ingest(batch.len() as f64);
-                    for (op, kg, tuple) in batch {
-                        self.on_data(op, kg, tuple);
-                    }
-                }
                 Msg::DataChunk(chunk) => {
                     self.gauge.dequeued();
                     self.stats.record_ingest(chunk.visible_len() as f64);
@@ -990,17 +961,10 @@ impl WorkerCtx {
             self.crashed = true;
             return false;
         }
-        if !matches!(msg, Msg::DataBatch(_) | Msg::DataChunk(_)) {
+        if !matches!(msg, Msg::DataChunk(_)) {
             self.flush_outbox();
         }
         match msg {
-            Msg::DataBatch(batch) => {
-                self.gauge.dequeued();
-                self.stats.record_ingest(batch.len() as f64);
-                for (op, kg, tuple) in batch {
-                    self.on_data(op, kg, tuple);
-                }
-            }
             Msg::DataChunk(chunk) => {
                 self.gauge.dequeued();
                 self.stats.record_ingest(chunk.visible_len() as f64);
@@ -1012,12 +976,10 @@ impl WorkerCtx {
             }
             Msg::CancelReceive { kg } => {
                 // Re-run anything buffered during the aborted window;
-                // with the buffer gone, on_data forwards each tuple to
-                // the group's (restored) owner instead of swallowing it.
+                // with the buffer gone, on_chunk forwards the rows to the
+                // group's (restored) owner instead of swallowing them.
                 if let Some(buffered) = self.buffers.remove(&kg.raw()) {
-                    for (bop, tuple) in buffered {
-                        self.on_data(bop, kg, tuple);
-                    }
+                    self.on_chunk(buffered);
                 }
             }
             Msg::Extract { kg, dest, done } => {
@@ -1031,9 +993,8 @@ impl WorkerCtx {
                 done,
             } => {
                 self.install_state(kg, op, &bytes);
-                let buffered = self.buffers.remove(&kg.raw()).unwrap_or_default();
-                for (bop, tuple) in buffered {
-                    self.on_data(bop, kg, tuple);
+                if let Some(buffered) = self.buffers.remove(&kg.raw()) {
+                    self.on_chunk(buffered);
                 }
                 let _ = done.send((
                     kg,
@@ -1438,37 +1399,14 @@ impl WorkerCtx {
         self.routing_cache.node_of(kg)
     }
 
-    fn on_data(&mut self, op: OperatorId, kg: KeyGroupId, tuple: Tuple) {
-        // Buffering during migration takes priority.
-        if let Some(buf) = self.buffers.get_mut(&kg.raw()) {
-            buf.push((op, tuple));
-            return;
-        }
-        // In-flight tuple for a group that moved away: forward it.
-        let owner = self.owner_of(kg);
-        if owner != self.node {
-            self.enqueue_out(owner, op, kg, tuple);
-            return;
-        }
-        self.process_local(op, kg, tuple);
-    }
-
-    fn process_local(&mut self, op: OperatorId, kg: KeyGroupId, tuple: Tuple) {
-        self.ensure_resident(kg, op);
-        let logic = Arc::clone(&self.topology.operator(op).logic);
-        let state = self
-            .states
-            .entry(kg.raw())
-            .or_insert_with(|| logic.new_state());
-        let mut out = Emissions::from_buffer(self.emission_pool.pop().unwrap_or_default());
-        logic.process(&tuple, state, &mut out);
-        self.dirty.insert(kg.raw(), ());
-        self.stats.record_processed(kg, 1.0, logic.cost_per_tuple());
-        self.dispatch(op, kg, out);
-    }
-
+    /// Period end: flush every owned group's window
+    /// ([`crate::operator::Operator::on_period_end`]) and send what it
+    /// emitted down the same chunk path as ordinary emissions — one chunk
+    /// per flushing group, whose locally owned rows are processed before
+    /// the next group flushes.
     fn flush_windows(&mut self) {
         let group_ids: Vec<u32> = self.states.keys().copied().collect();
+        let mut work = std::mem::take(&mut self.chunk_worklist);
         for g in group_ids {
             let kg = KeyGroupId::new(g);
             // Only flush groups this worker still owns.
@@ -1477,70 +1415,28 @@ impl WorkerCtx {
             }
             let op = self.topology.operator_of_group(kg);
             let logic = Arc::clone(&self.topology.operator(op).logic);
-            if let Some(state) = self.states.get_mut(&g) {
-                let mut out = Emissions::from_buffer(self.emission_pool.pop().unwrap_or_default());
-                logic.on_period_end(state, &mut out);
-                if logic.period_end_mutates() {
-                    self.dirty.insert(g, ());
-                }
-                self.dispatch(op, kg, out);
+            let Some(state) = self.states.get_mut(&g) else {
+                continue;
+            };
+            let mut out = Emissions::new();
+            logic.on_period_end(state, &mut out);
+            if logic.period_end_mutates() {
+                self.dirty.insert(g, ());
+            }
+            if out.is_empty() {
+                continue;
+            }
+            self.dispatch_chunk(op, kg, StreamChunk::from_tuples(out.drain()), &mut work);
+            while let Some(c) = work.pop() {
+                self.route_chunk(c, &mut work);
             }
         }
+        self.chunk_worklist = work;
     }
 
-    /// Route emissions of (`op`, `from_kg`) to all downstream operators.
-    fn dispatch(&mut self, op: OperatorId, from_kg: KeyGroupId, mut out: Emissions) {
-        let mut tuples = out.drain();
-        if !tuples.is_empty() {
-            // Borrow the topology through a cloned Arc so the downstream
-            // list needs no per-dispatch Vec allocation.
-            let topology = Arc::clone(&self.topology);
-            for &dop in topology.downstream(op) {
-                for tuple in &tuples {
-                    let dkg = self.topology.group_for_key(dop, tuple.key);
-                    let dest = self.owner_of(dkg);
-                    let crossed = dest != self.node;
-                    self.stats.record_comm(from_kg, dkg, 1.0, crossed);
-                    if crossed {
-                        self.enqueue_out(dest, dop, dkg, tuple.clone());
-                    } else {
-                        self.on_data(dop, dkg, tuple.clone());
-                    }
-                }
-            }
-        }
-        // Recycle the allocation for the next processed tuple.
-        if tuples.capacity() > 0 && self.emission_pool.len() < 16 {
-            tuples.clear();
-            self.emission_pool.push(tuples);
-        }
-    }
-
-    /// Coalesce one outbound tuple into the pending batch for `dest`;
-    /// flush when the batch is full.
-    fn enqueue_out(&mut self, dest: NodeId, op: OperatorId, kg: KeyGroupId, tuple: Tuple) {
-        let batch = self.outbox.entry(dest).or_default();
-        batch.push((op, kg, tuple));
-        self.oldest_pending.get_or_insert_with(Instant::now);
-        if batch.len() >= self.cfg.batch_size {
-            let batch = self.outbox.remove(&dest).unwrap_or_default();
-            self.send_batch(dest, batch);
-        }
-    }
-
-    /// Flush every pending outbound batch and chunk.
+    /// Flush every pending outbound chunk.
     fn flush_outbox(&mut self) {
         self.oldest_pending = None;
-        if !self.outbox.is_empty() {
-            let dests: Vec<NodeId> = self.outbox.keys().copied().collect();
-            for dest in dests {
-                if let Some(batch) = self.outbox.remove(&dest) {
-                    if !batch.is_empty() {
-                        self.send_batch(dest, batch);
-                    }
-                }
-            }
-        }
         if !self.chunk_outbox.is_empty() {
             let dests: Vec<NodeId> = self.chunk_outbox.keys().copied().collect();
             for dest in dests {
@@ -1552,41 +1448,6 @@ impl WorkerCtx {
             }
         }
     }
-
-    /// Hand a batch to a peer worker, waiting a bounded interval for
-    /// queue capacity. Workers never block indefinitely (two mutually
-    /// full workers would deadlock); after `WORKER_SEND_PATIENCE` the
-    /// batch overshoots the capacity and the overflow is counted in the
-    /// pressure signal. Undeliverable batches are counted as dropped,
-    /// never silently discarded.
-    fn send_batch(&mut self, dest: NodeId, batch: DataBatch) {
-        let n = batch.len() as f64;
-        if let Some(up) = &self.uplink {
-            // Networked: the batch travels up the socket and the
-            // controller's stub for `dest` applies the same gated
-            // hand-off on the far side.
-            match up.forward(dest, &Msg::DataBatch(batch)) {
-                Ok(()) => self.stats.record_emit(n),
-                Err(_) => self.stats.record_dropped(n),
-            }
-            return;
-        }
-        // Emit vs dropped is resolved by the hand-off outcome: a tuple
-        // never appears in both counters.
-        match send_gated(
-            &self.senders,
-            &self.gauges,
-            self.cfg.channel_capacity,
-            WORKER_SEND_PATIENCE,
-            dest,
-            Msg::DataBatch(batch),
-        ) {
-            Ok(()) => self.stats.record_emit(n),
-            Err(_) => self.stats.record_dropped(n),
-        }
-    }
-
-    // ---- Columnar data plane -------------------------------------------
 
     /// Take a cleared chunk allocation from the pool (or a fresh one).
     fn take_chunk(&mut self) -> StreamChunk {
@@ -1606,9 +1467,10 @@ impl WorkerCtx {
         }
     }
 
-    /// Entry point for an inbound [`Msg::DataChunk`]: route and process
-    /// the chunk, then drain every locally emitted chunk iteratively —
-    /// the columnar analogue of `on_data`'s recursion through `dispatch`.
+    /// Entry point for a chunk arriving at this worker — an inbound
+    /// [`Msg::DataChunk`] or a migration buffer being replayed: route and
+    /// process the chunk, then drain every locally emitted chunk
+    /// iteratively.
     fn on_chunk(&mut self, chunk: StreamChunk) {
         let mut work = std::mem::take(&mut self.chunk_worklist);
         work.push(chunk);
@@ -1641,14 +1503,12 @@ impl WorkerCtx {
             } else {
                 ChunkSlice::new(&chunk, start, end)
             };
-            // Buffering during migration takes priority (mirrors on_data).
-            if !self.buffers.is_empty() && self.buffers.contains_key(&kg.raw()) {
-                let op = self.topology.operator_of_group(kg);
-                let buf = self.buffers.get_mut(&kg.raw()).expect("checked above");
-                for i in 0..rows.len() {
-                    buf.push((op, rows.tuple_at(i)));
+            // Buffering during migration takes priority.
+            if !self.buffers.is_empty() {
+                if let Some(buf) = self.buffers.get_mut(&kg.raw()) {
+                    buf.append_slice(&rows);
+                    continue;
                 }
-                continue;
             }
             let owner = self.owner_of(kg);
             if owner != self.node {
@@ -1777,8 +1637,12 @@ impl WorkerCtx {
         }
     }
 
-    /// Hand a chunk to a peer worker through the same gated hand-off as
-    /// row batches; undeliverable rows are counted as dropped.
+    /// Hand a chunk to a peer worker, waiting a bounded interval for
+    /// queue capacity. Workers never block indefinitely (two mutually
+    /// full workers would deadlock); after `WORKER_SEND_PATIENCE` the
+    /// chunk overshoots the capacity and the overflow is counted in the
+    /// pressure signal. Undeliverable rows are counted as dropped, never
+    /// silently discarded.
     fn send_chunk(&mut self, dest: NodeId, chunk: StreamChunk) {
         let n = chunk.visible_len() as f64;
         if let Some(up) = &self.uplink {
@@ -1841,7 +1705,7 @@ impl Injector {
         // concurrent rollback-and-replay: a tuple logged before the
         // rollback but delivered after it would otherwise count twice.
         let _gate = self.log.is_enabled().then(|| self.log.gate.read());
-        let n = self.inject_inner(op, tuples, true);
+        let n = self.inject_chunks(op, tuples, true);
         self.maybe_barrier(n);
     }
 
@@ -1890,85 +1754,15 @@ impl Injector {
         }
     }
 
-    /// [`Injector::inject`] with control over replay logging: external
+    /// The ingestion path behind [`Injector::inject`]: pack rows straight
+    /// into per-destination [`StreamChunk`]s, routing each row by one
+    /// `base + key % span` group assignment under a single routing read
+    /// per input batch. The caller's iterator is drained outside the
+    /// routing lock, and the lock is released before any (potentially
+    /// blocking) delivery. `log` controls replay logging: external
     /// injections are logged (when checkpointing is enabled) so recovery
     /// can replay them; the recovery replay itself re-injects *without*
     /// logging, or every fault would double the log.
-    fn inject_inner(
-        &self,
-        op: OperatorId,
-        tuples: impl IntoIterator<Item = Tuple>,
-        log: bool,
-    ) -> usize {
-        match self.cfg.data_plane {
-            DataPlane::Row => self.inject_rows(op, tuples, log),
-            DataPlane::Columnar => self.inject_chunks(op, tuples, log),
-        }
-    }
-
-    /// Row-batch ingestion: the original per-tuple bucketing, kept as the
-    /// differential oracle for the columnar plane.
-    fn inject_rows(
-        &self,
-        op: OperatorId,
-        tuples: impl IntoIterator<Item = Tuple>,
-        log: bool,
-    ) -> usize {
-        let log = log && self.log.is_enabled();
-        let mut total = 0usize;
-        // Few destinations (one per node): a linear-scan Vec beats
-        // hashing on this per-tuple path.
-        let mut buckets: Vec<(NodeId, DataBatch)> = Vec::new();
-        let mut chunk: Vec<(KeyGroupId, Tuple)> = Vec::with_capacity(self.cfg.batch_size);
-        let mut iter = tuples.into_iter();
-        loop {
-            // Pull a chunk from the caller's iterator *outside* the
-            // routing lock — user code (e.g. an iterator blocking on a
-            // socket) must never stall a concurrent reconfiguration.
-            chunk.clear();
-            for tuple in iter.by_ref().take(self.cfg.batch_size) {
-                chunk.push((self.topology.group_for_key(op, tuple.key), tuple));
-            }
-            let consumed = chunk.len();
-            total += consumed;
-            if consumed > 0 {
-                // Log before delivery: a tuple that lands in a crashing
-                // worker's channel must already be recoverable.
-                if log {
-                    self.log.record(op, chunk.iter().map(|(_, t)| t));
-                }
-                let routing = self.routing.read();
-                for (kg, tuple) in chunk.drain(..) {
-                    let node = routing.node_of(kg);
-                    match buckets.iter_mut().find(|(n, _)| *n == node) {
-                        Some((_, batch)) => batch.push((op, kg, tuple)),
-                        None => buckets.push((node, vec![(op, kg, tuple)])),
-                    }
-                }
-            }
-            for (node, batch) in &mut buckets {
-                if batch.len() >= self.cfg.batch_size {
-                    self.deliver(*node, std::mem::take(batch), INJECT_ATTEMPTS);
-                }
-            }
-            if consumed < self.cfg.batch_size {
-                break;
-            }
-        }
-        for (node, batch) in buckets {
-            if !batch.is_empty() {
-                self.deliver(node, batch, INJECT_ATTEMPTS);
-            }
-        }
-        total
-    }
-
-    /// Columnar ingestion: pack rows straight into [`StreamChunk`]s, do
-    /// group assignment as one vectorized pass over the key column, and
-    /// splice per-destination chunks under a single routing read per
-    /// input batch. Same locking discipline as [`Injector::inject_rows`]:
-    /// the caller's iterator is drained outside the routing lock, and the
-    /// lock is released before any (potentially blocking) delivery.
     fn inject_chunks(
         &self,
         op: OperatorId,
@@ -2041,20 +1835,6 @@ impl Injector {
     /// worker drains continuously, so a healthy queue dips below capacity
     /// quickly; a vanished worker is detected by the aliveness re-check
     /// or, at the latest, by the failing send after the patience window.
-    fn deliver(&self, dest: NodeId, batch: DataBatch, attempts: usize) {
-        if let Err(Msg::DataBatch(batch)) = send_gated(
-            &self.senders,
-            &self.gauges,
-            self.cfg.channel_capacity,
-            INJECT_PATIENCE,
-            dest,
-            Msg::DataBatch(batch),
-        ) {
-            self.retry_or_drop(batch, attempts);
-        }
-    }
-
-    /// [`Injector::deliver`] for the columnar plane.
     fn deliver_chunk(&self, dest: NodeId, chunk: StreamChunk, attempts: usize) {
         if let Err(Msg::DataChunk(chunk)) = send_gated(
             &self.senders,
@@ -2069,55 +1849,16 @@ impl Injector {
     }
 
     /// A chunk delivery failed: re-bucket its group runs against a fresh
-    /// routing read and try again; once attempts are exhausted, count the
-    /// loss.
+    /// routing read (its groups may have migrated, or their host drained)
+    /// and try again; once attempts are exhausted, count the loss.
     fn retry_or_drop_chunk(&self, chunk: StreamChunk, attempts: usize) {
         if attempts == 0 {
             self.dropped
                 .fetch_add(chunk.visible_len() as u64, Ordering::Relaxed);
             return;
         }
-        let mut rebucketed: Vec<(NodeId, StreamChunk)> = Vec::new();
-        {
-            let routing = self.routing.read();
-            for_each_group_run(&chunk, |kg, start, end| {
-                let node = routing.node_of(kg);
-                match rebucketed.iter_mut().find(|(n, _)| *n == node) {
-                    Some((_, c)) => c.append_range(&chunk, start, end),
-                    None => {
-                        let mut c = StreamChunk::new();
-                        c.append_range(&chunk, start, end);
-                        rebucketed.push((node, c));
-                    }
-                }
-            });
-        }
-        for (node, c) in rebucketed {
+        for (node, c) in rebucket(&chunk, &self.routing) {
             self.deliver_chunk(node, c, attempts - 1);
-        }
-    }
-
-    /// A delivery failed: re-bucket the batch against a fresh routing
-    /// read (its groups may have migrated, or their host drained) and try
-    /// again; once attempts are exhausted, count the loss.
-    fn retry_or_drop(&self, batch: DataBatch, attempts: usize) {
-        if attempts == 0 {
-            self.dropped
-                .fetch_add(batch.len() as u64, Ordering::Relaxed);
-            return;
-        }
-        let mut rebucketed: HashMap<NodeId, DataBatch> = HashMap::new();
-        {
-            let routing = self.routing.read();
-            for (op, kg, tuple) in batch {
-                rebucketed
-                    .entry(routing.node_of(kg))
-                    .or_default()
-                    .push((op, kg, tuple));
-            }
-        }
-        for (node, b) in rebucketed {
-            self.deliver(node, b, attempts - 1);
         }
     }
 }
@@ -2440,7 +2181,7 @@ impl Runtime {
         self.injector().inject(op, tuples);
     }
 
-    /// Recover batches that landed in a terminated worker's channel
+    /// Recover chunks that landed in a terminated worker's channel
     /// after its final drain: re-route them to the groups' current
     /// owners (counting anything undeliverable), and ack any late
     /// barrier so no quiescer can hang. Called at every settle and
@@ -2450,50 +2191,8 @@ impl Runtime {
         for i in 0..self.graveyard.len() {
             while let Ok(msg) = self.graveyard[i].try_recv() {
                 match msg {
-                    Msg::DataBatch(batch) => {
-                        let mut rebucketed: FastMap<NodeId, DataBatch> = FastMap::default();
-                        {
-                            let routing = self.routing.read();
-                            for (op, kg, tuple) in batch {
-                                rebucketed
-                                    .entry(routing.node_of(kg))
-                                    .or_default()
-                                    .push((op, kg, tuple));
-                            }
-                        }
-                        for (node, b) in rebucketed {
-                            let n = b.len() as u64;
-                            if send_gated(
-                                &self.senders,
-                                &self.gauges,
-                                self.cfg.channel_capacity,
-                                WORKER_SEND_PATIENCE,
-                                node,
-                                Msg::DataBatch(b),
-                            )
-                            .is_err()
-                            {
-                                self.inject_dropped.fetch_add(n, Ordering::Relaxed);
-                            }
-                        }
-                    }
                     Msg::DataChunk(chunk) => {
-                        let mut rebucketed: Vec<(NodeId, StreamChunk)> = Vec::new();
-                        {
-                            let routing = self.routing.read();
-                            for_each_group_run(&chunk, |kg, start, end| {
-                                let node = routing.node_of(kg);
-                                match rebucketed.iter_mut().find(|(n, _)| *n == node) {
-                                    Some((_, c)) => c.append_range(&chunk, start, end),
-                                    None => {
-                                        let mut c = StreamChunk::new();
-                                        c.append_range(&chunk, start, end);
-                                        rebucketed.push((node, c));
-                                    }
-                                }
-                            });
-                        }
-                        for (node, c) in rebucketed {
+                        for (node, c) in rebucket(&chunk, &self.routing) {
                             let n = c.visible_len() as u64;
                             if send_gated(
                                 &self.senders,
@@ -3066,7 +2765,7 @@ impl Runtime {
         }
         // Authoritative flips for the moves that completed; everything
         // else aborts. The un-flip must precede the cancels: a canceled
-        // window replays its buffer through `on_data`, which must no
+        // window replays its buffer through `on_chunk`, which must no
         // longer believe the group lives there.
         let mut aborted: Vec<(KeyGroupId, NodeId, NodeId, MigrationFailure)> = Vec::new();
         for &(group, from, to) in &live {
@@ -3507,7 +3206,7 @@ impl Runtime {
                 .iter()
                 .position(|(_, o, _)| *o != op)
                 .map_or(entries.len(), |p| i + p);
-            injector.inject_inner(op, entries[i..j].iter().map(|(_, _, t)| t.clone()), false);
+            injector.inject_chunks(op, entries[i..j].iter().map(|(_, _, t)| t.clone()), false);
             i = j;
         }
     }

@@ -1140,8 +1140,8 @@ fn stub_session(
                     }
                 };
                 progress = true;
-                if matches!(msg, Msg::DataBatch(_) | Msg::DataChunk(_)) {
-                    // The batch left the queue for the wire: release its
+                if matches!(msg, Msg::DataChunk(_)) {
+                    // The chunk left the queue for the wire: release its
                     // credit (the daemon meters its own inbox).
                     gauge.dequeued();
                 }
@@ -1319,12 +1319,8 @@ fn dispatch_frame(
             // with its correlation id intact.
             let msg = wire::decode_msg(&mut r, None)?;
             match msg {
-                msg @ (Msg::DataBatch(_) | Msg::DataChunk(_)) => {
-                    let n = match &msg {
-                        Msg::DataBatch(b) => b.len() as u64,
-                        Msg::DataChunk(c) => c.visible_len() as u64,
-                        _ => 0,
-                    };
+                Msg::DataChunk(chunk) => {
+                    let n = chunk.visible_len() as u64;
                     // The same gated hand-off a worker thread uses,
                     // including the bounded patience and overflow
                     // accounting on the destination's gauge.
@@ -1334,7 +1330,7 @@ fn dispatch_frame(
                         cfg.channel_capacity,
                         WORKER_SEND_PATIENCE,
                         dest,
-                        msg,
+                        Msg::DataChunk(chunk),
                     )
                     .is_err()
                     {

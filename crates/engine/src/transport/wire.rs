@@ -30,14 +30,14 @@ use super::net::Conn;
 use super::session::{ReconnectPolicy, SendSequencer, SeqVerdict, ACK_EVERY, SEND_QUEUE_LIMIT};
 use crate::chunk::StreamChunk;
 use crate::codec::{DecodeError, Found, Reader, Writer};
-use crate::runtime::{DataPlane, ExtractReply, Msg, ReplyTo, RuntimeConfig};
+use crate::runtime::{ExtractReply, Msg, ReplyTo, RuntimeConfig};
 use crate::stats::StatsCollector;
-use crate::tuple::Tuple;
 
-/// Handshake magic ("ALBIC_W2"): rejects a stray client that is not an
+/// Handshake magic ("ALBIC_W3"): rejects a stray client that is not an
 /// albic worker speaking this protocol revision (revision 2 added
-/// sessions, join tokens, and compressed state blobs).
-pub(crate) const WIRE_MAGIC: u64 = 0x414c_4249_435f_5732;
+/// sessions, join tokens, and compressed state blobs; revision 3 dropped
+/// the row-batch message and the `INIT` data-plane field).
+pub(crate) const WIRE_MAGIC: u64 = 0x414c_4249_435f_5733;
 
 /// Worker → controller: identity announcement + join token, first frame
 /// on a fresh connection.
@@ -596,19 +596,6 @@ impl Correlator {
 
 // ---- Message codec -----------------------------------------------------
 
-fn encode_tuple(t: &Tuple, w: &mut Writer) {
-    w.put_u64(t.key);
-    w.put_value(&t.value);
-    w.put_u64(t.ts);
-}
-
-fn decode_tuple(r: &mut Reader<'_>) -> Result<Tuple, DecodeError> {
-    let key = r.get_u64()?;
-    let value = r.get_value()?;
-    let ts = r.get_u64()?;
-    Ok(Tuple::raw(key, value, ts))
-}
-
 /// Length-prefixed byte blob; [`Writer::put_bytes`] itself is raw, so
 /// every blob on the wire goes through this pair.
 fn put_byte_vec(w: &mut Writer, bytes: &[u8]) {
@@ -785,15 +772,6 @@ pub(crate) fn encode_msg(
     reg: &mut dyn FnMut(Pending) -> u64,
 ) {
     match msg {
-        Msg::DataBatch(batch) => {
-            w.put_u64(0);
-            w.put_u64(batch.len() as u64);
-            for (op, kg, t) in batch {
-                w.put_u64(op.raw() as u64);
-                w.put_u64(kg.raw() as u64);
-                encode_tuple(t, w);
-            }
-        }
         Msg::DataChunk(chunk) => {
             w.put_u64(1);
             chunk.encode(w);
@@ -928,16 +906,6 @@ pub(crate) fn decode_msg(r: &mut Reader<'_>, out: Option<&WireOut>) -> Result<Ms
     let at = r.offset();
     let tag = r.get_u64()?;
     Ok(match tag {
-        0 => {
-            let n = r.get_u64()?;
-            let mut batch = Vec::new();
-            for _ in 0..n {
-                let op = OperatorId::new(r.get_u64()? as u32);
-                let kg = KeyGroupId::new(r.get_u64()? as u32);
-                batch.push((op, kg, decode_tuple(r)?));
-            }
-            Msg::DataBatch(batch)
-        }
         1 => Msg::DataChunk(StreamChunk::decode(r)?),
         2 => Msg::PrepareReceive {
             kg: KeyGroupId::new(r.get_u64()? as u32),
@@ -1049,7 +1017,7 @@ pub(crate) fn decode_msg(r: &mut Reader<'_>, out: Option<&WireOut>) -> Result<Ms
         tag => {
             return Err(DecodeError::new(
                 at,
-                "message tag 0..=17",
+                "message tag 1..=17",
                 Found::Length(tag),
             ))
         }
@@ -1160,10 +1128,6 @@ pub(crate) fn encode_init(init: &InitMsg, w: &mut Writer) {
     w.put_u64(init.cfg.channel_capacity as u64);
     w.put_u64(init.cfg.flush_interval.as_nanos() as u64);
     w.put_u64(init.cfg.barrier_interval as u64);
-    w.put_u64(match init.cfg.data_plane {
-        DataPlane::Row => 0,
-        DataPlane::Columnar => 1,
-    });
     w.put_u64(init.ops.len() as u64);
     for op in &init.ops {
         w.put_str(&op.name);
@@ -1193,24 +1157,11 @@ pub(crate) fn decode_init(r: &mut Reader<'_>) -> Result<InitMsg, DecodeError> {
     let channel_capacity = r.get_u64()? as usize;
     let flush_nanos = r.get_u64()?;
     let barrier_interval = r.get_u64()? as usize;
-    let at = r.offset();
-    let data_plane = match r.get_u64()? {
-        0 => DataPlane::Row,
-        1 => DataPlane::Columnar,
-        tag => {
-            return Err(DecodeError::new(
-                at,
-                "data-plane tag 0..=1",
-                Found::Length(tag),
-            ))
-        }
-    };
     let cfg = RuntimeConfig {
         batch_size,
         channel_capacity,
         flush_interval: std::time::Duration::from_nanos(flush_nanos),
         barrier_interval,
-        data_plane,
     };
     let n = r.get_u64()?;
     let mut ops = Vec::new();
@@ -1274,4 +1225,107 @@ pub(crate) fn decode_routing(r: &mut Reader<'_>) -> Result<(u64, Vec<NodeId>), D
         assignment.push(NodeId::new(r.get_u64()? as u32));
     }
     Ok((version, assignment))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tuple::Value;
+
+    /// Message tag 0 once carried row batches; that frame no longer
+    /// exists. A `MSG` or `FORWARD` body bearing it — here shaped like a
+    /// well-formed one-tuple batch of the old layout — must fail at the
+    /// tag with a typed error instead of being parsed.
+    #[test]
+    fn message_tag_zero_is_rejected_with_a_typed_decode_error() {
+        let mut w = Writer::new();
+        w.put_u64(0); // tag
+        w.put_u64(1); // rows
+        w.put_u64(0); // operator
+        w.put_u64(0); // key group
+        w.put_u64(7); // key
+        w.put_value(&Value::Int(1));
+        w.put_u64(0); // timestamp
+        let body = w.into_bytes();
+        let mut forward = Writer::new();
+        forward.put_u64(2); // destination node
+        forward.put_bytes(&body);
+        let forward = forward.into_bytes();
+
+        for (kind, payload) in [(FRAME_MSG, &body), (FRAME_FORWARD, &forward)] {
+            let mut frames = FrameBuffer::new();
+            frames.extend(&session_frame(kind, 1, 0, payload));
+            let (got_kind, frame) = frames.next_frame().unwrap().expect("one whole frame");
+            assert_eq!(got_kind, kind);
+            let (_, _, payload) = split_session(&frame).unwrap();
+            let mut r = Reader::new(payload);
+            if kind == FRAME_FORWARD {
+                assert_eq!(r.get_u64().unwrap(), 2);
+            }
+            let at = r.offset();
+            let Err(err) = decode_msg(&mut r, None) else {
+                panic!("frame kind {kind}: tag 0 decoded as a message");
+            };
+            assert_eq!(err.offset, at, "frame kind {kind}");
+            assert_eq!(err.expected, "message tag 1..=17");
+            assert!(matches!(err.found, Found::Length(0)), "{err}");
+        }
+    }
+
+    /// `INIT` carries exactly the runtime config's four fields (no
+    /// data-plane tag) and round-trips every field of the bootstrap.
+    #[test]
+    fn init_round_trips_with_exactly_four_config_fields() {
+        let init = InitMsg {
+            cfg: RuntimeConfig {
+                batch_size: 7,
+                channel_capacity: 33,
+                flush_interval: Duration::from_micros(150),
+                barrier_interval: 96,
+            },
+            ops: vec![
+                InitOp {
+                    name: "events".into(),
+                    logic: "identity".into(),
+                    key_groups: 8,
+                    is_source: true,
+                },
+                InitOp {
+                    name: "count".into(),
+                    logic: "counting".into(),
+                    key_groups: 4,
+                    is_source: false,
+                },
+            ],
+            edges: vec![(0, 1)],
+            routing_version: 5,
+            assignment: (0..12).map(|g| NodeId::new(g % 3)).collect(),
+            compression: true,
+            reconnect: ReconnectPolicy {
+                attempts: 3,
+                base_backoff: Duration::from_millis(10),
+                max_backoff: Duration::from_millis(80),
+                jitter: 0.25,
+            },
+        };
+        let mut w = Writer::new();
+        encode_init(&init, &mut w);
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        let back = decode_init(&mut r).expect("decode INIT");
+        assert!(r.is_done(), "{} trailing bytes", r.remaining());
+        assert_eq!(back.cfg, init.cfg);
+        let ops = |m: &InitMsg| -> Vec<(String, String, u32, bool)> {
+            m.ops
+                .iter()
+                .map(|o| (o.name.clone(), o.logic.clone(), o.key_groups, o.is_source))
+                .collect()
+        };
+        assert_eq!(ops(&back), ops(&init));
+        assert_eq!(back.edges, init.edges);
+        assert_eq!(back.routing_version, init.routing_version);
+        assert_eq!(back.assignment, init.assignment);
+        assert_eq!(back.compression, init.compression);
+        assert_eq!(back.reconnect, init.reconnect);
+    }
 }

@@ -372,7 +372,7 @@ impl ReaderLink {
         }
         match wire::decode_msg(&mut r, Some(&self.uplink)) {
             Ok(msg) => {
-                if matches!(msg, Msg::DataBatch(_) | Msg::DataChunk(_)) {
+                if matches!(msg, Msg::DataChunk(_)) {
                     // Meter before the send: the event loop decrements on
                     // dequeue, and the pair is what the controller's
                     // credit gauge mirrors.

@@ -66,5 +66,5 @@ pub use albic_workloads as workloads;
 pub use albic_core::job;
 pub use albic_core::job::{Job, JobBuilder, JobError, JobSummary, Policy};
 pub use albic_engine::ReconfigMode;
-pub use albic_engine::{ChunkSorter, DataPlane, RuntimeConfig, StreamChunk};
+pub use albic_engine::{ChunkSorter, RuntimeConfig, StreamChunk};
 pub use albic_engine::{NetConfig, ReconnectPolicy, SocketKind, TransportError, TransportOptions};

@@ -1,65 +1,89 @@
-//! Differential tests: the columnar chunk plane against the row-batch
-//! oracle. The two data planes are *observationally equivalent* — same
-//! final counter states (bit-equal), same final routing, and bit-identical
-//! per-period statistics under quiesced reconfiguration — even when
-//! migrations land mid-batch with tuples still in flight. The row plane
-//! moves one dynamically-typed tuple per hop and is trivially correct; the
-//! chunk plane re-buckets whole columns per virtual call, so any
-//! divergence here is a vectorization bug. The property tests randomize
-//! the knobs that bend the plane around a batch boundary: batch size,
-//! channel capacity, and the migration schedule itself.
+//! Differential tests: the threaded runtime's chunk data plane against
+//! the single-threaded reference interpreter (`tests/support`). The
+//! reference runs each operator tuple by tuple with no channels, no
+//! batching and no migration, so it is trivially correct; the runtime
+//! re-buckets whole columns per virtual call, replays migration buffers
+//! as chunks and routes period-end window emissions through the same
+//! chunk path — any divergence here is a vectorization or migration bug.
+//! Pinned: every group's final serialized state equals the reference's
+//! (even when migrations land mid-chunk with tuples still in flight),
+//! the final routing equals the scripted plans applied to the initial
+//! routing, nothing is dropped, and for migration-free schedules every
+//! per-period statistics signal is bit-identical to the reference's. The
+//! property tests randomize the knobs that bend the plane around a batch
+//! boundary: batch size, channel capacity, and the migration schedule
+//! itself.
+
+mod support;
+
+use std::collections::BTreeMap;
 
 use albic::engine::chunk::ChunkSorter;
-use albic::engine::operator::{Counting, Identity};
+use albic::engine::operator::{Counting, Emissions, Identity, Operator, StateBox};
 use albic::engine::tuple::{Tuple, Value};
 use albic::engine::{
-    DataPlane, Migration, PeriodRecord, ReconfigMode, ReconfigPlan, Runtime, RuntimeConfig,
-    StreamChunk,
+    PeriodStats, ReconfigEngine, ReconfigMode, Runtime, RuntimeConfig, StreamChunk,
 };
 use albic::job::{Job, Policy};
-use albic::types::{KeyGroupId, NodeId};
+use albic::types::NodeId;
 use proptest::prelude::*;
+use support::{plan_of, run_reference, scripted_routing, NODES};
 
-const KEYS: u64 = 24;
-const NODES: usize = 3;
-
-/// Deterministic skewed per-key tuple counts for one period.
-fn tuples_of(key: u64, period: u64) -> u64 {
-    1 + (key * 5 + period * 7) % 9
+/// What one runtime run leaves behind: final per-group states, final
+/// routing, and the statistics snapshot of every period.
+struct RunOutcome {
+    states: Vec<Vec<u8>>,
+    routing: Vec<NodeId>,
+    stats: Vec<PeriodStats>,
 }
 
-/// Normalize one period's scripted `(group, node)` moves into a
-/// well-formed plan (no self-moves, no duplicate groups) — both planes
-/// must see the *same* plan.
-fn plan_of(rt: &Runtime, moves: &[(u32, u32)]) -> ReconfigPlan {
-    let routing = rt.routing_snapshot();
-    let total = rt.topology().num_key_groups();
-    let mut seen = Vec::new();
-    let mut plan = ReconfigPlan::noop();
-    for &(g, n) in moves {
-        let kg = KeyGroupId::new(g % total);
-        let to = NodeId::new(n % NODES as u32);
-        if seen.contains(&kg) || routing.node_of(kg) == to {
-            continue;
-        }
-        seen.push(kg);
-        plan.migrations.push(Migration { group: kg, to });
-    }
-    plan
-}
-
-/// One full run on `plane`: per period inject the deterministic workload,
-/// apply that period's scripted migrations **without settling first** (the
+/// One full run of `job`: per period inject the scripted workload, apply
+/// that period's scripted migrations **without settling first** (the
 /// plan lands with chunks still in flight), then close the period.
-fn run_plane(
-    plane: DataPlane,
+fn run_job(mut job: Job<Runtime>, schedule: &[Vec<(u32, u32)>]) -> RunOutcome {
+    let initial = job.engine().routing_snapshot();
+    let mut stats = Vec::new();
+    for (p, moves) in schedule.iter().enumerate() {
+        for tuples in support::period_input(p as u64) {
+            job.inject("events", tuples);
+        }
+        // Mid-batch landing: no settle between inject and apply, so the
+        // reconfiguration overtakes tuples still queued on the data plane.
+        let plan = plan_of(&job.engine().routing_snapshot(), moves);
+        let report = job.apply(&plan);
+        assert!(
+            report.failed.is_empty(),
+            "period {p}: no kills, every move must succeed: {:?}",
+            report.failed
+        );
+        assert_eq!(report.migrations.len(), plan.migrations.len());
+        let step = job.step();
+        assert!(step.apply.failed.is_empty());
+        stats.push(step.stats);
+    }
+    job.settle();
+    let outcome = RunOutcome {
+        states: support::final_states(job.engine()),
+        routing: job.engine().routing_snapshot().assignment().to_vec(),
+        stats,
+    };
+    assert_eq!(
+        outcome.routing,
+        scripted_routing(&initial, schedule),
+        "final routing is not the scripted plans applied to the initial routing"
+    );
+    job.shutdown();
+    outcome
+}
+
+/// The `events -> count` differential job.
+fn counting_job(
     mode: ReconfigMode,
     batch: usize,
     capacity: usize,
     barrier_interval: usize,
-    schedule: &[Vec<(u32, u32)>],
-) -> (Vec<u64>, Vec<NodeId>, Vec<PeriodRecord>) {
-    let mut job = Job::builder()
+) -> Job<Runtime> {
+    Job::builder()
         .source("events", 8, Identity)
         .operator("count", 8, Counting)
         .edge("events", "count")
@@ -68,160 +92,118 @@ fn run_plane(
             batch_size: batch,
             channel_capacity: capacity,
             barrier_interval,
-            data_plane: plane,
             ..RuntimeConfig::default()
         })
         .reconfig_mode(mode)
         .policy(Policy::noop())
         .build_threaded()
-        .expect("valid job spec");
-    for (p, moves) in schedule.iter().enumerate() {
-        for k in 0..KEYS {
-            let n = tuples_of(k, p as u64);
-            job.inject(
-                "events",
-                (0..n).map(|i| Tuple::keyed(&k, Value::Int(i as i64), p as u64)),
-            );
-        }
-        // Mid-batch landing: no settle between inject and apply, so the
-        // reconfiguration overtakes tuples still queued on the data plane.
-        let plan = plan_of(job.engine(), moves);
-        let report = job.apply(&plan);
-        assert!(
-            report.failed.is_empty(),
-            "period {p}: no kills, every move must succeed: {:?}",
-            report.failed
-        );
-        let step = job.step();
-        assert!(step.apply.failed.is_empty());
-    }
-    job.settle();
-    let counts = final_counts(job.engine());
-    let assignment = job.engine().routing_snapshot().assignment().to_vec();
-    let history = job.history().to_vec();
-    job.shutdown();
-    (counts, assignment, history)
+        .expect("valid job spec")
 }
 
-/// The per-group u64 counter states (0 for stateless/untouched groups).
-fn final_counts(rt: &Runtime) -> Vec<u64> {
-    let cnt = rt.topology().operator_by_name("count").unwrap();
-    (0..rt.topology().num_key_groups())
-        .map(|g| {
-            let kg = KeyGroupId::new(g);
-            if rt.topology().operator_of_group(kg) != cnt {
-                return 0;
-            }
-            rt.probe_state(kg)
-                .map(|b| {
-                    let mut arr = [0u8; 8];
-                    arr.copy_from_slice(&b[..8]);
-                    u64::from_le_bytes(arr)
-                })
-                .unwrap_or(0)
-        })
-        .collect()
-}
-
-/// Every `PeriodRecord` field as exact bit patterns, except the two
-/// wall-clock timings (`migration_pause_secs`, `recovery_secs`) which are
-/// machine-dependent by nature. Everything else is a sum of exact
-/// integer-valued counters, so for migration-free schedules the planes
-/// must agree *bit for bit*.
-fn record_bits(r: &PeriodRecord) -> [u64; 13] {
-    [
-        r.period,
-        r.load_distance.to_bits(),
-        r.mean_load.to_bits(),
-        r.total_system_load.to_bits(),
-        r.collocation_factor.to_bits(),
-        r.migrations as u64,
-        r.migration_cost.to_bits(),
-        r.num_nodes as u64,
-        r.marked_nodes as u64,
-        r.dropped_tuples.to_bits(),
-        r.failed_nodes as u64,
-        r.groups_restored as u64,
-        r.tuples_replayed.to_bits(),
-    ]
-}
-
-/// The timing-independent counter subset (the same set `tests/epoch.rs`
-/// compares across executors). When a plan lands with tuples in flight,
-/// the local-vs-crossed classification and period attribution of those
-/// tuples race thread scheduling *within either plane* — the load and
-/// collocation aggregates are then not run-to-run reproducible, so a
-/// plane-vs-plane comparison of them would be flaky by construction.
-fn counter_bits(r: &PeriodRecord) -> [u64; 9] {
-    [
-        r.period,
-        r.migrations as u64,
-        r.migration_cost.to_bits(),
-        r.num_nodes as u64,
-        r.marked_nodes as u64,
-        r.dropped_tuples.to_bits(),
-        r.failed_nodes as u64,
-        r.groups_restored as u64,
-        r.tuples_replayed.to_bits(),
-    ]
-}
-
-/// Assert observational equivalence of one quiesced schedule under the
-/// two data planes. For migration-free schedules every statistics field
-/// must be bit-identical; with mid-stream plans the deterministic counter
-/// subset must be.
-fn assert_columnar_matches_row(batch: usize, capacity: usize, schedule: &[Vec<(u32, u32)>]) {
-    let (row_counts, row_routing, row_history) = run_plane(
-        DataPlane::Row,
-        ReconfigMode::Quiesce,
-        batch,
-        capacity,
-        0,
-        schedule,
+/// Run `job` over `schedule` and assert it against the reference
+/// interpreter fed the same input under the job's initial routing.
+fn assert_matches_reference(job: Job<Runtime>, schedule: &[Vec<(u32, u32)>]) -> RunOutcome {
+    let topology = job.engine().topology().clone();
+    let initial = job.engine().routing_snapshot();
+    let cluster = job.engine().view().cluster.clone();
+    let cost = job.engine().view().cost.clone();
+    let source = topology.operator_by_name("events").expect("events source");
+    let input: Vec<_> = (0..schedule.len() as u64)
+        .map(|p| vec![(source, support::period_input(p).concat())])
+        .collect();
+    let reference = run_reference(&topology, &initial, &input);
+    let run = run_job(job, schedule);
+    assert_eq!(
+        run.states, reference.states,
+        "final per-group states diverge from the reference interpreter"
     );
-    let (counts, routing, history) = run_plane(
-        DataPlane::Columnar,
-        ReconfigMode::Quiesce,
-        batch,
-        capacity,
-        0,
-        schedule,
+    for (p, stats) in run.stats.iter().enumerate() {
+        assert_eq!(stats.dropped_tuples, 0.0, "period {p}");
+    }
+    if schedule.iter().all(|moves| moves.is_empty()) {
+        // Migration-free: every statistics signal is a function of exact
+        // integer counters, so it must match bit for bit.
+        for (p, (stats, counters)) in run.stats.iter().zip(&reference.periods).enumerate() {
+            let expected = PeriodStats::compute(
+                stats.period,
+                counters,
+                initial.assignment().to_vec(),
+                &cluster,
+                &cost,
+            );
+            assert_stats_match(p, stats, &expected);
+        }
+    }
+    run
+}
+
+/// Every policy-visible load and flow signal of one period, compared
+/// exactly (drops are checked for every schedule by the caller).
+fn assert_stats_match(p: usize, actual: &PeriodStats, expected: &PeriodStats) {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&actual.group_loads),
+        bits(&expected.group_loads),
+        "period {p}: per-group loads"
     );
     assert_eq!(
-        counts, row_counts,
-        "final counter states diverge from the row-batch oracle"
+        bits(&actual.group_state_bytes),
+        bits(&expected.group_state_bytes),
+        "period {p}: per-group state bytes"
     );
-    assert_eq!(routing, row_routing, "final routing diverges");
-    let migration_free = schedule.iter().all(|moves| moves.is_empty());
-    if migration_free {
-        assert_eq!(
-            history.iter().map(record_bits).collect::<Vec<_>>(),
-            row_history.iter().map(record_bits).collect::<Vec<_>>(),
-            "per-period statistics diverge bit-wise from the row-batch oracle"
-        );
-    } else {
-        assert_eq!(
-            history.iter().map(counter_bits).collect::<Vec<_>>(),
-            row_history.iter().map(counter_bits).collect::<Vec<_>>(),
-            "per-period counters diverge from the row-batch oracle"
-        );
-    }
-    // Arithmetic ground truth: exactly-once end to end.
-    let total: u64 = (0..schedule.len() as u64)
-        .flat_map(|p| (0..KEYS).map(move |k| tuples_of(k, p)))
-        .sum();
-    assert_eq!(counts.iter().sum::<u64>(), total);
-    for rec in &history {
-        assert_eq!(rec.dropped_tuples, 0.0, "period {}", rec.period);
-    }
+    assert_eq!(
+        bits(&actual.out_total),
+        bits(&expected.out_total),
+        "period {p}: per-group output"
+    );
+    assert_eq!(
+        actual.out_matrix, expected.out_matrix,
+        "period {p}: out matrix"
+    );
+    assert_eq!(
+        actual.node_loads, expected.node_loads,
+        "period {p}: node loads"
+    );
+    assert_eq!(
+        actual.bottleneck, expected.bottleneck,
+        "period {p}: bottleneck"
+    );
+    assert_eq!(
+        actual.total_tuples, expected.total_tuples,
+        "period {p}: total tuples"
+    );
+    assert_eq!(
+        actual.cross_tuples, expected.cross_tuples,
+        "period {p}: crossing tuples"
+    );
+    assert_eq!(
+        actual.comm_tuples, expected.comm_tuples,
+        "period {p}: inter-group tuples"
+    );
+}
+
+/// One counting schedule against the reference, plus the arithmetic
+/// ground truth: every injected tuple counted exactly once.
+fn assert_counting_matches_reference(
+    mode: ReconfigMode,
+    batch: usize,
+    capacity: usize,
+    barrier: usize,
+    schedule: &[Vec<(u32, u32)>],
+) {
+    let job = counting_job(mode, batch, capacity, barrier);
+    let topology = job.engine().topology().clone();
+    let run = assert_matches_reference(job, schedule);
+    let counted: u64 = support::counts_of(&topology, &run.states).iter().sum();
+    assert_eq!(counted, support::total_tuples(schedule.len() as u64));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Quiesced reconfiguration: the chunk plane is bit-identical to the
-    /// row oracle over randomized batch sizes, channel capacities, and
-    /// mid-stream migration schedules.
+    /// Quiesced reconfiguration: final states equal the reference's over
+    /// randomized batch sizes, channel capacities, and mid-stream
+    /// migration schedules.
     #[test]
     fn columnar_plane_matches_row_oracle_under_quiesce(
         batch in 1usize..=48,
@@ -231,13 +213,13 @@ proptest! {
             2..4,
         ),
     ) {
-        assert_columnar_matches_row(batch, capacity, &schedule);
+        assert_counting_matches_reference(ReconfigMode::Quiesce, batch, capacity, 0, &schedule);
     }
 
     /// Steady state (no plans in flight): *every* per-period statistics
-    /// field — load distance, mean load, system load, collocation — is
-    /// bit-identical between the planes, over randomized batch sizes and
-    /// channel capacities.
+    /// signal — per-group loads, node loads, total, crossing and
+    /// inter-group tuples — is bit-identical to the reference's, over
+    /// randomized batch sizes and channel capacities.
     #[test]
     fn steady_state_statistics_are_bit_identical(
         batch in 1usize..=48,
@@ -245,14 +227,15 @@ proptest! {
         periods in 2usize..=4,
     ) {
         let schedule = vec![vec![]; periods];
-        assert_columnar_matches_row(batch, capacity, &schedule);
+        assert_counting_matches_reference(ReconfigMode::Quiesce, batch, capacity, 0, &schedule);
     }
 
-    /// Epoch-aligned reconfiguration: same final counter states, routing,
-    /// and zero drops on both planes. (Per-period *load* stats are not
-    /// compared here: epoch mode never stops unrelated edges, so the
-    /// crossing classification of in-flight tuples is timing-dependent on
-    /// both planes — the quiesce property above pins the stats.)
+    /// Epoch-aligned reconfiguration: same final states as the reference,
+    /// the scripted routing, and zero drops. (Per-period *load* stats are
+    /// not compared under migration: epoch mode never stops unrelated
+    /// edges, so the crossing classification of in-flight tuples is
+    /// timing-dependent — the steady-state property above pins the
+    /// stats.)
     #[test]
     fn columnar_plane_matches_row_oracle_under_epoch(
         batch in 1usize..=48,
@@ -263,15 +246,7 @@ proptest! {
             2..4,
         ),
     ) {
-        let (row_counts, row_routing, row_history) = run_plane(
-            DataPlane::Row, ReconfigMode::Epoch, batch, capacity, barrier, &schedule);
-        let (counts, routing, history) = run_plane(
-            DataPlane::Columnar, ReconfigMode::Epoch, batch, capacity, barrier, &schedule);
-        prop_assert_eq!(counts, row_counts);
-        prop_assert_eq!(routing, row_routing);
-        for rec in history.iter().chain(row_history.iter()) {
-            prop_assert_eq!(rec.dropped_tuples, 0.0, "period {}", rec.period);
-        }
+        assert_counting_matches_reference(ReconfigMode::Epoch, batch, capacity, barrier, &schedule);
     }
 
     /// The chunk codec round-trips arbitrary mixed-variant chunks
@@ -386,7 +361,8 @@ fn chunk_codec_pins_empty_allnull_and_masked() {
 }
 
 /// Deterministic pin of the core scenario: tiny batches, a small channel,
-/// and back-to-back multi-move periods — the plan always lands mid-chunk.
+/// and back-to-back multi-move periods — the plan always lands mid-chunk,
+/// so migration buffers fill and replay as chunks.
 #[test]
 fn mid_chunk_migration_matches_row_oracle() {
     let schedule = vec![
@@ -394,5 +370,92 @@ fn mid_chunk_migration_matches_row_oracle() {
         vec![(3, 2), (6, 1)],
         vec![(9, 0), (14, 2), (1, 1)],
     ];
-    assert_columnar_matches_row(4, 16, &schedule);
+    assert_counting_matches_reference(ReconfigMode::Quiesce, 4, 16, 0, &schedule);
+}
+
+/// A tumbling count window: per key, how many tuples arrived this
+/// period. At period end it emits one `(key, count)` tuple per key seen,
+/// in key order, and clears.
+struct WindowCount;
+
+type WindowState = BTreeMap<u64, u64>;
+
+impl Operator for WindowCount {
+    fn name(&self) -> &str {
+        "window-count"
+    }
+    fn new_state(&self) -> StateBox {
+        Box::new(WindowState::new())
+    }
+    fn serialize_state(&self, state: &StateBox) -> Vec<u8> {
+        let window = state.downcast_ref::<WindowState>().expect("window state");
+        window
+            .iter()
+            .flat_map(|(k, c)| k.to_le_bytes().into_iter().chain(c.to_le_bytes()))
+            .collect()
+    }
+    fn deserialize_state(&self, bytes: &[u8]) -> StateBox {
+        let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8 bytes"));
+        let window: WindowState = bytes
+            .chunks_exact(16)
+            .map(|pair| (word(&pair[..8]), word(&pair[8..])))
+            .collect();
+        Box::new(window)
+    }
+    fn process(&self, tuple: &Tuple, state: &mut StateBox, _out: &mut Emissions) {
+        let window = state.downcast_mut::<WindowState>().expect("window state");
+        *window.entry(tuple.key).or_insert(0) += 1;
+    }
+    fn on_period_end(&self, state: &mut StateBox, out: &mut Emissions) {
+        let window = state.downcast_mut::<WindowState>().expect("window state");
+        for (&key, &count) in window.iter() {
+            out.emit(Tuple::raw(key, Value::Int(count as i64), 0));
+        }
+        window.clear();
+    }
+    fn period_end_mutates(&self) -> bool {
+        true
+    }
+}
+
+/// Period-end emissions reach a downstream operator on another worker:
+/// a window on node 0 flushes into counters spread over nodes 1 and 0,
+/// so each flush takes both the cross-worker hand-off and the local
+/// worklist. Every key is seen every period, so the counters must total
+/// exactly `KEYS` per period — each emission counted once — and the final
+/// states and every per-period signal must equal the reference's.
+#[test]
+fn period_end_emissions_reach_a_downstream_counter_exactly_once() {
+    let groups = 8u32;
+    // events round-robin, window all on node 0, count alternating 1/0.
+    let assignment: Vec<u32> = (0..groups)
+        .map(|g| g % NODES as u32)
+        .chain((0..groups).map(|_| 0))
+        .chain((0..groups).map(|g| 1 - g % 2))
+        .collect();
+    let periods = 3;
+    for batch in [1, 4, 64] {
+        let job = Job::builder()
+            .source("events", groups, Identity)
+            .operator("window", groups, WindowCount)
+            .operator("count", groups, Counting)
+            .edge("events", "window")
+            .edge("window", "count")
+            .nodes(NODES)
+            .routing_assignment(assignment.clone())
+            .runtime_config(RuntimeConfig {
+                batch_size: batch,
+                ..RuntimeConfig::default()
+            })
+            .policy(Policy::noop())
+            .build_threaded()
+            .expect("valid job spec");
+        let topology = job.engine().topology().clone();
+        let run = assert_matches_reference(job, &vec![vec![]; periods]);
+        let counted: u64 = support::counts_of(&topology, &run.states).iter().sum();
+        assert_eq!(counted, support::KEYS * periods as u64, "batch {batch}");
+        for (p, stats) in run.stats.iter().enumerate() {
+            assert!(stats.cross_tuples > 0.0, "batch {batch} period {p}");
+        }
+    }
 }

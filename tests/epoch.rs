@@ -8,41 +8,14 @@
 //! the data plane around a barrier: batch size, channel capacity, the
 //! periodic no-op barrier interval, and the migration schedule itself.
 
+mod support;
+
 use albic::engine::operator::{Counting, Identity};
-use albic::engine::tuple::{Tuple, Value};
-use albic::engine::{Migration, PeriodRecord, ReconfigMode, ReconfigPlan, Runtime, RuntimeConfig};
+use albic::engine::{PeriodRecord, ReconfigMode, RuntimeConfig};
 use albic::job::{Job, Policy};
-use albic::types::{KeyGroupId, NodeId};
+use albic::types::NodeId;
 use proptest::prelude::*;
-
-const KEYS: u64 = 24;
-const NODES: usize = 3;
-
-/// Deterministic skewed per-key tuple counts for one period.
-fn tuples_of(key: u64, period: u64) -> u64 {
-    1 + (key * 7 + period * 5) % 9
-}
-
-/// Build the scripted plan for one period: `(group, node)` pairs become
-/// migrations, minus self-moves and duplicate groups (both executors must
-/// see the *same* well-formed plan, so the normalization happens here, not
-/// inside either apply path).
-fn plan_of(rt: &Runtime, moves: &[(u32, u32)]) -> ReconfigPlan {
-    let routing = rt.routing_snapshot();
-    let total = rt.topology().num_key_groups();
-    let mut seen = Vec::new();
-    let mut plan = ReconfigPlan::noop();
-    for &(g, n) in moves {
-        let kg = KeyGroupId::new(g % total);
-        let to = NodeId::new(n % NODES as u32);
-        if seen.contains(&kg) || routing.node_of(kg) == to {
-            continue;
-        }
-        seen.push(kg);
-        plan.migrations.push(Migration { group: kg, to });
-    }
-    plan
-}
+use support::{final_counts, plan_of, total_tuples, NODES};
 
 /// One full run under `mode`: per period inject the deterministic
 /// workload, apply that period's scripted migrations **without settling
@@ -73,16 +46,12 @@ fn run_mode(
         .build_threaded()
         .expect("valid job spec");
     for (p, moves) in schedule.iter().enumerate() {
-        for k in 0..KEYS {
-            let n = tuples_of(k, p as u64);
-            job.inject(
-                "events",
-                (0..n).map(|i| Tuple::keyed(&k, Value::Int(i as i64), p as u64)),
-            );
+        for tuples in support::period_input(p as u64) {
+            job.inject("events", tuples);
         }
         // Mid-batch landing: no settle between inject and apply, so the
         // wave overtakes tuples still queued on the data plane.
-        let plan = plan_of(job.engine(), moves);
+        let plan = plan_of(&job.engine().routing_snapshot(), moves);
         let report = job.apply(&plan);
         assert!(
             report.failed.is_empty(),
@@ -99,26 +68,6 @@ fn run_mode(
     let history = job.history().to_vec();
     job.shutdown();
     (counts, assignment, history)
-}
-
-/// The per-group u64 counter states (0 for stateless/untouched groups).
-fn final_counts(rt: &Runtime) -> Vec<u64> {
-    let cnt = rt.topology().operator_by_name("count").unwrap();
-    (0..rt.topology().num_key_groups())
-        .map(|g| {
-            let kg = KeyGroupId::new(g);
-            if rt.topology().operator_of_group(kg) != cnt {
-                return 0;
-            }
-            rt.probe_state(kg)
-                .map(|b| {
-                    let mut arr = [0u8; 8];
-                    arr.copy_from_slice(&b[..8]);
-                    u64::from_le_bytes(arr)
-                })
-                .unwrap_or(0)
-        })
-        .collect()
 }
 
 /// The per-period fields both executors must agree on. Wall-clock timings
@@ -172,10 +121,10 @@ fn assert_epoch_matches_oracle(
         "per-period statistics diverge"
     );
     // Arithmetic ground truth: exactly-once end to end.
-    let total: u64 = (0..schedule.len() as u64)
-        .flat_map(|p| (0..KEYS).map(move |k| tuples_of(k, p)))
-        .sum();
-    assert_eq!(counts.iter().sum::<u64>(), total);
+    assert_eq!(
+        counts.iter().sum::<u64>(),
+        total_tuples(schedule.len() as u64)
+    );
     for rec in &history {
         assert_eq!(rec.dropped_tuples, 0.0, "period {}", rec.period);
     }
@@ -221,10 +170,10 @@ fn mid_batch_migration_epoch_matches_quiesce_oracle() {
 fn noop_barrier_waves_under_load_are_exactly_once() {
     let schedule = vec![vec![], vec![], vec![]];
     let (counts, routing, history) = run_mode(ReconfigMode::Epoch, 8, 32, 48, &schedule);
-    let total: u64 = (0..schedule.len() as u64)
-        .flat_map(|p| (0..KEYS).map(move |k| tuples_of(k, p)))
-        .sum();
-    assert_eq!(counts.iter().sum::<u64>(), total);
+    assert_eq!(
+        counts.iter().sum::<u64>(),
+        total_tuples(schedule.len() as u64)
+    );
     let (oracle_counts, oracle_routing, _) = run_mode(ReconfigMode::Quiesce, 8, 32, 0, &schedule);
     assert_eq!(counts, oracle_counts);
     assert_eq!(routing, oracle_routing);

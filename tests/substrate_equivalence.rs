@@ -63,7 +63,7 @@ fn equivalent_with_default_batching() {
 }
 
 #[test]
-fn equivalent_with_per_tuple_data_plane() {
+fn equivalent_with_per_tuple_hand_off() {
     assert_substrate_equivalence(
         RuntimeConfig {
             batch_size: 1,
