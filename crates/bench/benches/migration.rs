@@ -1,5 +1,6 @@
 //! Microbenchmark for the direct state migration protocol on the threaded
-//! runtime: serialize → ship → rebuild → replay round trips.
+//! runtime: one-move epoch barrier waves (align → serialize → ship →
+//! rebuild → replay round trips).
 
 use std::sync::Arc;
 

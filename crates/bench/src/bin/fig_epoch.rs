@@ -1,4 +1,5 @@
-//! Ingest stall during live migration: epoch-aligned vs. quiesced.
+//! Ingest stall during live migration: the bare epoch wave vs. the same
+//! wave behind the stop-the-world fence.
 //!
 //! Producer threads stream a source→counter pipeline at a **fixed
 //! offered load** (paced inject calls, well below saturation) while the
@@ -12,11 +13,12 @@
 //! channels have slack, and a producer only waits when something
 //! actually fences it.
 //!
-//! The quiesced oracle fences every wave: the injection gate blocks
-//! producers for the whole drain–migrate–drain window no matter how
-//! light the load is. The epoch executor aligns barriers edge-locally
-//! and ships the moving state while everything else streams, so a paced
-//! producer never waits on it. The headline number is the worst single
+//! Both modes run the same epoch-wave executor. `Quiesce` fences every
+//! wave: the injection gate blocks producers for the whole
+//! drain–migrate–drain window no matter how light the load is. `Epoch`
+//! runs the bare wave, which aligns barriers edge-locally and ships the
+//! moving state while everything else streams, so a paced producer
+//! never waits on it. The headline number is the worst single
 //! `inject` stall observed while a wave was in flight, and the gated,
 //! machine-independent figure is the **dip ratio**
 //! `stall_quiesce / stall_epoch` (both sides measured in the same
@@ -58,9 +60,9 @@ const PACE: Duration = Duration::from_micros(500);
 
 /// A counter whose per-group state drags `ballast` inert bytes behind the
 /// count. The ballast gives every migration a real `|σ_k|` to serialize
-/// and ship — that shipping time is the pause the two executors spread
-/// differently: the quiesced oracle stops the whole world for it, the
-/// epoch executor pays it edge-locally while everything else streams.
+/// and ship — that shipping time is the pause the two modes spread
+/// differently: the fenced wave stops the whole world for it, the bare
+/// wave pays it edge-locally while everything else streams.
 struct HeavyCounting {
     ballast: usize,
 }
@@ -109,10 +111,10 @@ struct ModeResult {
     rate_dip: f64,
     /// Worst single `inject` call observed by any producer while a
     /// reconfiguration was in progress — the depth × width of the
-    /// throughput valley. The quiesced oracle's fence holds producers
-    /// for the whole drain–migrate–drain window; under the epoch
-    /// executor a paced producer streaming non-migrating keys is never
-    /// fenced, so its worst stall is scheduler noise.
+    /// throughput valley. The quiesce mode's fence holds producers for
+    /// the whole drain–migrate–drain window; under the bare epoch wave a
+    /// paced producer streaming non-migrating keys is never fenced, so
+    /// its worst stall is scheduler noise.
     max_stall_ms: f64,
     applies: usize,
     migrations: usize,
@@ -131,7 +133,7 @@ fn rotate_plan(rt: &Runtime, groups: &[KeyGroupId], to: NodeId) -> ReconfigPlan 
     plan
 }
 
-/// Run one executor mode: quiet phase, then `applies` back-to-back
+/// Run one reconfiguration mode: quiet phase, then `applies` back-to-back
 /// migration waves, with producers streaming throughout. Panics if the
 /// run is not exactly-once.
 fn run_mode(mode: ReconfigMode, quiet: Duration, applies: usize, ballast: usize) -> ModeResult {
@@ -158,8 +160,8 @@ fn run_mode(mode: ReconfigMode, quiet: Duration, applies: usize, ballast: usize)
     // counter's key groups migrate, and the producers stream only the
     // keys of the *other* five. This is the paper's claim made
     // measurable — reconfiguring groups A must not stall streams that
-    // never touch A. The quiesced oracle stalls them anyway (the
-    // injection fence is global); the epoch executor must not.
+    // never touch A. The fenced wave stalls them anyway (the injection
+    // fence is global); the bare wave must not.
     let (migrate_groups, cold_keys) = {
         let topo = job.engine().topology();
         let cnt = topo.operator_by_name("count").unwrap();
@@ -395,13 +397,13 @@ fn main() {
         (Duration::from_millis(500), 12, 96 << 20)
     };
 
-    eprintln!("quiesced oracle (stop-the-world around every wave):");
+    eprintln!("quiesce mode (stop-the-world fence around every wave):");
     let quiesce = run_mode(ReconfigMode::Quiesce, quiet, applies, ballast);
-    eprintln!("epoch-aligned executor (edge-local barriers):");
+    eprintln!("epoch mode (bare wave, edge-local barriers):");
     let epoch = run_mode(ReconfigMode::Epoch, quiet, applies, ballast);
 
     // The headline, machine-independent number: how much deeper the
-    // quiesced oracle's throughput valley is. Both stalls are measured in
+    // fenced wave's throughput valley is. Both stalls are measured in
     // the same process on the same machine, so the ratio travels across
     // hardware where absolute milliseconds cannot.
     let ratio = if epoch.max_stall_ms > 0.0 {

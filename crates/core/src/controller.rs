@@ -21,7 +21,7 @@
 //! policy plans (this subsumes the old `run_policy_observed`: evaluators
 //! like PoTC observe without migrating).
 
-use albic_engine::substrate::{ApplyReport, PeriodRecord, ReconfigEngine, ReconfigMode};
+use albic_engine::substrate::{ApplyReport, PeriodRecord, ReconfigEngine};
 use albic_engine::{Cluster, PeriodStats, ReconfigPlan, ReconfigPolicy, RecoveryReport};
 use albic_types::NodeId;
 
@@ -118,12 +118,7 @@ impl<'o, E: ReconfigEngine> Controller<'o, E> {
         }
         let cluster = self.engine.view().cluster.clone();
         let plan = policy.plan(&stats, self.engine.view());
-        // The engine's configured mode picks the executor: epoch-aligned
-        // barrier waves, or the quiesced oracle path.
-        let apply = match self.engine.reconfig_mode() {
-            ReconfigMode::Epoch => self.engine.apply_epoch(&plan),
-            ReconfigMode::Quiesce => self.engine.apply(&plan),
-        };
+        let apply = self.engine.apply(&plan);
         StepReport {
             recovery,
             terminated,

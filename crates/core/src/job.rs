@@ -150,6 +150,15 @@ pub enum JobError {
     /// [`JobBuilder::cold_after`] was set to 0 with a spill directory
     /// configured — every group would spill at the first capture.
     SpillNeedsColdAfter,
+    /// The [`JobBuilder::spill_dir`] directory could not be created, so
+    /// every spill write would fail and cold groups would silently stay
+    /// resident.
+    SpillDirUnavailable {
+        /// The configured directory.
+        dir: PathBuf,
+        /// The I/O error that prevented creating it.
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for JobError {
@@ -218,6 +227,11 @@ impl std::fmt::Display for JobError {
             JobError::SpillNeedsColdAfter => write!(
                 f,
                 "cold_after must be > 0 when a spill directory is configured"
+            ),
+            JobError::SpillDirUnavailable { dir, reason } => write!(
+                f,
+                "spill directory {} cannot be created: {reason}",
+                dir.display()
             ),
         }
     }
@@ -729,12 +743,12 @@ impl JobBuilder {
         self
     }
 
-    /// How plans are executed: [`ReconfigMode::Quiesce`] (the default)
-    /// pauses the whole data plane around migrations;
-    /// [`ReconfigMode::Epoch`] aligns numbered barriers per edge so only
+    /// How plans are executed. Both modes migrate with the same epoch
+    /// barrier wave, aligned per edge: [`ReconfigMode::Quiesce`] (the
+    /// default) runs it inside a stop-the-world fence that pauses the
+    /// whole data plane; [`ReconfigMode::Epoch`] runs it bare, so only
     /// the migrating groups pause while everything else keeps streaming.
-    /// Both modes produce identical final states, routing and statistics
-    /// — epoch mode just does it without the global pause.
+    /// Both produce identical final states, routing and statistics.
     pub fn reconfig_mode(mut self, mode: ReconfigMode) -> Self {
         self.reconfig_mode = mode;
         self
@@ -913,7 +927,14 @@ impl JobBuilder {
                 .map_err(|e| JobError::TransportFailed(e.to_string()))?;
         if checkpoint > 0 {
             engine.configure_recovery(checkpoint, log_capacity);
-            engine.configure_checkpointing(ckpt_mode, spill);
+            let dir = spill.as_ref().map(|s| s.dir.clone());
+            if let Err(e) = engine.configure_checkpointing(ckpt_mode, spill) {
+                engine.shutdown();
+                return Err(JobError::SpillDirUnavailable {
+                    dir: dir.unwrap_or_default(),
+                    reason: e.to_string(),
+                });
+            }
         }
         engine.set_reconfig_mode(mode);
         Ok(Job {
@@ -1089,11 +1110,7 @@ impl<E: ReconfigEngine> Job<E> {
     /// Executes through the engine's configured
     /// [`JobBuilder::reconfig_mode`], exactly like a policy-driven apply.
     pub fn apply(&mut self, plan: &ReconfigPlan) -> ApplyReport {
-        let engine = self.ctl.engine_mut();
-        match engine.reconfig_mode() {
-            ReconfigMode::Epoch => engine.apply_epoch(plan),
-            ReconfigMode::Quiesce => engine.apply(plan),
-        }
+        self.ctl.engine_mut().apply(plan)
     }
 
     /// Metric history so far, one record per completed period.

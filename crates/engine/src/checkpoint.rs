@@ -115,12 +115,18 @@ pub fn spill_file(dir: &Path, g: u32) -> PathBuf {
 
 impl CheckpointStore {
     /// An empty store. With `spill` set, the directory is created eagerly
-    /// so capture-time writes cannot fail on a missing parent.
-    pub fn new(mode: CheckpointMode, max_layers: usize, spill: Option<SpillConfig>) -> Self {
+    /// so capture-time writes cannot fail on a missing parent; a
+    /// directory that cannot be created is an error here, not a spill
+    /// tier whose every write later fails unseen.
+    pub fn new(
+        mode: CheckpointMode,
+        max_layers: usize,
+        spill: Option<SpillConfig>,
+    ) -> io::Result<Self> {
         if let Some(cfg) = &spill {
-            let _ = fs::create_dir_all(&cfg.dir);
+            fs::create_dir_all(&cfg.dir)?;
         }
-        CheckpointStore {
+        Ok(CheckpointStore {
             mode,
             base: BTreeMap::new(),
             layers: VecDeque::new(),
@@ -130,7 +136,7 @@ impl CheckpointStore {
             spilled: BTreeSet::new(),
             spill,
             force_full: false,
-        }
+        })
     }
 
     /// The configured capture mode.
@@ -397,7 +403,7 @@ mod tests {
 
     #[test]
     fn delta_layers_merge_newest_wins_over_base() {
-        let mut s = CheckpointStore::new(CheckpointMode::Incremental, 8, None);
+        let mut s = CheckpointStore::new(CheckpointMode::Incremental, 8, None).unwrap();
         assert!(s.wants_full());
         s.ingest(0, vec![(1, bytes(1, 4)), (2, bytes(2, 4))], true);
         assert!(!s.wants_full());
@@ -414,7 +420,7 @@ mod tests {
 
     #[test]
     fn compaction_folds_layers_into_base_and_preserves_the_image() {
-        let mut s = CheckpointStore::new(CheckpointMode::Incremental, 2, None);
+        let mut s = CheckpointStore::new(CheckpointMode::Incremental, 2, None).unwrap();
         s.ingest(0, vec![(1, bytes(1, 4))], true);
         s.ingest(1, vec![(1, bytes(10, 4))], false);
         let out = s.ingest(2, vec![(2, bytes(2, 4))], false);
@@ -428,7 +434,7 @@ mod tests {
 
     #[test]
     fn abandoned_capture_forces_the_next_one_full() {
-        let mut s = CheckpointStore::new(CheckpointMode::Incremental, 8, None);
+        let mut s = CheckpointStore::new(CheckpointMode::Incremental, 8, None).unwrap();
         s.ingest(0, vec![(1, bytes(1, 4))], true);
         assert!(!s.wants_full());
         s.abandon();
@@ -449,7 +455,8 @@ mod tests {
                 dir: dir.clone(),
                 cold_after: 2,
             }),
-        );
+        )
+        .unwrap();
         s.ingest(0, vec![(1, bytes(1, 64)), (2, bytes(2, 64))], true);
         assert_eq!(s.spilled_count(), 0);
         // Group 2 stays dirty; group 1 goes cold after 2 quiet periods.
@@ -484,7 +491,8 @@ mod tests {
                 dir: dir.clone(),
                 cold_after: 1,
             }),
-        );
+        )
+        .unwrap();
         s.ingest(0, vec![(1, bytes(1, 16))], true);
         s.ingest(1, vec![], false);
         assert_eq!(s.spilled_ids(), vec![1]);
@@ -507,7 +515,8 @@ mod tests {
                 dir: dir.clone(),
                 cold_after: 2,
             }),
-        );
+        )
+        .unwrap();
         let mut oracle: HashMap<u32, Vec<u8>> = HashMap::new();
         let mut seed = 7u64;
         for period in 0..40u64 {

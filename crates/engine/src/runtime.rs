@@ -3,50 +3,50 @@
 //!
 //! This is the "real" execution mode: tuples are routed by key group,
 //! processed against per-key-group state by user operator logic, and
-//! forwarded downstream over channels. Reconfiguration runs the full
-//! direct state migration protocol of §3:
+//! forwarded downstream over channels. Reconfiguration moves state with
+//! the direct state migration protocol of §3, executed as one numbered
+//! **epoch barrier wave** per plan ([`Runtime::migrate`]):
 //!
-//! 1. the routing table entry flips, so *new* tuples for the group go to
-//!    the destination worker;
-//! 2. the destination is told to buffer tuples for the group;
-//! 3. the source serializes the group's state (`σ_k`) and ships it;
-//! 4. the destination rebuilds the state, replays its buffer in arrival
-//!    order, and resumes normal processing;
-//! 5. tuples that still reach the source (in flight before the flip) are
-//!    forwarded per the routing table, so nothing is lost.
+//! 1. every destination opens a receive window for its incoming group
+//!    (and acks it) before the wave starts, so a tuple reaching its new
+//!    owner ahead of the state is buffered, never processed into a fresh
+//!    "ghost" state;
+//! 2. the barrier is broadcast to every live worker. A worker receiving
+//!    it flips its local routing cache for the wave's moves (the shared
+//!    table's version is untouched, so no cache refresh can clobber the
+//!    flip) and announces the barrier to every other participant;
+//! 3. because each inbox is FIFO per sender, a worker that has seen the
+//!    announcement from every peer knows all pre-barrier traffic on its
+//!    inbound edges has drained. At that point — *alignment* — it
+//!    serializes the states it is the source of (`σ_k`) and ships them
+//!    directly to their destinations;
+//! 4. each destination rebuilds the state, replays its window in arrival
+//!    order and resumes normal processing; tuples that still reach the
+//!    source are forwarded by its flipped cache, so nothing is lost;
+//! 5. the coordinator flips the authoritative routing table once every
+//!    participant has completed and every move's state is installed.
 //!
-//! # Epoch-aligned reconfiguration
+//! A worker crashing mid-wave aborts the epoch: nothing authoritative
+//! has flipped, surviving destinations cancel their windows, and the
+//! next recovery pass rolls back and clears the in-flight epoch
+//! bookkeeping — exactly-once is preserved by checkpoint + replay
+//! exactly as for a crash outside a wave.
 //!
-//! The protocol above is driven in one of two modes
-//! ([`crate::substrate::ReconfigMode`]):
+//! # Reconfiguration modes
 //!
-//! * **Quiesce** (the default, and the differential-test oracle): the
-//!   coordinator settles the whole data plane around the migrations —
-//!   with recovery enabled the injection fence even blocks external
-//!   producers for the duration, an honest stop-the-world.
-//! * **Epoch** ([`Runtime::apply_epoch`]): a numbered *epoch barrier* is
-//!   broadcast to every live worker. A worker receiving its barrier
-//!   flips its local routing cache for the epoch's moves (the shared
-//!   table's version is untouched, so no cache refresh can clobber the
-//!   flip) and announces the barrier to every other participant; because
-//!   each inbox is FIFO per sender, a worker that has seen the
-//!   announcement from every peer knows all pre-barrier traffic on its
-//!   inbound edges has drained. At that point — *alignment* — it
-//!   extracts the states it is the source of and ships them directly to
-//!   their destinations, whose receive windows were opened (and acked)
-//!   before the wave started. Only the moving edges ever pause;
+//! [`crate::substrate::ReconfigMode`] does not pick a different protocol,
+//! only what runs around the wave:
+//!
+//! * **Quiesce** (the default): stop-the-world. With recovery enabled the
+//!   injection fence is held for the whole plan — external producers
+//!   block — and the data plane is settled before and after the wave.
+//!   The period is charged the *sum* of the move pauses.
+//! * **Epoch**: the wave runs alone. Only the moving edges pause;
 //!   unrelated operators, and the external producers, keep streaming.
-//!   The coordinator flips the authoritative routing table once every
-//!   participant has completed and every move's state is installed. A
-//!   worker crashing mid-wave aborts the epoch: nothing authoritative
-//!   has flipped, surviving destinations cancel their windows, and the
-//!   next recovery pass rolls back and clears the in-flight epoch
-//!   bookkeeping — exactly-once is preserved by checkpoint + replay
-//!   exactly as for a crash outside a wave.
-//!
-//! With [`RuntimeConfig::barrier_interval`] set, the ingestion edge also
-//! injects periodic *no-op* epoch barriers (numbered from the same
-//! counter) so alignment is continuously exercised under load.
+//!   The period is charged the *slowest* move's pause. With
+//!   [`RuntimeConfig::barrier_interval`] set, the ingestion edge also
+//!   injects periodic *no-op* waves (numbered from the same counter) so
+//!   alignment is continuously exercised under load.
 //!
 //! # Data plane
 //!
@@ -452,8 +452,9 @@ impl EpochShared {
 /// worker that briefly routes against the previous table is harmless —
 /// its tuples land on the group's former owner, which forwards them
 /// exactly like any other in-flight tuple (state only ever leaves a
-/// worker inside `Extract` handling, a control message, after which the
-/// worker's cache is refreshed before the next data tuple).
+/// worker at epoch-barrier alignment, a control step that first syncs
+/// the worker's cache to the current version and flips it for the
+/// wave's moves).
 pub(crate) struct RoutingShared {
     table: RwLock<RoutingTable>,
     version: AtomicU64,
@@ -593,9 +594,11 @@ impl RoutingShared {
     }
 }
 
-/// What the migration source reports back through the `done` channel of a
-/// [`Msg::Extract`].
-pub(crate) enum ExtractReply {
+/// How one move of an epoch wave resolved, reported on the wave's
+/// `install_done` channel together with the moved group's id (several
+/// moves share one channel) — by the destination on success, by the
+/// source if the destination is gone.
+pub(crate) enum InstallReply {
     /// State shipped, installed at the destination, buffer replayed.
     Installed {
         /// Serialized state size `|σ_k|`.
@@ -660,17 +663,6 @@ pub(crate) enum Msg {
     /// stop buffering and release any tuples caught in the window back
     /// into normal routing (migration destination).
     CancelReceive { kg: KeyGroupId },
-    /// Serialize and ship a key group's state to `dest` (migration
-    /// source); `done` eventually carries the group id and the
-    /// [`ExtractReply`] — from the destination on success, from the
-    /// source if the destination is gone. The group id lets an epoch
-    /// coordinator attribute replies when several moves share one
-    /// channel.
-    Extract {
-        kg: KeyGroupId,
-        dest: NodeId,
-        done: ReplyTo<(KeyGroupId, ExtractReply)>,
-    },
     /// Install shipped state and replay the buffer (migration destination).
     Install {
         kg: KeyGroupId,
@@ -679,9 +671,9 @@ pub(crate) enum Msg {
         /// How many bytes the state blob occupied on the wire (equal to
         /// `bytes.len()` in-process or with compression off; smaller when
         /// the transport compressed it). Decoded from the frame, echoed
-        /// into the [`ExtractReply`] for migration cost accounting.
+        /// into the [`InstallReply`] for migration cost accounting.
         wire_bytes: usize,
-        done: ReplyTo<(KeyGroupId, ExtractReply)>,
+        done: ReplyTo<(KeyGroupId, InstallReply)>,
     },
     /// An epoch barrier from the coordinator (or a no-op wave from the
     /// ingestion edge): flip the local routing cache for `moves`, tell
@@ -694,7 +686,7 @@ pub(crate) enum Msg {
         epoch: u64,
         moves: EpochMoves,
         participants: Arc<Vec<NodeId>>,
-        install_done: ReplyTo<(KeyGroupId, ExtractReply)>,
+        install_done: ReplyTo<(KeyGroupId, InstallReply)>,
         done: ReplyTo<NodeId>,
     },
     /// A peer worker announces it has reached epoch `epoch`: everything
@@ -767,7 +759,7 @@ pub(crate) enum Msg {
 struct EpochWave {
     moves: EpochMoves,
     participants: Arc<Vec<NodeId>>,
-    install_done: ReplyTo<(KeyGroupId, ExtractReply)>,
+    install_done: ReplyTo<(KeyGroupId, InstallReply)>,
     done: ReplyTo<NodeId>,
 }
 
@@ -982,9 +974,6 @@ impl WorkerCtx {
                     self.on_chunk(buffered);
                 }
             }
-            Msg::Extract { kg, dest, done } => {
-                self.extract_and_ship(kg, dest, done);
-            }
             Msg::Install {
                 kg,
                 op,
@@ -998,7 +987,7 @@ impl WorkerCtx {
                 }
                 let _ = done.send((
                     kg,
-                    ExtractReply::Installed {
+                    InstallReply::Installed {
                         state_bytes: bytes.len(),
                         wire_bytes,
                     },
@@ -1162,13 +1151,14 @@ impl WorkerCtx {
 
     /// Serialize `kg`'s state and ship it to `dest` as a [`Msg::Install`];
     /// replies `DestinationGone` on `done` itself if the destination is
-    /// unreachable (the state never leaves this worker then). Shared by
-    /// the quiesced [`Msg::Extract`] path and epoch-barrier phase 2.
+    /// unreachable (the state never leaves this worker then). Runs at
+    /// epoch-barrier alignment, for every move this worker is the source
+    /// of.
     fn extract_and_ship(
         &mut self,
         kg: KeyGroupId,
         dest: NodeId,
-        done: ReplyTo<(KeyGroupId, ExtractReply)>,
+        done: ReplyTo<(KeyGroupId, InstallReply)>,
     ) {
         let op = self.topology.operator_of_group(kg);
         // A spilled group must come back into memory before it can ship:
@@ -1204,7 +1194,7 @@ impl WorkerCtx {
                     if let Some(state) = state {
                         self.states.insert(kg.raw(), state);
                     }
-                    let _ = done.send((kg, ExtractReply::DestinationGone));
+                    let _ = done.send((kg, InstallReply::DestinationGone));
                 }
             }
             return;
@@ -1238,7 +1228,7 @@ impl WorkerCtx {
             if let Some(state) = state {
                 self.states.insert(kg.raw(), state);
             }
-            let _ = done.send((kg, ExtractReply::DestinationGone));
+            let _ = done.send((kg, InstallReply::DestinationGone));
         }
     }
 
@@ -1254,7 +1244,7 @@ impl WorkerCtx {
         epoch: u64,
         moves: EpochMoves,
         participants: Arc<Vec<NodeId>>,
-        install_done: ReplyTo<(KeyGroupId, ExtractReply)>,
+        install_done: ReplyTo<(KeyGroupId, InstallReply)>,
         done: ReplyTo<NodeId>,
     ) {
         let v = self.routing.version();
@@ -1902,8 +1892,9 @@ pub struct Runtime {
     checkpoint_store: CheckpointStore,
     /// Recovery accounting folded into the next period's record.
     pending_recovery: RecoveryAccounting,
-    /// How [`ReconfigEngine::apply_epoch`] executes plans (and whether
-    /// injectors emit periodic no-op barrier waves).
+    /// What [`Runtime::apply`] runs around the migration wave, how the
+    /// period is charged for its pause, and whether injectors emit
+    /// periodic no-op barrier waves.
     mode: ReconfigMode,
     /// Epoch counter + injected-tuple counter shared with injectors.
     epoch: Arc<EpochShared>,
@@ -2007,7 +1998,8 @@ impl Runtime {
                 CheckpointMode::Full,
                 crate::checkpoint::DEFAULT_MAX_DELTA_LAYERS,
                 None,
-            ),
+            )
+            .expect("a store without a spill tier touches no disk"),
             pending_recovery: RecoveryAccounting::default(),
             mode: ReconfigMode::Quiesce,
             epoch: Arc::new(EpochShared::new()),
@@ -2073,12 +2065,6 @@ impl Runtime {
             .broadcast_routing(version, &assignment, &Peers(&self.senders));
     }
 
-    /// Flip one routing entry and propagate it to worker replicas.
-    fn set_route(&self, kg: KeyGroupId, to: NodeId) {
-        self.routing.reroute(kg, to);
-        self.broadcast_routing();
-    }
-
     /// Elastic scale-out: acquire a node of the given relative capacity and
     /// spawn a live worker thread for it. Returns the new node's id —
     /// deterministic, so it matches what a policy previewed with
@@ -2129,9 +2115,11 @@ impl Runtime {
         }
     }
 
-    /// Select how [`ReconfigEngine::apply_epoch`] executes plans. In
-    /// [`ReconfigMode::Epoch`], injectors additionally emit a no-op
-    /// barrier wave every [`RuntimeConfig::barrier_interval`] tuples.
+    /// Select what [`Runtime::apply`] runs around the migration wave (the
+    /// stop-the-world fence, or nothing) and how the period is charged
+    /// for its pause. In [`ReconfigMode::Epoch`], injectors additionally
+    /// emit a no-op barrier wave every
+    /// [`RuntimeConfig::barrier_interval`] tuples.
     pub fn set_reconfig_mode(&mut self, mode: ReconfigMode) {
         self.mode = mode;
         self.epoch
@@ -2165,13 +2153,20 @@ impl Runtime {
     /// Select how checkpoints are captured (see [`CheckpointMode`]) and
     /// optionally enable the cold-state spill tier. Replaces the store,
     /// so it must be called before the first capture — the job builder
-    /// does this at build time. The spill directory is created here;
-    /// note that spilling requires coordinator and workers to share a
-    /// filesystem (in-process and loopback transports do; a spill tier
-    /// across machines would need a shared mount).
-    pub fn configure_checkpointing(&mut self, mode: CheckpointMode, spill: Option<SpillConfig>) {
+    /// does this at build time. The spill directory is created here, and
+    /// a directory that cannot be created is returned as the error (the
+    /// previous store stays in place); note that spilling requires
+    /// coordinator and workers to share a filesystem (in-process and
+    /// loopback transports do; a spill tier across machines would need a
+    /// shared mount).
+    pub fn configure_checkpointing(
+        &mut self,
+        mode: CheckpointMode,
+        spill: Option<SpillConfig>,
+    ) -> std::io::Result<()> {
         self.checkpoint_store =
-            CheckpointStore::new(mode, crate::checkpoint::DEFAULT_MAX_DELTA_LAYERS, spill);
+            CheckpointStore::new(mode, crate::checkpoint::DEFAULT_MAX_DELTA_LAYERS, spill)?;
+        Ok(())
     }
 
     /// Inject external tuples into a source operator. Tuples are routed by
@@ -2492,155 +2487,28 @@ impl Runtime {
         outcome.captured_bytes
     }
 
-    /// Execute migrations with the direct state migration protocol.
-    /// Blocks until every destination has installed state and replayed its
-    /// buffer. Moves that cannot be executed are returned in
-    /// [`ApplyReport::failed`], never silently dropped; a failed move
-    /// leaves the key group (state and routing) on its source node.
-    /// Executed moves are folded into the latest period's history record,
-    /// matching the simulator's accounting.
+    /// Execute migrations as one epoch barrier wave (see the module docs
+    /// for the protocol) and fold the executed moves into the latest
+    /// period's history record, charging the pause the runtime's
+    /// [`ReconfigMode`] models. Blocks until every destination has
+    /// installed state and replayed its buffer. Nothing is quiesced here;
+    /// [`Runtime::apply`] adds the stop-the-world fence in
+    /// [`ReconfigMode::Quiesce`].
     ///
-    /// The protocol surfaces worker failures; it is not crash-*tolerant*:
-    /// a worker thread dying outside the controlled drain lifecycle is a
-    /// bug, and tuples in flight to such a worker are dropped (and
-    /// counted in [`PeriodStats::dropped_tuples`]).
+    /// Moves that cannot be executed are returned in
+    /// [`ApplyReport::failed`], never silently dropped; a failed move
+    /// leaves the key group (state and routing) on its source node. The
+    /// authoritative routing table flips only on success, per installed
+    /// move; a wave aborted by a worker death un-flips every surviving
+    /// cache with a routing-version bump and reports the unresolved moves
+    /// as failed — the recovery pass then restores exactly-once from the
+    /// checkpoint.
     pub fn migrate(&mut self, migrations: &[Migration]) -> ApplyReport {
-        let mut report = ApplyReport::default();
-        for &Migration { group, to } in migrations {
-            let from = self.routing.node_of(group);
-            if from == to {
-                continue;
-            }
-            let fail = |reason| FailedMigration {
-                group,
-                from,
-                to,
-                reason,
-            };
-            if self.cluster.get(to).is_none() {
-                report
-                    .failed
-                    .push(fail(MigrationFailure::UnknownDestination));
-                continue;
-            }
-            let senders = self.senders.read();
-            let (src, dst) = (senders.get(&from).cloned(), senders.get(&to).cloned());
-            drop(senders);
-            // A crashed worker's channel stays open, so the aliveness
-            // check (not the send) is what detects a corpse endpoint —
-            // waiting for a reply from one would hang the protocol.
-            let Some(src) = src.filter(|_| self.worker_alive(from)) else {
-                report
-                    .failed
-                    .push(fail(MigrationFailure::SourceUnavailable));
-                continue;
-            };
-            let Some(dst) = dst.filter(|_| self.worker_alive(to)) else {
-                report
-                    .failed
-                    .push(fail(MigrationFailure::DestinationUnavailable));
-                continue;
-            };
-
-            // 1. Destination buffers (the ack proves the buffer exists
-            // *before* anyone can observe the flipped routing — see
-            // [`Msg::PrepareReceive`]); 2. redirect new tuples; 3-5.
-            // extract, ship, install, replay — `done` fires after replay.
-            let (prep_tx, prep_rx) = unbounded();
-            if dst
-                .send(Msg::PrepareReceive {
-                    kg: group,
-                    ack: ReplyTo::Chan(prep_tx),
-                })
-                .is_err()
-                || self.wait_reply(&prep_rx, &[to]).is_none()
-            {
-                // The destination died before the buffer window opened;
-                // routing was never touched, the source keeps serving.
-                report
-                    .failed
-                    .push(fail(MigrationFailure::DestinationUnavailable));
-                continue;
-            }
-            self.set_route(group, to);
-            let (done_tx, done_rx) = unbounded();
-            if src
-                .send(Msg::Extract {
-                    kg: group,
-                    dest: to,
-                    done: ReplyTo::Chan(done_tx),
-                })
-                .is_err()
-            {
-                self.set_route(group, from);
-                let _ = dst.send(Msg::CancelReceive { kg: group });
-                report
-                    .failed
-                    .push(fail(MigrationFailure::SourceUnavailable));
-                continue;
-            }
-            match self.wait_reply(&done_rx, &[from, to]) {
-                Some((
-                    _,
-                    ExtractReply::Installed {
-                        state_bytes,
-                        wire_bytes,
-                    },
-                )) => {
-                    report.migrations.push(
-                        MigrationReport::from_cost_model(group, from, to, state_bytes, &self.cost)
-                            .with_wire_bytes(wire_bytes),
-                    );
-                }
-                Some((_, ExtractReply::DestinationGone)) => {
-                    // The source kept the state; point routing back at it
-                    // and abort the destination's buffering window (a
-                    // no-op if the destination really is dead).
-                    self.set_route(group, from);
-                    let _ = dst.send(Msg::CancelReceive { kg: group });
-                    report
-                        .failed
-                        .push(fail(MigrationFailure::DestinationUnavailable));
-                }
-                None => {
-                    // No reply will ever come — a worker died
-                    // mid-protocol and the state's location is unknown.
-                    // Restore routing to the source (the only holder in
-                    // every non-crash path) and surface it; a recovery
-                    // pass restores the checkpointed state regardless.
-                    self.set_route(group, from);
-                    let _ = dst.send(Msg::CancelReceive { kg: group });
-                    report.failed.push(fail(MigrationFailure::ProtocolAborted));
-                }
-            }
-        }
-        if let Some(rec) = self.history.last_mut() {
-            rec.migrations += report.migrations.len();
-            rec.migration_cost += report.total_cost();
-            rec.migration_pause_secs += report.total_pause_secs();
-            rec.migration_state_bytes += report.total_state_bytes();
-            rec.migration_wire_bytes += report.total_wire_bytes();
-        }
-        report
+        self.run_wave(migrations, self.mode)
     }
 
-    /// Execute migrations with the epoch-barrier protocol: one numbered
-    /// barrier wave is broadcast to every live worker, each worker flips
-    /// its routing cache and announces the barrier to its peers, and a
-    /// source extracts a moving group only once every peer has announced
-    /// — i.e. once all pre-barrier traffic on its inbound edges has
-    /// drained. Nothing is quiesced; operators untouched by the plan
-    /// keep streaming throughout, which is the point of the protocol.
-    ///
-    /// The destination buffer windows open *before* the wave (same
-    /// pre-round as [`Runtime::migrate`]), so a tuple arriving at its
-    /// new owner ahead of the state install is buffered, never processed
-    /// into a ghost state. The authoritative routing table flips only on
-    /// success, per installed move; a wave aborted by a worker death
-    /// un-flips every surviving cache with a routing-version bump and
-    /// reports the unresolved moves as failed — the recovery pass then
-    /// restores exactly-once from the checkpoint.
-    pub fn migrate_epoch(&mut self, migrations: &[Migration]) -> ApplyReport {
+    /// [`Runtime::migrate`] with the pause charged per `mode`.
+    fn run_wave(&mut self, migrations: &[Migration], mode: ReconfigMode) -> ApplyReport {
         let mut report = ApplyReport::default();
         // Validation + destination pre-round, move by move: a move that
         // cannot start drops out alone, it never takes the wave down.
@@ -2662,6 +2530,9 @@ impl Runtime {
                     .push(fail(MigrationFailure::UnknownDestination));
                 continue;
             }
+            // A crashed worker's channel stays open, so the aliveness
+            // check (not the send) is what detects a corpse endpoint —
+            // waiting for a reply from one would hang the protocol.
             let senders = self.senders.read();
             let (src, dst) = (senders.get(&from).cloned(), senders.get(&to).cloned());
             drop(senders);
@@ -2677,6 +2548,8 @@ impl Runtime {
                     .push(fail(MigrationFailure::DestinationUnavailable));
                 continue;
             };
+            // The ack proves the window exists *before* any worker can
+            // observe the flip (see [`Msg::PrepareReceive`]).
             let (prep_tx, prep_rx) = unbounded();
             if dst
                 .send(Msg::PrepareReceive {
@@ -2754,13 +2627,13 @@ impl Runtime {
         let mut gone: Vec<u32> = Vec::new();
         for (kg, reply) in replies {
             match reply {
-                ExtractReply::Installed {
+                InstallReply::Installed {
                     state_bytes,
                     wire_bytes,
                 } => {
                     installed.insert(kg.raw(), (state_bytes, wire_bytes));
                 }
-                ExtractReply::DestinationGone => gone.push(kg.raw()),
+                InstallReply::DestinationGone => gone.push(kg.raw()),
             }
         }
         // Authoritative flips for the moves that completed; everything
@@ -2791,79 +2664,57 @@ impl Runtime {
         if !report.migrations.is_empty() || !aborted.is_empty() {
             self.broadcast_routing();
         }
-        if !aborted.is_empty() {
-            for &(group, from, to, reason) in &aborted {
-                if let Some(dst) = self.senders.read().get(&to).cloned() {
-                    let _ = dst.send(Msg::CancelReceive { kg: group });
-                }
-                report.failed.push(FailedMigration {
-                    group,
-                    from,
-                    to,
-                    reason,
-                });
+        for &(group, from, to, reason) in &aborted {
+            if let Some(dst) = self.senders.read().get(&to).cloned() {
+                let _ = dst.send(Msg::CancelReceive { kg: group });
             }
+            report.failed.push(FailedMigration {
+                group,
+                from,
+                to,
+                reason,
+            });
         }
         if let Some(rec) = self.history.last_mut() {
             rec.migrations += report.migrations.len();
             rec.migration_cost += report.total_cost();
-            // Moves of one wave pause their edges concurrently: the
-            // wave's pause is the slowest move, not the sum — this is
-            // the modeled counterpart of the measured dip `fig_epoch`
-            // reports, and the simulator folds the identical maximum.
-            rec.migration_pause_secs += report
-                .migrations
-                .iter()
-                .map(|m| m.pause_secs)
-                .fold(0.0, f64::max);
+            rec.migration_pause_secs += mode.charged_pause_secs(&report);
             rec.migration_state_bytes += report.total_state_bytes();
             rec.migration_wire_bytes += report.total_wire_bytes();
         }
         report
     }
 
-    /// [`Runtime::apply`] with epoch-aligned migration execution: node
-    /// acquisition and removal marking are identical, only the migration
-    /// step runs through [`Runtime::migrate_epoch`] instead of the
-    /// quiesced protocol.
-    pub fn apply_epoch(&mut self, plan: &ReconfigPlan) -> ApplyReport {
-        let added: Vec<NodeId> = plan.add_nodes.iter().map(|&c| self.add_worker(c)).collect();
-        let mut report = self.migrate_epoch(&plan.migrations);
-        report.added = added;
-        for &node in &plan.mark_removal {
-            if self.cluster.mark_for_removal(node) {
-                report.marked.push(node);
-            }
-        }
-        if let Some(rec) = self.history.last_mut() {
-            rec.num_nodes = self.cluster.len();
-            rec.marked_nodes = self.cluster.marked().count();
-        }
-        report
+    /// Execute a full reconfiguration plan in the runtime's
+    /// [`ReconfigMode`]: spawn a worker per acquired node, run the plan's
+    /// migrations as one epoch wave, and mark nodes for removal.
+    /// Accounting is folded into the most recent period's history record,
+    /// mirroring the simulator.
+    pub fn apply(&mut self, plan: &ReconfigPlan) -> ApplyReport {
+        self.execute(plan, self.mode)
     }
 
-    /// Execute a full reconfiguration plan: spawn a worker per acquired
-    /// node, run the plan's migrations with the real state migration
-    /// protocol, and mark nodes for removal. Accounting is folded into the
-    /// most recent period's history record, mirroring the simulator.
-    ///
-    /// With recovery configured, a plan that migrates is executed
+    /// The one plan executor behind [`Runtime::apply`] and
+    /// [`ReconfigEngine::apply_epoch`]. In [`ReconfigMode::Quiesce`],
+    /// with recovery configured, a plan that migrates runs
     /// stop-the-world: the injection fence is held (producers block) and
-    /// the data plane is quiesced around the migrations — the honest
-    /// baseline the epoch-aligned path is measured against, and the
-    /// consistency guarantee that no logged tuple is in flight while
-    /// state changes hands.
-    pub fn apply(&mut self, plan: &ReconfigPlan) -> ApplyReport {
+    /// the data plane is settled before and after the wave — the honest
+    /// baseline the bare epoch wave is measured against, and the
+    /// guarantee that no logged tuple is in flight while state changes
+    /// hands.
+    fn execute(&mut self, plan: &ReconfigPlan, mode: ReconfigMode) -> ApplyReport {
         // Nodes are acquired before migrations run, so a plan may target
         // the ids it previewed with `Cluster::peek_next_ids`.
         let added: Vec<NodeId> = plan.add_nodes.iter().map(|&c| self.add_worker(c)).collect();
-        let stop_the_world = !plan.migrations.is_empty() && self.replay_log.is_enabled();
+        let stop_the_world = mode == ReconfigMode::Quiesce
+            && !plan.migrations.is_empty()
+            && self.replay_log.is_enabled();
         let log = Arc::clone(&self.replay_log);
         let _gate = stop_the_world.then(|| log.gate.write());
         if stop_the_world {
             self.quiesce(self.settle_rounds);
         }
-        let mut report = self.migrate(&plan.migrations);
+        let mut report = self.run_wave(&plan.migrations, mode);
         if stop_the_world {
             self.quiesce(self.settle_rounds);
         }
@@ -3301,7 +3152,7 @@ impl ReconfigEngine for Runtime {
     }
 
     fn apply_epoch(&mut self, plan: &ReconfigPlan) -> ApplyReport {
-        Runtime::apply_epoch(self, plan)
+        self.execute(plan, ReconfigMode::Epoch)
     }
 
     fn history(&self) -> &[PeriodRecord] {
@@ -3531,7 +3382,7 @@ mod tests {
             .map(|n| n.id)
             .find(|&n| n != from)
             .unwrap();
-        let report = rt.migrate_epoch(&[Migration { group: kg, to }]);
+        let report = rt.migrate(&[Migration { group: kg, to }]);
         assert_eq!(report.migrations.len(), 1);
         assert!(report.failed.is_empty(), "{:?}", report.failed);
         assert_eq!(report.migrations[0].from, from);
@@ -3572,7 +3423,7 @@ mod tests {
             .map(|n| n.id)
             .find(|&n| n != from)
             .unwrap();
-        let report = rt.migrate_epoch(&[Migration { group: kg, to }]);
+        let report = rt.migrate(&[Migration { group: kg, to }]);
         assert!(report.failed.is_empty(), "{:?}", report.failed);
         rt.inject(
             src,
@@ -3592,26 +3443,29 @@ mod tests {
     }
 
     #[test]
-    fn epoch_wave_pause_is_the_slowest_move_not_the_sum() {
-        // Two equal-sized moves in one wave: the period is charged one
-        // move's pause (edge-local concurrency), while the report still
-        // carries both for cost accounting.
-        let (mut rt, src, cnt) = two_op_runtime(2);
-        rt.set_reconfig_mode(ReconfigMode::Epoch);
-        let k1 = 3i32;
-        let g1 = rt.topology().group_for_key(cnt, hash_key(&k1));
-        let k2 = (0..64i32)
-            .find(|k| rt.topology().group_for_key(cnt, hash_key(k)) != g1)
-            .expect("some key lands in another group");
-        for k in [k1, k2] {
-            rt.inject(src, (0..20).map(|i| Tuple::keyed(&k, Value::Int(i), 0)));
-        }
-        rt.quiesce(4);
-        let _ = rt.end_period();
-        let moves: Vec<Migration> = [k1, k2]
-            .iter()
-            .map(|k| {
-                let kg = rt.topology().group_for_key(cnt, hash_key(k));
+    fn charged_pause_is_the_sum_under_quiesce_and_the_slowest_move_under_epoch() {
+        // Two equal-sized moves in one plan, applied through the trait the
+        // controller calls: the runtime's own mode picks the charge — the
+        // sum of the pauses stop-the-world, the slowest move for a bare
+        // wave (edge-local concurrency) — while the report carries both
+        // moves for cost accounting either way.
+        for mode in [ReconfigMode::Quiesce, ReconfigMode::Epoch] {
+            let (mut rt, src, cnt) = two_op_runtime(2);
+            rt.configure_recovery(1, DEFAULT_REPLAY_LOG_CAPACITY);
+            rt.set_reconfig_mode(mode);
+            let k1 = 3i32;
+            let g1 = rt.topology().group_for_key(cnt, hash_key(&k1));
+            let k2 = (0..64i32)
+                .find(|k| rt.topology().group_for_key(cnt, hash_key(k)) != g1)
+                .expect("some key lands in another group");
+            for k in [k1, k2] {
+                rt.inject(src, (0..20).map(|i| Tuple::keyed(&k, Value::Int(i), 0)));
+            }
+            rt.quiesce(4);
+            let _ = rt.end_period();
+            let mut plan = ReconfigPlan::noop();
+            for k in [k1, k2] {
+                let kg = rt.topology().group_for_key(cnt, hash_key(&k));
                 let from = rt.routing_snapshot().node_of(kg);
                 let to = rt
                     .cluster()
@@ -3620,22 +3474,25 @@ mod tests {
                     .map(|n| n.id)
                     .find(|&n| n != from)
                     .unwrap();
-                Migration { group: kg, to }
-            })
-            .collect();
-        assert_ne!(moves[0].group, moves[1].group, "distinct groups");
-        let report = rt.migrate_epoch(&moves);
-        assert_eq!(report.migrations.len(), 2, "{:?}", report.failed);
-        let max_pause = report
-            .migrations
-            .iter()
-            .map(|m| m.pause_secs)
-            .fold(0.0, f64::max);
-        let rec = rt.history().last().unwrap();
-        assert_eq!(rec.migrations, 2);
-        assert_eq!(rec.migration_pause_secs, max_pause);
-        assert!(report.total_pause_secs() > max_pause, "sum exceeds max");
-        rt.shutdown();
+                plan.migrations.push(Migration { group: kg, to });
+            }
+            let report = ReconfigEngine::apply(&mut rt, &plan);
+            assert_eq!(report.migrations.len(), 2, "{mode:?}: {:?}", report.failed);
+            let max_pause = report
+                .migrations
+                .iter()
+                .map(|m| m.pause_secs)
+                .fold(0.0, f64::max);
+            assert!(report.total_pause_secs() > max_pause, "sum exceeds max");
+            let expected = match mode {
+                ReconfigMode::Quiesce => report.total_pause_secs(),
+                ReconfigMode::Epoch => max_pause,
+            };
+            let rec = rt.history().last().unwrap();
+            assert_eq!(rec.migrations, 2, "{mode:?}");
+            assert_eq!(rec.migration_pause_secs, expected, "{mode:?}");
+            rt.shutdown();
+        }
     }
 
     #[test]
@@ -3701,7 +3558,7 @@ mod tests {
         // wave and the crash genuinely race.
         let victim_sender = rt.senders.read().get(&to).cloned().unwrap();
         assert!(victim_sender.send(Msg::Crash).is_ok());
-        let report = rt.migrate_epoch(&[Migration { group: kg, to }]);
+        let report = rt.migrate(&[Migration { group: kg, to }]);
         assert_eq!(
             report.migrations.len() + report.failed.len(),
             1,
@@ -3868,8 +3725,8 @@ mod tests {
             NodeId::new(0)
         };
         // Kill the destination worker thread while its sender stays
-        // published — the Extract send inside the source worker fails and
-        // must be surfaced, not swallowed.
+        // published — the move must fail before any state leaves the
+        // source, and the failure must be surfaced, not swallowed.
         rt.sever_worker(to);
         let report = rt.migrate(&[Migration { group: kg, to }]);
         assert!(report.migrations.is_empty());

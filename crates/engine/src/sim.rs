@@ -78,7 +78,7 @@ pub struct SimEngine<W: WorkloadModel> {
     /// Recovery accounting folded into the next period's record:
     /// `(failed nodes, groups restored, modeled recovery seconds)`.
     pending_recovery: (usize, usize, f64),
-    /// How [`ReconfigEngine::apply_epoch`] models plan execution.
+    /// The mode [`SimEngine::apply`] charges migration pauses in.
     mode: ReconfigMode,
     /// Mirror of the runtime's [`CheckpointMode`]: in incremental mode a
     /// modeled capture costs only the state bytes of groups with traffic
@@ -207,12 +207,13 @@ impl<W: WorkloadModel> SimEngine<W> {
         self.captured_once = false;
     }
 
-    /// Select how [`ReconfigEngine::apply_epoch`] models plan execution,
-    /// mirroring [`crate::runtime::Runtime::set_reconfig_mode`]. The mode
-    /// only changes the *pause* accounting (epoch waves pause edges
-    /// concurrently, so the wave costs its slowest move, not the sum);
-    /// every decision signal — loads, flows, allocations — is identical,
-    /// which is what keeps the substrates equivalent in both modes.
+    /// Select the mode [`SimEngine::apply`] models plans in, mirroring
+    /// [`crate::runtime::Runtime::set_reconfig_mode`]. The mode only
+    /// changes the *pause* accounting
+    /// ([`ReconfigMode::Quiesce`] charges the sum of the move pauses,
+    /// [`ReconfigMode::Epoch`] the slowest move); every decision signal —
+    /// loads, flows, allocations — is identical, which is what keeps the
+    /// substrates equivalent in both modes.
     pub fn set_reconfig_mode(&mut self, mode: ReconfigMode) {
         self.mode = mode;
     }
@@ -353,21 +354,13 @@ impl<W: WorkloadModel> SimEngine<W> {
     /// Execute a reconfiguration plan: apply migrations (with cost and
     /// pause accounting against the latest state sizes), add nodes, and
     /// mark nodes for removal. Accounting is attached to the most recent
-    /// period's record.
+    /// period's record; the pause is charged per the engine's
+    /// [`ReconfigMode`].
     pub fn apply(&mut self, plan: &ReconfigPlan) -> ApplyReport {
-        self.apply_inner(plan, false)
+        self.apply_inner(plan, self.mode)
     }
 
-    /// [`SimEngine::apply`] with epoch-aligned pause accounting: the
-    /// migrations of a plan execute as one barrier wave whose edges pause
-    /// concurrently, so the period is charged the slowest move's pause
-    /// instead of the sum. Migration cost (`mc_k`) and every decision
-    /// signal are identical to the quiesced model.
-    pub fn apply_epoch(&mut self, plan: &ReconfigPlan) -> ApplyReport {
-        self.apply_inner(plan, true)
-    }
-
-    fn apply_inner(&mut self, plan: &ReconfigPlan, epoch: bool) -> ApplyReport {
+    fn apply_inner(&mut self, plan: &ReconfigPlan, mode: ReconfigMode) -> ApplyReport {
         let mut report = ApplyReport::default();
         let state_sizes: Vec<f64> = self
             .last_stats
@@ -424,18 +417,7 @@ impl<W: WorkloadModel> SimEngine<W> {
         if let Some(rec) = self.history.last_mut() {
             rec.migrations += report.migrations.len();
             rec.migration_cost += report.total_cost();
-            rec.migration_pause_secs += if epoch {
-                // Edge-local concurrency: the wave pauses as long as its
-                // slowest move — the same maximum the threaded runtime
-                // folds for an epoch wave.
-                report
-                    .migrations
-                    .iter()
-                    .map(|m| m.pause_secs)
-                    .fold(0.0, f64::max)
-            } else {
-                report.total_pause_secs()
-            };
+            rec.migration_pause_secs += mode.charged_pause_secs(&report);
             // The simulator never serializes state, so wire bytes equal
             // the modeled state size (no compression to measure).
             rec.migration_state_bytes += report.total_state_bytes();
@@ -563,7 +545,7 @@ impl<W: WorkloadModel> ReconfigEngine for SimEngine<W> {
     }
 
     fn apply_epoch(&mut self, plan: &ReconfigPlan) -> ApplyReport {
-        SimEngine::apply_epoch(self, plan)
+        self.apply_inner(plan, ReconfigMode::Epoch)
     }
 
     fn history(&self) -> &[PeriodRecord] {

@@ -74,24 +74,45 @@ pub struct PeriodRecord {
     pub spilled_groups: usize,
 }
 
-/// How an engine executes the migrations of a plan.
+/// What an engine runs around the migrations of a plan.
 ///
-/// The two modes are observationally equivalent — identical final states,
-/// routing and per-period statistics (`tests/epoch.rs` pins it) — and
-/// differ only in what they pause while state moves.
+/// Both modes execute migrations with the same barrier-aligned epoch
+/// wave: a numbered barrier reaches every worker, each drains its
+/// pre-barrier traffic per inbound edge, and routing flips plus state
+/// extract/install happen edge-locally when the barrier passes. The
+/// modes differ only in what else pauses while state moves, and so in
+/// the pause a period is charged; final states, routing and per-period
+/// statistics are identical (`tests/epoch.rs` checks both against a
+/// reference interpreter).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ReconfigMode {
-    /// Stop-the-world: the whole data plane is quiesced around the
-    /// migrations. Simple, and the differential-test oracle for the
-    /// epoch-aligned path.
+    /// Stop-the-world: the wave runs inside the injection fence, with the
+    /// whole data plane settled before and after it. Moves are charged
+    /// one after another (the sum of their pauses).
     #[default]
     Quiesce,
-    /// Barrier-aligned: sources inject numbered epoch barriers, workers
-    /// forward a barrier only after draining pre-barrier traffic per
-    /// inbound edge, and routing flips plus state extract/install happen
-    /// edge-locally when the barrier passes — unrelated operators keep
-    /// streaming throughout.
+    /// The bare wave: only the moving edges pause, unrelated operators
+    /// and external producers keep streaming, and the wave is charged its
+    /// slowest move.
     Epoch,
+}
+
+impl ReconfigMode {
+    /// The pause seconds an executed plan charges its period:
+    /// stop-the-world serializes the moves (the sum of their pauses); a
+    /// bare wave pauses its edges concurrently (the slowest move). The
+    /// one place both substrates take this figure from, so simulated
+    /// and threaded histories cannot drift apart.
+    pub(crate) fn charged_pause_secs(self, report: &ApplyReport) -> f64 {
+        match self {
+            ReconfigMode::Quiesce => report.total_pause_secs(),
+            ReconfigMode::Epoch => report
+                .migrations
+                .iter()
+                .map(|m| m.pause_secs)
+                .fold(0.0, f64::max),
+        }
+    }
 }
 
 /// Why an individual migration could not be executed.
@@ -215,21 +236,23 @@ pub trait ReconfigEngine {
     /// Read-only cluster + cost-model view handed to policies.
     fn view(&self) -> ClusterView<'_>;
 
-    /// Execute a reconfiguration plan.
+    /// Execute a reconfiguration plan in the engine's own
+    /// [`reconfig_mode`](ReconfigEngine::reconfig_mode) — the one entry
+    /// point controllers call.
     fn apply(&mut self, plan: &ReconfigPlan) -> ApplyReport;
 
-    /// Which apply path this engine is configured to use. Controllers
-    /// route plans through [`apply_epoch`](ReconfigEngine::apply_epoch)
-    /// when this returns [`ReconfigMode::Epoch`]. The default (an engine
-    /// without a barrier-aligned path) is [`ReconfigMode::Quiesce`].
+    /// The mode [`apply`](ReconfigEngine::apply) executes plans in. The
+    /// default (an engine without a barrier-aligned path) is
+    /// [`ReconfigMode::Quiesce`].
     fn reconfig_mode(&self) -> ReconfigMode {
         ReconfigMode::Quiesce
     }
 
-    /// Execute a reconfiguration plan with epoch-aligned (non-quiescent)
-    /// migrations: only the moving edges pause while unrelated operators
-    /// keep streaming. Engines without a barrier-aligned path fall back
-    /// to the quiesce-style [`apply`](ReconfigEngine::apply).
+    /// Force the barrier-aligned path: execute a plan as in
+    /// [`ReconfigMode::Epoch`] whatever the engine's configured mode —
+    /// only the moving edges pause while unrelated operators keep
+    /// streaming. Engines without a barrier-aligned path fall back to
+    /// [`apply`](ReconfigEngine::apply).
     fn apply_epoch(&mut self, plan: &ReconfigPlan) -> ApplyReport {
         self.apply(plan)
     }

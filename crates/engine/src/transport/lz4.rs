@@ -1,6 +1,6 @@
 //! A vendored LZ4 block codec for state-migration payloads.
 //!
-//! Install/Extract state blobs and checkpoint payloads dominate wire
+//! Migration `Install` state blobs and checkpoint payloads dominate wire
 //! traffic during reconfiguration; keyed operator state is typically
 //! highly repetitive (serialized maps of similar tuples), so even a
 //! greedy byte-oriented LZ4 pass buys a large reduction. The dependency

@@ -631,8 +631,8 @@ impl Transport for NetTransport {
 
     fn broadcast_routing(&self, version: u64, assignment: &[NodeId], peers: &Peers<'_>) {
         // Ships through each worker's inbox so it is FIFO-ordered with
-        // the control messages that rely on it (e.g. the Extract right
-        // after a migration flip).
+        // the control messages that rely on it (e.g. the CancelReceive
+        // right after an aborted wave's un-flip).
         for tx in peers.0.read().values() {
             let _ = tx.send(Msg::RoutingUpdate {
                 version,

@@ -30,7 +30,7 @@ use super::net::Conn;
 use super::session::{ReconnectPolicy, SendSequencer, SeqVerdict, ACK_EVERY, SEND_QUEUE_LIMIT};
 use crate::chunk::StreamChunk;
 use crate::codec::{DecodeError, Found, Reader, Writer};
-use crate::runtime::{ExtractReply, Msg, ReplyTo, RuntimeConfig};
+use crate::runtime::{InstallReply, Msg, ReplyTo, RuntimeConfig};
 use crate::stats::StatsCollector;
 
 /// Handshake magic ("ALBIC_W3"): rejects a stray client that is not an
@@ -373,11 +373,11 @@ impl ReplyPayload for NodeId {
     }
 }
 
-impl ReplyPayload for (KeyGroupId, ExtractReply) {
+impl ReplyPayload for (KeyGroupId, InstallReply) {
     fn encode_payload(&self, w: &mut Writer, _compress: bool) {
         w.put_u64(self.0.raw() as u64);
         match &self.1 {
-            ExtractReply::Installed {
+            InstallReply::Installed {
                 state_bytes,
                 wire_bytes,
             } => {
@@ -385,21 +385,21 @@ impl ReplyPayload for (KeyGroupId, ExtractReply) {
                 w.put_u64(*state_bytes as u64);
                 w.put_u64(*wire_bytes as u64);
             }
-            ExtractReply::DestinationGone => w.put_u64(1),
+            InstallReply::DestinationGone => w.put_u64(1),
         }
     }
     fn decode_payload(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let kg = KeyGroupId::new(r.get_u64()? as u32);
         let reply = match r.get_u64()? {
-            0 => ExtractReply::Installed {
+            0 => InstallReply::Installed {
                 state_bytes: r.get_u64()? as usize,
                 wire_bytes: r.get_u64()? as usize,
             },
-            1 => ExtractReply::DestinationGone,
+            1 => InstallReply::DestinationGone,
             tag => {
                 return Err(DecodeError::new(
                     r.offset(),
-                    "extract-reply tag 0..=1",
+                    "install-reply tag 0..=1",
                     Found::Length(tag),
                 ))
             }
@@ -485,7 +485,7 @@ impl<T: ReplyPayload> ReplyTo<T> {
 #[derive(Clone)]
 pub(crate) enum Pending {
     Ack(Sender<()>),
-    Extract(Sender<(KeyGroupId, ExtractReply)>),
+    Install(Sender<(KeyGroupId, InstallReply)>),
     EpochDone(Sender<NodeId>),
     Stats(Sender<(NodeId, StatsCollector)>),
     Probe(Sender<Option<Vec<u8>>>),
@@ -501,7 +501,7 @@ impl Pending {
             Pending::Ack(tx) => {
                 let _ = tx.send(ReplyPayload::decode_payload(r)?);
             }
-            Pending::Extract(tx) => {
+            Pending::Install(tx) => {
                 let _ = tx.send(ReplyPayload::decode_payload(r)?);
             }
             Pending::EpochDone(tx) => {
@@ -523,8 +523,9 @@ impl Pending {
 
 /// Controller-side registry mapping wire ids to parked reply channels.
 /// Shared by every per-worker stub thread — essential for migration,
-/// where the `done` handle registered while encoding an `Extract` to
-/// worker A is resolved by a `REPLY` frame arriving from worker B.
+/// where the `install_done` handle registered while encoding an
+/// `EpochBarrier` to worker A is resolved by a `REPLY` frame arriving
+/// from worker B (A's `Install` went to B, which answers it).
 ///
 /// Entries are multi-shot (an epoch wave's `install_done` fires once per
 /// move) and garbage-collected on two axes:
@@ -785,12 +786,6 @@ pub(crate) fn encode_msg(
             w.put_u64(3);
             w.put_u64(kg.raw() as u64);
         }
-        Msg::Extract { kg, dest, done } => {
-            w.put_u64(4);
-            w.put_u64(kg.raw() as u64);
-            w.put_u64(dest.raw() as u64);
-            w.put_u64(reply_id(done, reg, Pending::Extract));
-        }
         Msg::Install {
             kg,
             op,
@@ -802,7 +797,7 @@ pub(crate) fn encode_msg(
             w.put_u64(kg.raw() as u64);
             w.put_u64(op.raw() as u64);
             put_state_blob(w, bytes, compress);
-            w.put_u64(reply_id(done, reg, Pending::Extract));
+            w.put_u64(reply_id(done, reg, Pending::Install));
         }
         Msg::EpochBarrier {
             epoch,
@@ -823,7 +818,7 @@ pub(crate) fn encode_msg(
             for p in participants.iter() {
                 w.put_u64(p.raw() as u64);
             }
-            w.put_u64(reply_id(install_done, reg, Pending::Extract));
+            w.put_u64(reply_id(install_done, reg, Pending::Install));
             w.put_u64(reply_id(done, reg, Pending::EpochDone));
         }
         Msg::PeerBarrier { epoch, from } => {
@@ -913,11 +908,6 @@ pub(crate) fn decode_msg(r: &mut Reader<'_>, out: Option<&WireOut>) -> Result<Ms
         },
         3 => Msg::CancelReceive {
             kg: KeyGroupId::new(r.get_u64()? as u32),
-        },
-        4 => Msg::Extract {
-            kg: KeyGroupId::new(r.get_u64()? as u32),
-            dest: NodeId::new(r.get_u64()? as u32),
-            done: wire_reply(r, out)?,
         },
         5 => {
             let kg = KeyGroupId::new(r.get_u64()? as u32);
@@ -1017,7 +1007,7 @@ pub(crate) fn decode_msg(r: &mut Reader<'_>, out: Option<&WireOut>) -> Result<Ms
         tag => {
             return Err(DecodeError::new(
                 at,
-                "message tag 1..=17",
+                "message tag 1..=3 or 5..=17",
                 Found::Length(tag),
             ))
         }
@@ -1232,43 +1222,50 @@ mod tests {
     use super::*;
     use crate::tuple::Value;
 
-    /// Message tag 0 once carried row batches; that frame no longer
-    /// exists. A `MSG` or `FORWARD` body bearing it — here shaped like a
-    /// well-formed one-tuple batch of the old layout — must fail at the
-    /// tag with a typed error instead of being parsed.
+    /// Message tag 0 once carried row batches and tag 4 a per-move
+    /// `Extract`; neither frame exists any more. A `MSG` or `FORWARD`
+    /// body bearing either — here shaped like a well-formed message of
+    /// the old layout — must fail at the tag with a typed error instead
+    /// of being parsed.
     #[test]
     fn message_tag_zero_is_rejected_with_a_typed_decode_error() {
-        let mut w = Writer::new();
-        w.put_u64(0); // tag
-        w.put_u64(1); // rows
-        w.put_u64(0); // operator
-        w.put_u64(0); // key group
-        w.put_u64(7); // key
-        w.put_value(&Value::Int(1));
-        w.put_u64(0); // timestamp
-        let body = w.into_bytes();
-        let mut forward = Writer::new();
-        forward.put_u64(2); // destination node
-        forward.put_bytes(&body);
-        let forward = forward.into_bytes();
+        let mut row_batch = Writer::new();
+        row_batch.put_u64(0); // tag
+        row_batch.put_u64(1); // rows
+        row_batch.put_u64(0); // operator
+        row_batch.put_u64(0); // key group
+        row_batch.put_u64(7); // key
+        row_batch.put_value(&Value::Int(1));
+        row_batch.put_u64(0); // timestamp
+        let mut extract = Writer::new();
+        extract.put_u64(4); // tag
+        extract.put_u64(3); // key group
+        extract.put_u64(1); // destination node
+        extract.put_u64(9); // reply id
+        for (tag, body) in [(0, row_batch.into_bytes()), (4, extract.into_bytes())] {
+            let mut forward = Writer::new();
+            forward.put_u64(2); // destination node
+            forward.put_bytes(&body);
+            let forward = forward.into_bytes();
 
-        for (kind, payload) in [(FRAME_MSG, &body), (FRAME_FORWARD, &forward)] {
-            let mut frames = FrameBuffer::new();
-            frames.extend(&session_frame(kind, 1, 0, payload));
-            let (got_kind, frame) = frames.next_frame().unwrap().expect("one whole frame");
-            assert_eq!(got_kind, kind);
-            let (_, _, payload) = split_session(&frame).unwrap();
-            let mut r = Reader::new(payload);
-            if kind == FRAME_FORWARD {
-                assert_eq!(r.get_u64().unwrap(), 2);
+            for (kind, payload) in [(FRAME_MSG, &body), (FRAME_FORWARD, &forward)] {
+                let mut frames = FrameBuffer::new();
+                frames.extend(&session_frame(kind, 1, 0, payload));
+                let (got_kind, frame) = frames.next_frame().unwrap().expect("one whole frame");
+                assert_eq!(got_kind, kind);
+                let (_, _, payload) = split_session(&frame).unwrap();
+                let mut r = Reader::new(payload);
+                if kind == FRAME_FORWARD {
+                    assert_eq!(r.get_u64().unwrap(), 2);
+                }
+                let at = r.offset();
+                let Err(err) = decode_msg(&mut r, None) else {
+                    panic!("frame kind {kind}: tag {tag} decoded as a message");
+                };
+                assert_eq!(err.offset, at, "frame kind {kind}, tag {tag}");
+                assert_eq!(err.expected, "message tag 1..=3 or 5..=17");
+                assert!(matches!(err.found, Found::Length(t) if t == tag), "{err}");
             }
-            let at = r.offset();
-            let Err(err) = decode_msg(&mut r, None) else {
-                panic!("frame kind {kind}: tag 0 decoded as a message");
-            };
-            assert_eq!(err.offset, at, "frame kind {kind}");
-            assert_eq!(err.expected, "message tag 1..=17");
-            assert!(matches!(err.found, Found::Length(0)), "{err}");
         }
     }
 

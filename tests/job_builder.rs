@@ -2,6 +2,7 @@
 //! reject malformed job specs with a typed error at `build_*` time —
 //! never a panic, never a silently misconfigured engine.
 
+use albic::engine::checkpoint::CheckpointMode;
 use albic::engine::operator::{Counting, Identity};
 use albic::engine::sim::{WorkloadModel, WorkloadSnapshot};
 use albic::engine::topology::TopologyError;
@@ -249,6 +250,36 @@ fn inapplicable_policy_modifiers_are_rejected_not_ignored() {
             option: "with_scaling",
             policy: "noop",
         }
+    );
+}
+
+#[test]
+fn an_uncreatable_spill_directory_is_rejected_naming_the_path() {
+    // A spill directory under a regular file can never be created.
+    let file = std::env::temp_dir().join(format!("albic-spill-parent-{}", std::process::id()));
+    std::fs::write(&file, b"not a directory").unwrap();
+    let dir = file.join("spill");
+    let result = Job::builder()
+        .source("events", 4, Identity)
+        .operator("count", 4, Counting)
+        .edge("events", "count")
+        .nodes(2)
+        .checkpoint_interval(1)
+        .checkpoint_mode(CheckpointMode::Incremental)
+        .spill_dir(&dir)
+        .build_threaded();
+    std::fs::remove_file(&file).unwrap();
+    let err = result.unwrap_err();
+    match &err {
+        JobError::SpillDirUnavailable { dir: got, reason } => {
+            assert_eq!(got, &dir);
+            assert!(!reason.is_empty());
+        }
+        other => panic!("expected SpillDirUnavailable, got {other:?}"),
+    }
+    assert!(
+        err.to_string().contains(&dir.display().to_string()),
+        "{err}"
     );
 }
 

@@ -445,7 +445,8 @@ proptest! {
         let dir = prop_spill_dir("store");
         let _ = std::fs::remove_dir_all(&dir);
         let cfg = spill.then(|| SpillConfig { dir: dir.clone(), cold_after });
-        let mut store = CheckpointStore::new(CheckpointMode::Incremental, max_layers, cfg);
+        let mut store = CheckpointStore::new(CheckpointMode::Incremental, max_layers, cfg)
+            .expect("spill directory creatable");
         let mut live: HashMap<u32, Vec<u8>> = HashMap::new();
         let mut dirty: BTreeSet<u32> = BTreeSet::new();
         for (period, (writes, roll)) in captures.iter().enumerate() {
