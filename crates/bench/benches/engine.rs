@@ -1,11 +1,14 @@
 //! Microbenchmarks for the engine substrate: simulator ticks at paper
-//! scale and tuple throughput through the threaded runtime.
+//! scale, tuple throughput through the threaded runtime, and the cost of
+//! one healthy no-op adaptation round on it.
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
+use albic_core::Controller;
 use albic_engine::operator::{Counting, Identity};
+use albic_engine::reconfig::NoopPolicy;
 use albic_engine::topology::TopologyBuilder;
 use albic_engine::tuple::{Tuple, Value};
 use albic_engine::{Cluster, CostModel, RoutingTable, SimEngine};
@@ -57,5 +60,38 @@ fn bench_runtime_throughput(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_sim_tick, bench_runtime_throughput);
+/// One `Controller::step` under a no-op policy on a settled data plane:
+/// recover → settle → end_period → plan, with nothing to apply. What it
+/// measures is the coordinator's control-plane round trips (barrier
+/// rounds, window flush, statistics collection), not data processing.
+fn bench_runtime_noop_round(c: &mut Criterion) {
+    c.bench_function("runtime_noop_round", |b| {
+        let mut bld = TopologyBuilder::new();
+        let src = bld.source("src", 16, Arc::new(Identity));
+        let cnt = bld.operator("count", 16, Arc::new(Counting));
+        bld.edge(src, cnt);
+        let topology = bld.build().unwrap();
+        let cluster = Cluster::homogeneous(2);
+        let ids: Vec<NodeId> = cluster.nodes().iter().map(|n| n.id).collect();
+        let routing = RoutingTable::round_robin(topology.num_key_groups(), &ids);
+        let mut rt =
+            albic_engine::runtime::Runtime::start(topology, cluster, routing, CostModel::default());
+        rt.inject(
+            src,
+            (0..1000).map(|i| Tuple::keyed(&(i % 64), Value::Int(i), i as u64)),
+        );
+        rt.quiesce(3);
+        let mut controller = Controller::new(&mut rt);
+        let mut policy = NoopPolicy;
+        b.iter(|| controller.step(&mut policy));
+        rt.shutdown();
+    });
+}
+
+criterion_group!(
+    benches,
+    bench_sim_tick,
+    bench_runtime_throughput,
+    bench_runtime_noop_round
+);
 criterion_main!(benches);
