@@ -15,10 +15,10 @@
 //!   [`NetConfig::joinable`]). Each socket is bridged onto the same
 //!   channel fabric by a per-peer stub thread.
 //!
-//! The bridge is deliberately thin: a stub thread *is* the worker as far
-//! as the runtime can tell. It pulls from the worker's inbox channel and
-//! writes frames; it reads reply frames and resolves them into the
-//! original reply channels. Liveness keys off the stub's
+//! The bridge is deliberately thin: a stub *is* the worker as far as the
+//! runtime can tell. Its writer thread pulls from the worker's inbox
+//! channel and writes frames; its reader thread resolves reply frames
+//! into the original reply channels. Liveness keys off the stub's
 //! `JoinHandle::is_finished` — but socket death is *not* stub death: the
 //! link runs a sequence-numbered session (see [`session`]) and a cut
 //! socket is held open for the worker to `RESUME` under the configured
@@ -203,35 +203,16 @@ impl Transport for InProcessTransport {
         spawn: WorkerSpawn,
     ) -> Result<JoinHandle<WorkerMailbox>, FailedSpawn> {
         let node = spawn.node;
-        // The spawn rides through a cell so a failed thread spawn can
-        // hand the inbox back for the crashed-worker path (the closure
-        // is consumed by the failed Builder::spawn either way).
-        let cell = Arc::new(std::sync::Mutex::new(Some(spawn)));
-        let cell2 = Arc::clone(&cell);
-        std::thread::Builder::new()
-            .name(format!("albic-worker-{node}"))
-            .spawn(move || {
-                let spawn = cell2
-                    .lock()
-                    .expect("worker cell")
-                    .take()
-                    .expect("worker spawn consumed once");
-                WorkerMailbox(crate::runtime::WorkerCtx::from_spawn(spawn, None).run())
-            })
-            .map_err(|e| {
-                let spawn = cell
-                    .lock()
-                    .expect("worker cell")
-                    .take()
-                    .expect("worker spawn consumed once");
-                FailedSpawn {
-                    error: TransportError::SpawnFailed {
-                        node,
-                        reason: format!("spawn worker thread: {e}"),
-                    },
-                    mailbox: WorkerMailbox(spawn.inbox),
-                }
-            })
+        spawn_with(format!("albic-worker-{node}"), spawn, |spawn| {
+            WorkerMailbox(crate::runtime::WorkerCtx::from_spawn(spawn, None).run())
+        })
+        .map_err(|(e, spawn)| FailedSpawn {
+            error: TransportError::SpawnFailed {
+                node,
+                reason: format!("spawn worker thread: {e}"),
+            },
+            mailbox: WorkerMailbox(spawn.inbox),
+        })
     }
 
     fn broadcast_routing(&self, _version: u64, _assignment: &[NodeId], _peers: &Peers<'_>) {}
@@ -244,6 +225,29 @@ impl Transport for InProcessTransport {
     }
 
     fn worker_gone(&mut self, _node: NodeId) {}
+}
+
+/// Spawn a named thread running `f(payload)`. Should the OS refuse the
+/// thread, the payload comes back with the error instead of dying with
+/// the unrun closure — so a worker's inbox can still take the
+/// crashed-worker path.
+pub(crate) fn spawn_with<T: Send + 'static, R: Send + 'static>(
+    name: String,
+    payload: T,
+    f: impl FnOnce(T) -> R + Send + 'static,
+) -> Result<JoinHandle<R>, (std::io::Error, T)> {
+    let cell = Arc::new(std::sync::Mutex::new(Some(payload)));
+    let theirs = Arc::clone(&cell);
+    let take = |cell: &std::sync::Mutex<Option<T>>| {
+        cell.lock()
+            .expect("spawn cell")
+            .take()
+            .expect("payload taken once")
+    };
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(move || f(take(&theirs)))
+        .map_err(|e| (e, take(&cell)))
 }
 
 /// Which transport a job runs on — see [`crate::runtime::Runtime::start_with_options`].
@@ -266,7 +270,7 @@ pub fn fuzz_decode(bytes: &[u8]) {
     let mut fb = wire::FrameBuffer::new();
     fb.extend(bytes);
     while let Ok(Some((kind, body))) = fb.next_frame() {
-        let mut r = Reader::new(&body);
+        let mut r = Reader::new(body);
         let _ = match kind {
             wire::FRAME_HELLO => wire::decode_hello(&mut r).map(|_| ()),
             wire::FRAME_INIT => wire::decode_init(&mut r).map(|_| ()),
@@ -275,16 +279,16 @@ pub fn fuzz_decode(bytes: &[u8]) {
             wire::FRAME_ACK => wire::decode_ack(&mut r).map(|_| ()),
             // Session-bearing kinds: split the (seq, ack) header, then
             // decode the payload as the stub/daemon would.
-            wire::FRAME_MSG => wire::split_session(&body)
+            wire::FRAME_MSG => wire::split_session(body)
                 .and_then(|(_, _, p)| wire::decode_msg(&mut Reader::new(p), None))
                 .map(|_| ()),
-            wire::FRAME_FORWARD => wire::split_session(&body).and_then(|(_, _, p)| {
+            wire::FRAME_FORWARD => wire::split_session(body).and_then(|(_, _, p)| {
                 let mut pr = Reader::new(p);
                 pr.get_u64()
                     .and_then(|_| wire::decode_msg(&mut pr, None))
                     .map(|_| ())
             }),
-            wire::FRAME_ROUTING => wire::split_session(&body)
+            wire::FRAME_ROUTING => wire::split_session(body)
                 .and_then(|(_, _, p)| wire::decode_routing(&mut Reader::new(p)))
                 .map(|_| ()),
             _ => Ok(()),

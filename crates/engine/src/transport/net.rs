@@ -19,27 +19,27 @@
 //! therefore handshake concurrently: a worker binary that dies before
 //! its `HELLO` stalls only its own stub, never its siblings.
 //!
-//! A stub's socket is nonblocking in both directions, with a manual
-//! outbound byte buffer. While that buffer is non-empty the stub does
-//! not pull from its inbox — so the worker's credit gauge keeps
-//! counting queued-but-unsent batches and injection backpressure works
-//! exactly as in-process. Reads are drained before writes each turn,
-//! so a reply can never be starved by bulk data: the two directions
-//! cannot deadlock because every wait in the protocol is bounded.
+//! A stub is two blocking threads over one [`WireOut`] session half,
+//! the session engine the worker daemon runs at the other end. The
+//! writer (the stub thread proper) blocks on the worker's inbox and sends
+//! whatever is queued as one `write`; while that write blocks it pulls
+//! nothing more, so the worker's credit gauge keeps counting
+//! queued-but-unsent batches exactly as in-process. The reader blocks on
+//! the socket, applies acks, resolves replies and relays `FORWARD`s.
+//! Neither sleeps on the message path.
 //!
-//! Socket death is *not* worker death. Each link runs a sequence-
-//! numbered session (see [`crate::transport::session`]); on a cut the
-//! stub parks outbound frames and waits out the [`ReconnectPolicy`]'s
-//! window for the worker to `RESUME`, after which both sides replay
-//! exactly the frames the other never delivered. Only when the window
-//! expires — or when [`Transport::inject_fault`] deliberately poisons
-//! the session before SIGKILLing the process, so a kill can never race
-//! the reconnect — does the stub exit and checkpoint recovery take
-//! over.
+//! Socket death is *not* worker death: on a cut the reader holds the
+//! session (see [`crate::transport::session`]) open for the worker to
+//! `RESUME` within the [`ReconnectPolicy`]'s window, and both sides
+//! replay exactly the frames the other never delivered. Only when the
+//! window expires — or when [`Transport::inject_fault`] poisons the
+//! session before SIGKILLing the process, so a kill can never race the
+//! reconnect — does the reader end the session and wake the writer
+//! through the inbox; the stub exits and checkpoint recovery takes over.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -50,20 +50,20 @@ use std::sync::{Arc, Mutex as StdMutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, TryRecvError};
+use crossbeam::channel::Receiver;
 
 use albic_types::NodeId;
 
 use crate::codec::{Reader, Writer};
 use crate::runtime::{
-    send_gated, GaugeMap, Msg, RoutingShared, RuntimeConfig, SenderMap, PRESSURE_POLL,
+    send_gated, GaugeMap, Msg, RoutingShared, RuntimeConfig, SenderMap, WorkerGauge,
     WORKER_SEND_PATIENCE,
 };
-use crate::transport::session::{
-    ReconnectPolicy, RecvSequencer, SendSequencer, SeqVerdict, SEND_QUEUE_LIMIT,
+use crate::transport::session::ReconnectPolicy;
+use crate::transport::wire::{self, Correlator, FrameBuffer, LinkEvent, WireOut};
+use crate::transport::{
+    spawn_with, FailedSpawn, Peers, Transport, TransportError, WorkerMailbox, WorkerSpawn,
 };
-use crate::transport::wire::{self, Correlator, FrameBuffer};
-use crate::transport::{FailedSpawn, Peers, Transport, TransportError, WorkerMailbox, WorkerSpawn};
 
 /// How long the controller waits for a worker process *it launched* to
 /// connect and say hello. Joined workers get [`NetConfig::join_deadline`]
@@ -75,11 +75,12 @@ const REAP_PATIENCE: Duration = Duration::from_secs(5);
 /// How long the acceptor waits for a new connection's first frame before
 /// dropping it.
 const ADMIT_PATIENCE: Duration = Duration::from_secs(2);
-/// Socket read/write scratch size.
-const IO_CHUNK: usize = 64 * 1024;
-/// Per-turn cap on staged outbound bytes, so reads stay interleaved with
-/// bulk writes.
-const STAGE_LIMIT: usize = 256 * 1024;
+/// How long the acceptor backs off after a failed `accept` (e.g. out of
+/// file descriptors) before trying again.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
+/// Encoded size past which a stub writer stops adding messages to the
+/// burst it sends as one `write`.
+const WRITE_BURST_BYTES: usize = 64 * 1024;
 
 /// Environment variable carrying the controller address a worker daemon
 /// must connect back to (`tcp:host:port` or `uds:/path`).
@@ -211,6 +212,17 @@ pub(crate) enum Conn {
     Uds(UnixStream),
 }
 
+/// Run `$body` on whichever stream `$conn` holds, bound as `$s`.
+macro_rules! each_stream {
+    ($conn:expr, $s:ident => $body:expr) => {
+        match $conn {
+            Conn::Tcp($s) => $body,
+            #[cfg(unix)]
+            Conn::Uds($s) => $body,
+        }
+    };
+}
+
 impl Conn {
     pub(crate) fn try_clone(&self) -> io::Result<Conn> {
         Ok(match self {
@@ -220,67 +232,42 @@ impl Conn {
         })
     }
 
-    fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.set_nonblocking(nb),
-            #[cfg(unix)]
-            Conn::Uds(s) => s.set_nonblocking(nb),
-        }
-    }
-
     pub(crate) fn set_read_timeout(&self, t: Option<Duration>) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.set_read_timeout(t),
-            #[cfg(unix)]
-            Conn::Uds(s) => s.set_read_timeout(t),
-        }
+        each_stream!(self, s => s.set_read_timeout(t))
     }
 
-    /// Sever both directions without closing the descriptor — the kernel
-    /// half of "kill the socket, not the process".
-    pub(crate) fn shutdown(&self) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
-            #[cfg(unix)]
-            Conn::Uds(s) => s.shutdown(std::net::Shutdown::Both),
-        }
+    /// Sever one or both directions without closing the descriptor — the
+    /// kernel half of "kill the socket, not the process".
+    pub(crate) fn shutdown(&self, how: Shutdown) -> io::Result<()> {
+        each_stream!(self, s => s.shutdown(how))
     }
 }
 
 impl Read for Conn {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            Conn::Uds(s) => s.read(buf),
-        }
+        each_stream!(self, s => s.read(buf))
     }
 }
 
 impl Write for Conn {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            Conn::Uds(s) => s.write(buf),
-        }
+        each_stream!(self, s => s.write(buf))
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            Conn::Uds(s) => s.flush(),
-        }
+        each_stream!(self, s => s.flush())
     }
 }
 
 /// Connect to a controller address of the form `tcp:host:port` or
 /// `uds:/path` (the format [`NetTransport`] advertises via
-/// `ALBIC_WORKER_CONNECT`).
+/// `ALBIC_WORKER_CONNECT`). TCP links run with Nagle off, as the
+/// controller's end does: a small `REPLY` must not wait for more bytes.
 pub(crate) fn connect(addr: &str) -> io::Result<Conn> {
     if let Some(hostport) = addr.strip_prefix("tcp:") {
-        return Ok(Conn::Tcp(TcpStream::connect(hostport)?));
+        let s = TcpStream::connect(hostport)?;
+        s.set_nodelay(true)?;
+        return Ok(Conn::Tcp(s));
     }
     #[cfg(unix)]
     if let Some(path) = addr.strip_prefix("uds:") {
@@ -290,36 +277,6 @@ pub(crate) fn connect(addr: &str) -> io::Result<Conn> {
         io::ErrorKind::InvalidInput,
         format!("unsupported worker address {addr:?}"),
     ))
-}
-
-/// Read one complete frame off a blocking connection (the handshake and
-/// daemon reader path). A read timeout surfaces as the underlying
-/// `WouldBlock`/`TimedOut` error.
-pub(crate) fn read_frame_blocking(
-    conn: &mut Conn,
-    fb: &mut FrameBuffer,
-) -> io::Result<(u8, Vec<u8>)> {
-    let mut buf = [0u8; IO_CHUNK];
-    loop {
-        if let Some(frame) = fb
-            .next_frame()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
-        {
-            return Ok(frame);
-        }
-        let n = match conn.read(&mut buf) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "peer closed mid-frame",
-                ))
-            }
-            Ok(n) => n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        fb.extend(&buf[..n]);
-    }
 }
 
 enum Listener {
@@ -402,13 +359,28 @@ struct NetShared {
 }
 
 impl NetShared {
+    fn registry(&self) -> std::sync::MutexGuard<'_, HashMap<NodeId, NodeEntry>> {
+        self.registry.lock().expect("registry lock")
+    }
+
+    fn parked(&self) -> std::sync::MutexGuard<'_, HashMap<NodeId, (Conn, FrameBuffer)>> {
+        self.parked.lock().expect("parked lock")
+    }
+
     fn set_conn(&self, node: NodeId, conn: &Conn) {
         if let Ok(clone) = conn.try_clone() {
-            if let Some(entry) = self.registry.lock().expect("registry lock").get_mut(&node) {
+            if let Some(entry) = self.registry().get_mut(&node) {
                 entry.conn = Some(clone);
             }
         }
     }
+}
+
+/// SIGKILL a child process and reap it.
+fn kill(child: &StdMutex<Child>) {
+    let mut c = child.lock().expect("child lock");
+    let _ = c.kill();
+    let _ = c.wait();
 }
 
 /// The networked [`Transport`]: one worker process per node — launched
@@ -463,11 +435,6 @@ impl NetTransport {
                 (Listener::Uds(l), addr, Some(path))
             }
         };
-        match &listener {
-            Listener::Tcp(l) => l.set_nonblocking(true)?,
-            #[cfg(unix)]
-            Listener::Uds(l) => l.set_nonblocking(true)?,
-        }
         let shared = Arc::new(NetShared {
             token: cfg.token,
             registry: StdMutex::new(HashMap::new()),
@@ -502,20 +469,13 @@ impl NetTransport {
 
     /// Wait up to [`REAP_PATIENCE`] for a child to exit, then SIGKILL it;
     /// always reaps.
-    fn reap(child: &Arc<StdMutex<Child>>) {
-        let mut child = child.lock().expect("child lock");
+    fn reap(child: &StdMutex<Child>) {
         let deadline = Instant::now() + REAP_PATIENCE;
-        loop {
-            match child.try_wait() {
-                Ok(Some(_)) => return,
-                Ok(None) if Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(5))
-                }
-                _ => break,
-            }
+        let running = || matches!(child.lock().expect("child lock").try_wait(), Ok(None));
+        while running() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
         }
-        let _ = child.kill();
-        let _ = child.wait();
+        kill(child); // SIGKILLs only a child that outlived the patience
     }
 }
 
@@ -550,7 +510,7 @@ impl Transport for NetTransport {
         };
         let (admit_tx, admit_rx) = mpsc::channel();
         let poisoned = Arc::new(AtomicBool::new(false));
-        self.shared.registry.lock().expect("registry lock").insert(
+        self.shared.registry().insert(
             node,
             NodeEntry {
                 admit: admit_tx.clone(),
@@ -559,13 +519,7 @@ impl Transport for NetTransport {
             },
         );
         // A joiner may have dialed in before this stub existed.
-        if let Some((conn, fb)) = self
-            .shared
-            .parked
-            .lock()
-            .expect("parked lock")
-            .remove(&node)
-        {
+        if let Some((conn, fb)) = self.shared.parked().remove(&node) {
             let _ = admit_tx.send(Admission::Fresh { conn, fb });
         }
         if let Some(c) = &child {
@@ -585,48 +539,25 @@ impl Transport for NetTransport {
                 HANDSHAKE_PATIENCE
             },
         };
-        // The spawn rides through a cell so a failed thread spawn can
-        // hand the inbox back for the crashed-worker path instead of
-        // panicking the controller.
-        let cell = Arc::new(StdMutex::new(Some((spawn, ctx))));
-        let cell2 = Arc::clone(&cell);
-        match std::thread::Builder::new()
-            .name(format!("albic-stub-{node}"))
-            .spawn(move || {
-                let (spawn, ctx) = cell2
-                    .lock()
-                    .expect("stub cell")
-                    .take()
-                    .expect("stub context consumed once");
-                WorkerMailbox(stub_main(spawn, ctx))
-            }) {
-            Ok(handle) => Ok(handle),
-            Err(e) => {
-                let (spawn, ctx) = cell
-                    .lock()
-                    .expect("stub cell")
-                    .take()
-                    .expect("stub context consumed once");
-                self.shared
-                    .registry
-                    .lock()
-                    .expect("registry lock")
-                    .remove(&node);
-                self.children.remove(&node);
-                if let Some(child) = &ctx.child {
-                    let mut c = child.lock().expect("child lock");
-                    let _ = c.kill();
-                    let _ = c.wait();
-                }
-                Err(FailedSpawn {
-                    error: TransportError::SpawnFailed {
-                        node,
-                        reason: format!("spawn stub thread: {e}"),
-                    },
-                    mailbox: WorkerMailbox(spawn.inbox),
-                })
+        spawn_with(
+            format!("albic-stub-{node}"),
+            (spawn, ctx),
+            |(spawn, ctx)| WorkerMailbox(stub_main(spawn, ctx)),
+        )
+        .map_err(|(e, (spawn, ctx))| {
+            self.shared.registry().remove(&node);
+            self.children.remove(&node);
+            if let Some(child) = &ctx.child {
+                kill(child);
             }
-        }
+            FailedSpawn {
+                error: TransportError::SpawnFailed {
+                    node,
+                    reason: format!("spawn stub thread: {e}"),
+                },
+                mailbox: WorkerMailbox(spawn.inbox),
+            }
+        })
     }
 
     fn broadcast_routing(&self, version: u64, assignment: &[NodeId], peers: &Peers<'_>) {
@@ -642,28 +573,21 @@ impl Transport for NetTransport {
     }
 
     fn inject_fault(&mut self, node: NodeId, _peers: &Peers<'_>) -> bool {
-        // A real kill. Poison the session *first*: the stub checks the
-        // flag on every turn and the acceptor refuses a poisoned RESUME,
-        // so the kill deterministically defeats the reconnect policy —
-        // it cannot race a re-dial into a resurrected session.
+        // A real kill. Poison the session *first*: the stub's reader
+        // checks the flag when the socket dies (shut here, so it dies now)
+        // and the acceptor refuses a poisoned RESUME, so the kill
+        // deterministically defeats the reconnect policy — it cannot race
+        // a re-dial into a resurrected session.
         let mut hit = false;
-        if let Some(entry) = self
-            .shared
-            .registry
-            .lock()
-            .expect("registry lock")
-            .get(&node)
-        {
+        if let Some(entry) = self.shared.registry().get(&node) {
             entry.poisoned.store(true, Ordering::Release);
             if let Some(conn) = &entry.conn {
-                let _ = conn.shutdown();
+                let _ = conn.shutdown(Shutdown::Both);
             }
             hit = true;
         }
         if let Some(child) = self.children.remove(&node) {
-            let mut c = child.lock().expect("child lock");
-            let _ = c.kill();
-            let _ = c.wait();
+            kill(&child);
             hit = true;
         }
         hit
@@ -672,31 +596,17 @@ impl Transport for NetTransport {
     fn drop_connection(&mut self, node: NodeId) -> bool {
         // Scripted network fault: sever the socket with shutdown(2) but
         // leave the process alone. The session must resume.
-        match self
-            .shared
-            .registry
-            .lock()
-            .expect("registry lock")
-            .get(&node)
-        {
+        match self.shared.registry().get(&node) {
             Some(NodeEntry {
                 conn: Some(conn), ..
-            }) => conn.shutdown().is_ok(),
+            }) => conn.shutdown(Shutdown::Both).is_ok(),
             _ => false,
         }
     }
 
     fn worker_gone(&mut self, node: NodeId) {
-        self.shared
-            .registry
-            .lock()
-            .expect("registry lock")
-            .remove(&node);
-        self.shared
-            .parked
-            .lock()
-            .expect("parked lock")
-            .remove(&node);
+        self.shared.registry().remove(&node);
+        self.shared.parked().remove(&node);
         if let Some(child) = self.children.remove(&node) {
             Self::reap(&child);
         }
@@ -715,10 +625,15 @@ impl Transport for NetTransport {
             Self::reap(&child);
         }
         if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
+            // The acceptor is parked in accept(): dial it once so it
+            // wakes and sees the flag. Should the dial fail, leave it
+            // parked rather than hang the shutdown on the join.
+            if connect(&self.connect_addr).is_ok() {
+                let _ = acceptor.join();
+            }
         }
-        self.shared.registry.lock().expect("registry lock").clear();
-        self.shared.parked.lock().expect("parked lock").clear();
+        self.shared.registry().clear();
+        self.shared.parked().clear();
         if let Some(path) = self.uds_path.take() {
             let _ = std::fs::remove_file(path);
         }
@@ -733,40 +648,30 @@ impl Drop for NetTransport {
     }
 }
 
-/// The admission acceptor: polls the listener and routes every inbound
-/// connection's first frame (`HELLO` or `RESUME`) to the owning stub.
+/// The admission acceptor: blocks on the listener and routes every
+/// inbound connection's first frame (`HELLO` or `RESUME`) to the owning
+/// stub. [`NetTransport::shutdown`] wakes it with a dial of its own.
 fn acceptor_loop(listener: Listener, shared: Arc<NetShared>) {
     loop {
+        let accepted = listener.accept();
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok(conn) => {
                 // Admission reads one frame with a bounded timeout; run
-                // it off-thread so a slow dialer cannot stall siblings.
-                let cell = Arc::new(StdMutex::new(Some(conn)));
-                let cell2 = Arc::clone(&cell);
+                // it off-thread so a slow dialer cannot stall siblings,
+                // or inline should the OS refuse the thread.
                 let sh = Arc::clone(&shared);
-                let spawned = std::thread::Builder::new()
-                    .name("albic-admit".into())
-                    .spawn(move || {
-                        if let Some(conn) = cell2.lock().expect("admit cell").take() {
-                            admit(conn, &sh);
-                        }
-                    })
-                    .is_ok();
-                if !spawned {
-                    // Degraded: admit inline rather than dropping the
-                    // connection.
-                    if let Some(conn) = cell.lock().expect("admit cell").take() {
-                        admit(conn, &shared);
-                    }
+                if let Err((_, conn)) =
+                    spawn_with("albic-admit".into(), conn, move |conn| admit(conn, &sh))
+                {
+                    admit(conn, &shared);
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5))
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            // Out of descriptors and the like: back off instead of spinning.
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
         }
     }
 }
@@ -780,10 +685,18 @@ fn admit(mut conn: Conn, shared: &NetShared) {
         return;
     }
     let mut fb = FrameBuffer::new();
-    let Ok((kind, body)) = read_frame_blocking(&mut conn, &mut fb) else {
+    let Ok((kind, body)) = fb.read_frame(&mut conn) else {
         return;
     };
-    let mut r = Reader::new(&body);
+    // Past its first frame a connection is a session socket: blocking
+    // reads, and (TCP) no Nagle delay on small replies.
+    if conn.set_read_timeout(None).is_err() {
+        return;
+    }
+    if let Conn::Tcp(s) = &conn {
+        let _ = s.set_nodelay(true);
+    }
+    let mut r = Reader::new(body);
     match kind {
         wire::FRAME_HELLO => {
             let Ok((node, token)) = wire::decode_hello(&mut r) else {
@@ -793,26 +706,14 @@ fn admit(mut conn: Conn, shared: &NetShared) {
                 eprintln!("albic: rejecting worker {node}: bad join token");
                 return;
             }
-            if conn.set_read_timeout(None).is_err() {
-                return;
-            }
-            if let Conn::Tcp(s) = &conn {
-                let _ = s.set_nodelay(true);
-            }
-            let registry = shared.registry.lock().expect("registry lock");
-            match registry.get(&node) {
+            match shared.registry().get(&node) {
                 Some(entry) => {
                     let _ = entry.admit.send(Admission::Fresh { conn, fb });
                 }
+                // Joined before its stub exists: park it (under the
+                // registry lock, so spawn_worker cannot miss it).
                 None => {
-                    // Joined before its stub exists: park until
-                    // spawn_worker claims it.
-                    drop(registry);
-                    shared
-                        .parked
-                        .lock()
-                        .expect("parked lock")
-                        .insert(node, (conn, fb));
+                    shared.parked().insert(node, (conn, fb));
                 }
             }
         }
@@ -824,14 +725,7 @@ fn admit(mut conn: Conn, shared: &NetShared) {
                 eprintln!("albic: rejecting resume for {}: bad token", resume.node);
                 return;
             }
-            if conn.set_read_timeout(None).is_err() {
-                return;
-            }
-            if let Conn::Tcp(s) = &conn {
-                let _ = s.set_nodelay(true);
-            }
-            let registry = shared.registry.lock().expect("registry lock");
-            if let Some(entry) = registry.get(&resume.node) {
+            if let Some(entry) = shared.registry().get(&resume.node) {
                 if entry.poisoned.load(Ordering::Acquire) {
                     return; // killed workers stay dead
                 }
@@ -860,10 +754,10 @@ struct StubCtx {
 }
 
 /// The controller-side bridge between one worker's inbox channel and its
-/// socket: waits for admission, sends `INIT`, then runs the session loop
-/// until the worker is gone for good. Returns the inbox for the
-/// runtime's graveyard — the stub exiting *is* the worker dying, as far
-/// as the runtime can tell.
+/// socket: waits for admission, sends `INIT`, starts the session's reader
+/// thread, then runs the writer until the worker is gone for good.
+/// Returns the inbox for the runtime's graveyard — the stub exiting *is*
+/// the worker dying, as far as the runtime can tell.
 fn stub_main(spawn: WorkerSpawn, ctx: StubCtx) -> Receiver<Msg> {
     let node = spawn.node;
     // Phase 1: wait for the worker's HELLO (concurrently with every
@@ -892,9 +786,7 @@ fn stub_main(spawn: WorkerSpawn, ctx: StubCtx) -> Receiver<Msg> {
                 if Instant::now() >= deadline {
                     eprintln!("albic: {}", TransportError::HandshakeTimeout { node });
                     if let Some(child) = &ctx.child {
-                        let mut c = child.lock().expect("child lock");
-                        let _ = c.kill();
-                        let _ = c.wait();
+                        kill(child);
                     }
                     return spawn.inbox;
                 }
@@ -906,7 +798,7 @@ fn stub_main(spawn: WorkerSpawn, ctx: StubCtx) -> Receiver<Msg> {
     // the snapshot leaves the replica one broadcast behind, which the
     // next broadcast repairs — never a fresh table under a stale stamp
     // masking it.
-    let init_sent = (|| -> io::Result<()> {
+    let init_sent = (|| -> io::Result<WireOut> {
         let routing_version = spawn.routing.version();
         let assignment = spawn.routing.read().assignment().to_vec();
         let ops = spawn
@@ -938,27 +830,15 @@ fn stub_main(spawn: WorkerSpawn, ctx: StubCtx) -> Receiver<Msg> {
         let mut w = Writer::new();
         wire::encode_init(&init, &mut w);
         conn.write_all(&wire::frame_bytes(wire::FRAME_INIT, &w.into_bytes()))?;
-        conn.flush()?;
-        conn.set_nonblocking(true)
+        Ok(WireOut::new(conn.try_clone()?, ctx.compress))
     })();
-    if init_sent.is_err() {
+    let Ok(out) = init_sent else {
         eprintln!("albic: worker {node} died during bootstrap");
         return spawn.inbox;
-    }
+    };
     ctx.shared.set_conn(node, &conn);
-    stub_session(conn, fb, spawn, ctx)
-}
-
-/// The stub's session loop: nonblocking socket turns bridging the inbox
-/// channel onto sequence-numbered frames, with resume-on-cut.
-fn stub_session(
-    mut conn: Conn,
-    mut fb: FrameBuffer,
-    spawn: WorkerSpawn,
-    ctx: StubCtx,
-) -> Receiver<Msg> {
+    // Phase 3: the session, as two blocking threads over `out`.
     let WorkerSpawn {
-        node,
         inbox,
         gauge,
         routing,
@@ -968,388 +848,293 @@ fn stub_session(
         cfg,
         ..
     } = spawn;
-    let mut send = SendSequencer::new(SEND_QUEUE_LIMIT);
-    let mut recv = RecvSequencer::new();
-    // Outbound bytes not yet accepted by the socket; `woff` is the
-    // consumed prefix. While non-empty, the inbox is not pulled — that
-    // is what carries backpressure through to the credit gauge.
-    let mut wbuf: Vec<u8> = Vec::new();
-    let mut woff = 0usize;
-    // Highest parked sequence number already staged into `wbuf` on the
-    // current socket; reset to the peer's delivery mark on resume.
-    let mut staged = 0u64;
-    let mut closing = false;
-    let mut sock_dead = false;
-    let mut buf = [0u8; IO_CHUNK];
-    'session: loop {
-        // 0. A poisoned session is a killed worker: die now, never resume.
-        if ctx.poisoned.load(Ordering::Acquire) {
-            let _ = conn.shutdown();
-            return inbox;
-        }
-        // 0b. The socket is gone: resume or degrade to a corpse.
-        if sock_dead {
-            let _ = conn.shutdown();
-            wbuf.clear();
-            woff = 0;
-            if closing {
-                // Shutdown was underway; the tail is lost but so is the job.
-                return inbox;
-            }
-            if ctx.policy.attempts == 0 {
-                return inbox;
-            }
-            match wait_resume(node, &ctx, &mut send, &recv, &routing) {
-                Some((new_conn, new_fb, peer_delivered)) => {
-                    send.ack(peer_delivered);
-                    staged = peer_delivered;
-                    ctx.shared.set_conn(node, &new_conn);
-                    conn = new_conn;
-                    fb = new_fb;
-                    sock_dead = false;
-                }
-                None => return inbox,
-            }
-            continue 'session;
-        }
-        let mut progress = false;
-        // 1. Drain the socket.
-        loop {
-            match conn.read(&mut buf) {
-                Ok(0) => {
-                    sock_dead = true;
-                    break;
-                }
-                Ok(n) => {
-                    progress = true;
-                    fb.extend(&buf[..n]);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    sock_dead = true;
-                    break;
-                }
-            }
-        }
-        // 2. Handle complete frames. A *garbled* peer (bad framing or an
-        // undecodable body) is hostile or broken — fail closed, no
-        // resume. A sequence *gap* is a lossy cut — tear the socket down
-        // and let the resume resend heal it.
-        loop {
-            match fb.next_frame() {
-                Ok(Some((kind, body))) => match on_frame(
-                    kind,
-                    &body,
-                    &mut send,
-                    &mut recv,
-                    &ctx.correlator,
-                    &senders,
-                    &gauges,
-                    &dropped,
-                    &cfg,
-                ) {
-                    Ok(FrameOutcome::Handled) => {}
-                    Ok(FrameOutcome::Gap) => {
-                        sock_dead = true;
-                        break;
-                    }
-                    Err(e) => {
-                        eprintln!("albic: worker {node} sent an undecodable frame: {e}");
-                        let _ = conn.shutdown();
-                        return inbox;
-                    }
-                },
-                Ok(None) => break,
-                Err(e) => {
-                    eprintln!("albic: worker {node} broke framing: {e}");
-                    let _ = conn.shutdown();
-                    return inbox;
-                }
-            }
-        }
-        if sock_dead {
-            continue 'session;
-        }
-        // 3. Owe the peer an explicit ack? (Piggybacking below also
-        // counts, but a read-heavy stub must still prune the daemon's
-        // resend queue.)
-        if recv.ack_due() {
-            wbuf.extend_from_slice(&wire::frame_bytes(
-                wire::FRAME_ACK,
-                &recv.delivered().to_le_bytes(),
-            ));
-            recv.mark_acked();
-        }
-        // 4. Stage parked frames (bounded per turn so reads interleave).
-        let mut newly_staged = staged;
-        for (seq, kind, body) in send.pending(staged) {
-            if wbuf.len() >= STAGE_LIMIT {
-                break;
-            }
-            wbuf.extend_from_slice(&wire::session_frame(kind, seq, recv.delivered(), body));
-            newly_staged = seq;
-        }
-        if newly_staged > staged {
-            staged = newly_staged;
-            recv.mark_acked();
-        }
-        // 5. Flush as much of the outbound buffer as the socket takes.
-        while woff < wbuf.len() {
-            match conn.write(&wbuf[woff..]) {
-                Ok(0) => {
-                    sock_dead = true;
-                    break;
-                }
-                Ok(n) => {
-                    progress = true;
-                    woff += n;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    sock_dead = true;
-                    break;
-                }
-            }
-        }
-        if sock_dead {
-            continue 'session;
-        }
-        if woff > 0 && woff == wbuf.len() {
-            wbuf.clear();
-            woff = 0;
-        }
-        if closing && staged == send.highest() && wbuf.is_empty() {
-            break;
-        }
-        // 6. Encode inbox messages only once the buffer drained and the
-        // resend queue has room, a bounded burst per turn so inbound
-        // replies stay interleaved.
-        if wbuf.is_empty() && !closing {
-            for _ in 0..64 {
-                if !send.has_room() {
-                    break;
-                }
-                let msg = match inbox.try_recv() {
-                    Ok(msg) => msg,
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => {
-                        closing = true;
-                        break;
-                    }
-                };
-                progress = true;
-                if matches!(msg, Msg::DataChunk(_)) {
-                    // The chunk left the queue for the wire: release its
-                    // credit (the daemon meters its own inbox).
-                    gauge.dequeued();
-                }
-                if matches!(msg, Msg::Shutdown | Msg::Crash) {
-                    closing = true;
-                }
-                match msg {
-                    Msg::RoutingUpdate {
-                        version,
-                        assignment,
-                    } => {
-                        send.push(
-                            wire::FRAME_ROUTING,
-                            wire::encode_routing(version, &assignment),
-                        );
-                    }
-                    msg => {
-                        let mut w = Writer::new();
-                        wire::encode_msg(&msg, &mut w, ctx.compress, &mut |p| {
-                            ctx.correlator.register(p)
-                        });
-                        send.push(wire::FRAME_MSG, w.into_bytes());
-                    }
-                }
-                if closing {
-                    break;
-                }
-            }
-        }
-        if !progress {
-            std::thread::sleep(PRESSURE_POLL);
-        }
-    }
+    let correlator = Arc::clone(&ctx.correlator);
+    let reader = StubReader {
+        node,
+        out: out.clone(),
+        ctx,
+        routing,
+        senders,
+        gauges,
+        dropped,
+        cfg,
+        replay: Default::default(),
+    };
+    let Ok(reader) = std::thread::Builder::new()
+        .name(format!("albic-stub-reader-{node}"))
+        .spawn(move || reader.run(conn, fb))
+    else {
+        eprintln!("albic: worker {node}: could not spawn its stub reader");
+        out.close();
+        return inbox;
+    };
+    let inbox = stub_writer(inbox, &out, &gauge, &correlator);
+    // Both ways out of the writer have already ended the reader's loop:
+    // the reader killed the session itself, or the writer closed it.
+    let _ = reader.join();
     inbox
 }
 
-/// Hold a cut session open for the worker to `RESUME`, up to the
-/// policy's patience. Returns the fresh socket and the peer's delivery
-/// mark, or `None` when the window expires (the worker is declared
-/// crashed).
-fn wait_resume(
-    node: NodeId,
-    ctx: &StubCtx,
-    send: &mut SendSequencer,
-    recv: &RecvSequencer,
-    routing: &RoutingShared,
-) -> Option<(Conn, FrameBuffer, u64)> {
-    let deadline = Instant::now() + ctx.policy.patience();
-    loop {
-        if ctx.poisoned.load(Ordering::Acquire) {
-            return None;
+/// The stub's writer, run on the stub thread itself: block on the
+/// worker's inbox, drain whatever else is already queued up to
+/// [`WRITE_BURST_BYTES`], and send the burst as one `write`. Returns
+/// the inbox once the session is dead (the reader ended it and woke this
+/// thread through the inbox), or once a `Shutdown`/`Crash` and
+/// everything queued before it are on the wire.
+fn stub_writer(
+    inbox: Receiver<Msg>,
+    out: &WireOut,
+    gauge: &WorkerGauge,
+    correlator: &Correlator,
+) -> Receiver<Msg> {
+    let mut burst = Vec::new();
+    // One yield before parking lets a busy producer top the next burst
+    // up; a writer that parked after every chunk would pay a futex wake
+    // per chunk.
+    while let Ok(first) = inbox.try_recv().or_else(|_| {
+        std::thread::yield_now();
+        inbox.recv()
+    }) {
+        if out.is_dead() {
+            return inbox;
         }
-        match ctx.admissions.recv_timeout(Duration::from_millis(25)) {
-            Ok(Admission::Resume {
-                mut conn,
-                fb,
-                delivered,
-                routing_version,
-            }) => {
-                // A delivery mark this stream never produced (or one
-                // regressing below the acked prefix) is a liar's resume.
-                if !send.valid_resume_point(delivered) {
-                    eprintln!(
-                        "albic: rejecting resume for {node}: claimed delivery {delivered} \
-                         outside acked {}..={}",
-                        send.acked(),
-                        send.highest()
-                    );
-                    continue;
-                }
-                if conn
-                    .write_all(&wire::frame_bytes(
-                        wire::FRAME_RESUMED,
-                        &wire::encode_resumed(recv.delivered()),
-                    ))
-                    .and_then(|()| conn.flush())
-                    .is_err()
-                {
-                    continue;
-                }
-                if conn.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                // Top the resumed stream up with a fresh routing snapshot
-                // when the worker fell behind: it lands after the
-                // replayed suffix, so the replica converges on the
-                // current table.
-                if routing_version < routing.version() {
-                    let version = routing.version();
-                    let assignment = routing.read().assignment().to_vec();
-                    send.push(
-                        wire::FRAME_ROUTING,
-                        wire::encode_routing(version, &assignment),
-                    );
-                }
-                return Some((conn, fb, delivered));
+        let (mut closing, mut bytes) = (false, 0);
+        let mut next = Some(first);
+        while let Some(msg) = next {
+            if matches!(msg, Msg::DataChunk(_)) {
+                // The chunk left the queue for the wire: release its
+                // credit (the daemon meters its own inbox).
+                gauge.dequeued();
             }
-            Ok(Admission::Fresh { .. }) => {} // mid-job HELLO: drop it
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if Instant::now() >= deadline {
+            closing = matches!(msg, Msg::Shutdown | Msg::Crash);
+            let frame = match msg {
+                Msg::RoutingUpdate {
+                    version,
+                    assignment,
+                } => (
+                    wire::FRAME_ROUTING,
+                    wire::encode_routing(version, &assignment),
+                ),
+                msg => {
+                    let mut w = Writer::new();
+                    wire::encode_msg(&msg, &mut w, out.compress(), &mut |p| {
+                        correlator.register(p)
+                    });
+                    (wire::FRAME_MSG, w.into_bytes())
+                }
+            };
+            bytes += frame.1.len();
+            burst.push(frame);
+            next = if closing || bytes >= WRITE_BURST_BYTES {
+                None
+            } else {
+                inbox.try_recv().ok()
+            };
+        }
+        if out.send_burst(&mut burst).is_err() {
+            return inbox;
+        }
+        if closing {
+            break;
+        }
+    }
+    // Closed, or every sender is gone: nothing will be written again.
+    out.close();
+    inbox
+}
+
+/// The stub's reader thread: the inbound half of the session, plus the
+/// controller's side of a resume.
+struct StubReader {
+    node: NodeId,
+    out: WireOut,
+    ctx: StubCtx,
+    routing: Arc<RoutingShared>,
+    senders: SenderMap,
+    gauges: GaugeMap,
+    dropped: Arc<AtomicU64>,
+    cfg: RuntimeConfig,
+    /// The latest resume's replay thread, joined, never detached.
+    replay: std::cell::Cell<Option<JoinHandle<io::Result<()>>>>,
+}
+
+impl StubReader {
+    /// Read until the session is over: resume a cut socket under the
+    /// policy, fail closed on a garbled peer, give up on a poisoned
+    /// (killed) worker. Then end the session and wake the writer.
+    fn run(self, mut conn: Conn, mut fb: FrameBuffer) {
+        loop {
+            let event = self.out.pump(&mut conn, &mut fb, |kind, payload| {
+                self.dispatch(kind, payload)
+            });
+            if self.out.is_dead() {
+                break; // the writer closed the session
+            }
+            let _ = conn.shutdown(Shutdown::Both);
+            if event == LinkEvent::Fatal {
+                eprintln!("albic: worker {} broke framing; session closed", self.node);
+                break;
+            }
+            let killed = self.ctx.poisoned.load(Ordering::Acquire);
+            let resumed = (!killed && self.ctx.policy.attempts > 0).then(|| self.wait_resume());
+            let Some(Some(resumed)) = resumed else {
+                break;
+            };
+            (conn, fb) = resumed;
+        }
+        if let Some(replay) = self.replay.take() {
+            let _ = replay.join();
+        }
+        // The writer is parked on the worker's inbox: a message there is
+        // the only thing that wakes it, so it can see the session is over
+        // and the stub can exit.
+        if self.out.mark_dead() {
+            if let Some(tx) = self.senders.read().get(&self.node).cloned() {
+                let _ = tx.send(Msg::Crash);
+            }
+        }
+    }
+
+    /// Hold a cut session open for the worker to `RESUME`, up to the
+    /// policy's patience. Returns the fresh socket, or `None` when the
+    /// window expires (the worker is declared crashed), the worker was
+    /// killed, or the writer closed the session.
+    fn wait_resume(&self) -> Option<(Conn, FrameBuffer)> {
+        let deadline = Instant::now() + self.ctx.policy.patience();
+        while !self.ctx.poisoned.load(Ordering::Acquire) && !self.out.is_dead() {
+            // Re-check the poison flag and the deadline every 25 ms.
+            match self.ctx.admissions.recv_timeout(Duration::from_millis(25)) {
+                Ok(Admission::Resume {
+                    conn,
+                    fb,
+                    delivered,
+                    routing_version,
+                }) => {
+                    if self.resume(&conn, delivered, routing_version) {
+                        self.ctx.shared.set_conn(self.node, &conn);
+                        return Some((conn, fb));
+                    }
+                }
+                Ok(Admission::Fresh { .. }) => {} // mid-job HELLO: drop it
+                Err(mpsc::RecvTimeoutError::Timeout) if Instant::now() >= deadline => {
                     eprintln!(
-                        "albic: worker {node} did not resume within {:?}; declaring it crashed",
-                        ctx.policy.patience()
+                        "albic: worker {} did not resume within {:?}; declaring it crashed",
+                        self.node,
+                        self.ctx.policy.patience()
                     );
                     return None;
                 }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => return None,
-        }
-    }
-}
-
-enum FrameOutcome {
-    Handled,
-    Gap,
-}
-
-/// One inbound frame on a stub's socket: an ack to apply, then (for
-/// session-bearing kinds) dedup before dispatch — a reply to resolve or
-/// a message to relay to a peer worker's inbox.
-#[allow(clippy::too_many_arguments)]
-fn on_frame(
-    kind: u8,
-    body: &[u8],
-    send: &mut SendSequencer,
-    recv: &mut RecvSequencer,
-    correlator: &Correlator,
-    senders: &SenderMap,
-    gauges: &GaugeMap,
-    dropped: &Arc<AtomicU64>,
-    cfg: &RuntimeConfig,
-) -> Result<FrameOutcome, crate::codec::DecodeError> {
-    match kind {
-        wire::FRAME_ACK => {
-            send.ack(wire::decode_ack(&mut Reader::new(body))?);
-            Ok(FrameOutcome::Handled)
-        }
-        wire::FRAME_REPLY | wire::FRAME_FORWARD => {
-            let (seq, ack, payload) = wire::split_session(body)?;
-            send.ack(ack);
-            match recv.accept(seq) {
-                SeqVerdict::Fresh => {
-                    dispatch_frame(kind, payload, correlator, senders, gauges, dropped, cfg)?;
-                    Ok(FrameOutcome::Handled)
-                }
-                SeqVerdict::Duplicate => Ok(FrameOutcome::Handled),
-                SeqVerdict::Gap => Ok(FrameOutcome::Gap),
+                Err(mpsc::RecvTimeoutError::Timeout) => {}
+                Err(mpsc::RecvTimeoutError::Disconnected) => return None,
             }
         }
-        // Unknown frame kinds are ignored for forward compatibility.
-        _ => Ok(FrameOutcome::Handled),
+        None
     }
-}
 
-/// Dispatch one deduplicated inbound payload.
-fn dispatch_frame(
-    kind: u8,
-    payload: &[u8],
-    correlator: &Correlator,
-    senders: &SenderMap,
-    gauges: &GaugeMap,
-    dropped: &Arc<AtomicU64>,
-    cfg: &RuntimeConfig,
-) -> Result<(), crate::codec::DecodeError> {
-    let mut r = Reader::new(payload);
-    match kind {
-        wire::FRAME_REPLY => {
-            let id = r.get_u64()?;
-            correlator.fire(id, &mut r)?;
+    /// Accept one `RESUME` on `conn`: answer `RESUMED` with this end's
+    /// delivery mark and start replaying the parked suffix. `false`
+    /// rejects it (the worker may dial again).
+    fn resume(&self, conn: &Conn, delivered: u64, routing_version: u64) -> bool {
+        // A delivery mark this stream never produced (or one regressing
+        // below the acked prefix) is a liar's resume.
+        if !self.out.valid_resume_point(delivered) {
+            eprintln!(
+                "albic: rejecting resume for {}: claimed delivery {delivered} \
+                 outside the unacked part of its stream",
+                self.node
+            );
+            return false;
         }
-        wire::FRAME_FORWARD => {
-            let dest = NodeId::new(r.get_u64()? as u32);
-            // Decoded without an uplink: any reply handle inside is a
-            // passthrough that survives the destination stub's re-encode
-            // with its correlation id intact.
-            let msg = wire::decode_msg(&mut r, None)?;
-            match msg {
-                Msg::DataChunk(chunk) => {
-                    let n = chunk.visible_len() as u64;
-                    // The same gated hand-off a worker thread uses,
-                    // including the bounded patience and overflow
-                    // accounting on the destination's gauge.
-                    if send_gated(
-                        senders,
-                        gauges,
-                        cfg.channel_capacity,
-                        WORKER_SEND_PATIENCE,
-                        dest,
-                        Msg::DataChunk(chunk),
-                    )
-                    .is_err()
-                    {
-                        dropped.fetch_add(n, Ordering::Relaxed);
+        let resumed = wire::encode_resumed(self.out.delivered());
+        let resumed = wire::frame_bytes(wire::FRAME_RESUMED, &resumed);
+        let write_half = conn.try_clone();
+        let Ok(write_half) = write_half.and_then(|mut w| w.write_all(&resumed).map(|()| w)) else {
+            return false;
+        };
+        // Top the resumed stream up with a fresh routing snapshot when the
+        // worker fell behind: it lands after the replayed suffix, so the
+        // replica converges on the current table.
+        let top_up = (routing_version < self.routing.version()).then(|| {
+            let version = self.routing.version(); // before the table: see INIT
+            let table = self.routing.read().assignment().to_vec();
+            (wire::FRAME_ROUTING, wire::encode_routing(version, &table))
+        });
+        // Replay on a helper thread so this one goes back to reading at
+        // once: the worker replays its own suffix before it reads again,
+        // and two blocking replays larger than the socket buffers would
+        // wait on each other forever.
+        let out = self.out.clone();
+        let replay = std::thread::Builder::new()
+            .name(format!("albic-stub-replay-{}", self.node))
+            .spawn(move || out.resume(write_half, delivered, top_up));
+        let Ok(replay) = replay else {
+            let _ = conn.shutdown(Shutdown::Both);
+            return false;
+        };
+        // The previous socket is dead, so its replay is over or failing.
+        if let Some(previous) = self.replay.replace(Some(replay)) {
+            let _ = previous.join();
+        }
+        true
+    }
+
+    /// Dispatch one deduplicated inbound payload: resolve a reply, or
+    /// relay a message to a peer worker's inbox.
+    fn dispatch(&self, kind: u8, payload: &[u8]) -> LinkEvent {
+        match self.relay(kind, payload) {
+            Ok(()) => LinkEvent::Keep,
+            Err(e) => {
+                eprintln!("albic: worker {} sent an undecodable frame: {e}", self.node);
+                LinkEvent::Fatal
+            }
+        }
+    }
+
+    fn relay(&self, kind: u8, payload: &[u8]) -> Result<(), crate::codec::DecodeError> {
+        let mut r = Reader::new(payload);
+        match kind {
+            wire::FRAME_REPLY => {
+                let id = r.get_u64()?;
+                self.ctx.correlator.fire(id, &mut r)?;
+            }
+            wire::FRAME_FORWARD => {
+                let dest = NodeId::new(r.get_u64()? as u32);
+                // Decoded without an uplink: any reply handle inside is a
+                // passthrough that survives the destination stub's
+                // re-encode with its correlation id intact.
+                match wire::decode_msg(&mut r, None)? {
+                    Msg::DataChunk(chunk) => {
+                        let n = chunk.visible_len() as u64;
+                        // The same gated hand-off a worker thread uses,
+                        // including the bounded patience and overflow
+                        // accounting on the destination's gauge.
+                        if send_gated(
+                            &self.senders,
+                            &self.gauges,
+                            self.cfg.channel_capacity,
+                            WORKER_SEND_PATIENCE,
+                            dest,
+                            Msg::DataChunk(chunk),
+                        )
+                        .is_err()
+                        {
+                            self.dropped.fetch_add(n, Ordering::Relaxed);
+                        }
+                    }
+                    msg => {
+                        // Control relays are never gated (matching the
+                        // in-process rule); a dead destination's loss is
+                        // handled by the liveness-aware coordinator waits.
+                        if let Some(tx) = self.senders.read().get(&dest).cloned() {
+                            let _ = tx.send(msg);
+                        }
                     }
                 }
-                msg => {
-                    // Control relays are never gated (matching the
-                    // in-process rule); a dead destination's loss is
-                    // handled by the liveness-aware coordinator waits.
-                    if let Some(tx) = senders.read().get(&dest).cloned() {
-                        let _ = tx.send(msg);
-                    }
-                }
             }
+            _ => {}
         }
-        _ => {}
+        Ok(())
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1378,5 +1163,68 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::AddrInUse);
         drop(reclaimed);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// `connect` serves the daemon's first dial and every resume: its TCP
+    /// end must run without Nagle, or a small `REPLY` waits for more bytes.
+    #[test]
+    fn connect_disables_nagle_on_tcp() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = format!("tcp:{}", listener.local_addr().expect("addr"));
+        let Conn::Tcp(stream) = connect(&addr).expect("dial") else {
+            panic!("a tcp: address dials TCP");
+        };
+        assert!(stream.nodelay().expect("read TCP_NODELAY"));
+    }
+
+    /// A `Shutdown` queued behind a burst larger than the socket buffer
+    /// goes out last, after every frame queued before it, and the writer
+    /// hands back an empty inbox only then.
+    #[cfg(unix)]
+    #[test]
+    fn shutdown_queued_behind_a_burst_delivers_the_whole_burst() {
+        use crate::chunk::StreamChunk;
+        use crate::tuple::{Tuple, Value};
+
+        let (ours, mut theirs) = UnixStream::pair().expect("socket pair");
+        // A lost frame fails the peer's read instead of hanging the test.
+        theirs
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        let out = WireOut::new(Conn::Uds(ours), false);
+        let (tx, inbox) = crossbeam::channel::unbounded();
+        let gauge = WorkerGauge::default();
+        const CHUNKS: u64 = 300; // 300 × 256 rows ≈ 2 MiB encoded
+        for c in 0..CHUNKS {
+            let rows = (0..256).map(|i| Tuple::keyed(&c, Value::Int(i), c));
+            assert!(tx
+                .send(Msg::DataChunk(StreamChunk::from_tuples(rows)))
+                .is_ok());
+            gauge.enqueued();
+        }
+        assert!(tx.send(Msg::Shutdown).is_ok());
+        let peer = std::thread::spawn(move || {
+            let mut fb = FrameBuffer::new();
+            let mut got = Vec::new();
+            while got.last() != Some(&u64::MAX) {
+                let (kind, body) = fb.read_frame(&mut theirs).expect("frame");
+                assert_eq!(kind, wire::FRAME_MSG);
+                let (seq, _, payload) = wire::split_session(body).expect("session frame");
+                assert_eq!(seq, got.len() as u64 + 1, "frames arrive in sequence");
+                got.push(match wire::decode_msg(&mut Reader::new(payload), None) {
+                    Ok(Msg::DataChunk(chunk)) => chunk.ts_at(0),
+                    Ok(Msg::Shutdown) => u64::MAX,
+                    _ => panic!("frame {seq} is neither a chunk nor the shutdown"),
+                });
+            }
+            got
+        });
+        let inbox = stub_writer(inbox, &out, &gauge, &Correlator::new());
+        assert!(inbox.try_recv().is_err(), "the inbox comes back drained");
+        assert!(out.is_dead(), "a written Shutdown closes the session");
+        let got = peer.join().expect("peer reads every frame");
+        let mut want: Vec<u64> = (0..CHUNKS).collect();
+        want.push(u64::MAX);
+        assert_eq!(got, want, "the whole burst, in order, then the shutdown");
     }
 }

@@ -74,10 +74,7 @@ impl ReconnectPolicy {
     /// comes from hashing `(salt, attempt)`, not a clock or RNG, so
     /// reconnect schedules are reproducible in tests.
     pub(crate) fn backoff(&self, attempt: u32, salt: u64) -> Duration {
-        let base = self
-            .base_backoff
-            .saturating_mul(1u32 << attempt.min(16))
-            .min(self.max_backoff);
+        let base = self.base(attempt);
         let mut x = salt ^ (u64::from(attempt).wrapping_mul(0x9e37_79b9_7f4a_7c15));
         x ^= x >> 30;
         x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -90,15 +87,18 @@ impl ReconnectPolicy {
     /// `RESUME`: the sum of every backoff at full jitter, plus slack for
     /// the dials themselves.
     pub(crate) fn patience(&self) -> Duration {
-        let mut total = Duration::ZERO;
-        for attempt in 0..self.attempts {
-            let base = self
-                .base_backoff
-                .saturating_mul(1u32 << attempt.min(16))
-                .min(self.max_backoff);
-            total += base + base.mul_f64(self.jitter.clamp(0.0, 1.0));
-        }
-        total + Duration::from_secs(2)
+        let jitter = self.jitter.clamp(0.0, 1.0);
+        let backoffs: Duration = (0..self.attempts)
+            .map(|attempt| self.base(attempt) + self.base(attempt).mul_f64(jitter))
+            .sum();
+        backoffs + Duration::from_secs(2)
+    }
+
+    /// Un-jittered backoff before attempt `attempt`: doubling, capped.
+    fn base(&self, attempt: u32) -> Duration {
+        self.base_backoff
+            .saturating_mul(1u32 << attempt.min(16))
+            .min(self.max_backoff)
     }
 }
 

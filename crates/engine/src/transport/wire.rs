@@ -15,10 +15,10 @@
 //! the id plus the encoded payload.
 
 use std::collections::HashMap;
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
+use std::net::Shutdown;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
-use std::time::Duration;
 
 use crossbeam::channel::Sender;
 use parking_lot::Mutex;
@@ -27,7 +27,7 @@ use albic_types::{KeyGroupId, NodeId, OperatorId};
 
 use super::lz4;
 use super::net::Conn;
-use super::session::{ReconnectPolicy, SendSequencer, SeqVerdict, ACK_EVERY, SEND_QUEUE_LIMIT};
+use super::session::{ReconnectPolicy, RecvSequencer, SendSequencer, SeqVerdict, SEND_QUEUE_LIMIT};
 use crate::chunk::StreamChunk;
 use crate::codec::{DecodeError, Found, Reader, Writer};
 use crate::runtime::{InstallReply, Msg, ReplyTo, RuntimeConfig};
@@ -68,7 +68,7 @@ pub(crate) const FRAME_RESUME: u8 = 7;
 /// controller's own delivery high-water mark on this session.
 pub(crate) const FRAME_RESUMED: u8 = 8;
 /// Either direction: an explicit cumulative ack `[u64 ack]`, sent when
-/// one side has delivered [`ACK_EVERY`] frames without reverse traffic
+/// one side has delivered [`ACK_EVERY`](super::session::ACK_EVERY) frames without reverse traffic
 /// to piggyback on.
 pub(crate) const FRAME_ACK: u8 = 9;
 
@@ -87,18 +87,17 @@ pub(crate) fn frame_bytes(kind: u8, body: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Assemble one session-bearing frame: `[u32 len LE][kind][u64 seq][u64
-/// ack][payload]`. `ack` piggybacks the sender's current delivery
-/// high-water mark for the peer's stream.
-pub(crate) fn session_frame(kind: u8, seq: u64, ack: u64, payload: &[u8]) -> Vec<u8> {
+/// Append one session-bearing frame to `out`: `[u32 len LE][kind][u64
+/// seq][u64 ack][payload]`. `ack` piggybacks the sender's current
+/// delivery high-water mark for the peer's stream.
+pub(crate) fn put_session_frame(out: &mut Vec<u8>, kind: u8, seq: u64, ack: u64, payload: &[u8]) {
     debug_assert!(payload.len() + 16 < MAX_FRAME_LEN);
-    let mut out = Vec::with_capacity(21 + payload.len());
+    out.reserve(21 + payload.len());
     out.extend_from_slice(&((payload.len() as u32 + 17).to_le_bytes()));
     out.push(kind);
     out.extend_from_slice(&seq.to_le_bytes());
     out.extend_from_slice(&ack.to_le_bytes());
     out.extend_from_slice(payload);
-    out
 }
 
 /// Split a session-bearing frame body into `(seq, ack, payload)`.
@@ -116,12 +115,17 @@ pub(crate) fn split_session(body: &[u8]) -> Result<(u64, u64, &[u8]), DecodeErro
     Ok((seq, ack, &body[16..]))
 }
 
-/// Incremental frame assembler: feed it raw socket bytes, pop complete
-/// frames. Fails closed on a zero or oversized length prefix.
+/// Incremental frame assembler: socket bytes land directly in its
+/// spare capacity, complete frames are handed out as borrowed slices.
+/// The backing store is zero-filled only when it grows, so reading a
+/// frame allocates nothing in the steady state. Fails closed on a zero
+/// or oversized length prefix.
 #[derive(Default)]
 pub(crate) struct FrameBuffer {
+    /// `pos..end` holds unparsed bytes; `end..` is spare room for reads.
     buf: Vec<u8>,
     pos: usize,
+    end: usize,
 }
 
 impl FrameBuffer {
@@ -130,19 +134,19 @@ impl FrameBuffer {
     }
 
     pub(crate) fn extend(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+        self.reserve(bytes.len());
+        self.buf[self.end..self.end + bytes.len()].copy_from_slice(bytes);
+        self.end += bytes.len();
     }
 
-    /// Pop the next complete frame, `Ok(None)` if more bytes are needed.
-    pub(crate) fn next_frame(&mut self) -> Result<Option<(u8, Vec<u8>)>, DecodeError> {
-        let avail = self.buf.len() - self.pos;
+    /// Total length (prefix included) of the frame at the head, if all of
+    /// it is buffered.
+    fn ready(&self) -> Result<Option<usize>, DecodeError> {
+        let avail = self.end - self.pos;
         if avail < 4 {
-            self.compact();
             return Ok(None);
         }
-        let mut len_bytes = [0u8; 4];
-        len_bytes.copy_from_slice(&self.buf[self.pos..self.pos + 4]);
-        let len = u32::from_le_bytes(len_bytes) as usize;
+        let len = u32::from_le_bytes(self.buf[self.pos..self.pos + 4].try_into().unwrap()) as usize;
         if len == 0 || len > MAX_FRAME_LEN {
             return Err(DecodeError::new(
                 self.pos,
@@ -150,72 +154,161 @@ impl FrameBuffer {
                 Found::Length(len as u64),
             ));
         }
-        if avail < 4 + len {
-            self.compact();
-            return Ok(None);
-        }
-        let kind = self.buf[self.pos + 4];
-        let body = self.buf[self.pos + 5..self.pos + 4 + len].to_vec();
-        self.pos += 4 + len;
-        self.compact();
-        Ok(Some((kind, body)))
+        Ok((avail >= 4 + len).then_some(4 + len))
     }
 
-    /// Drop the consumed prefix once it dominates the buffer, so the
-    /// assembler's memory stays proportional to unparsed bytes.
-    fn compact(&mut self) {
-        if self.pos > 0 && (self.pos == self.buf.len() || self.pos >= 64 * 1024) {
-            self.buf.drain(..self.pos);
+    /// Pop the next complete frame as `(kind, body)`, `Ok(None)` if more
+    /// bytes are needed.
+    pub(crate) fn next_frame(&mut self) -> Result<Option<(u8, &[u8])>, DecodeError> {
+        let Some(n) = self.ready()? else {
+            return Ok(None);
+        };
+        let at = self.pos;
+        self.pos += n;
+        Ok(Some((self.buf[at + 4], &self.buf[at + 5..at + n])))
+    }
+
+    /// Block on `src` until one whole frame is buffered and pop it. A
+    /// framing violation surfaces as `InvalidData`, a read timeout as the
+    /// underlying `WouldBlock`/`TimedOut`, a close as `UnexpectedEof`.
+    pub(crate) fn read_frame(&mut self, src: &mut impl Read) -> io::Result<(u8, &[u8])> {
+        let invalid = |e: DecodeError| io::Error::new(io::ErrorKind::InvalidData, e);
+        while self.ready().map_err(invalid)?.is_none() {
+            self.reserve(IO_CHUNK / 4);
+            match src.read(&mut self.buf[self.end..]) {
+                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(self
+            .next_frame()
+            .map_err(invalid)?
+            .expect("a whole frame is buffered"))
+    }
+
+    /// Make room for `extra` bytes past `end`: forget a fully consumed
+    /// buffer, slide an unparsed tail to the front, and only then grow.
+    fn reserve(&mut self, extra: usize) {
+        if self.pos == self.end {
             self.pos = 0;
+            self.end = 0;
+        }
+        if self.buf.len() - self.end >= extra {
+            return;
+        }
+        if self.pos > 0 {
+            self.buf.copy_within(self.pos..self.end, 0);
+            self.end -= self.pos;
+            self.pos = 0;
+        }
+        if self.buf.len() - self.end < extra {
+            let grown = (self.end + extra).max(2 * self.buf.len()).max(IO_CHUNK);
+            self.buf.resize(grown, 0);
         }
     }
 }
 
-/// The daemon's shared session link: worker thread (data forwards, epoch
-/// announcements) and decoded reply handles all write framed output
-/// through one lock, so frames never interleave — and every
-/// session-bearing frame is parked in the link's [`SendSequencer`] until
-/// the controller acks it, which is what lets the reader thread resume a
-/// dead socket and replay exactly the unseen suffix.
+/// A [`FrameBuffer`]'s initial size; reads go ahead once a quarter of it
+/// is free.
+const IO_CHUNK: usize = 64 * 1024;
+
+/// Why a session's inbound half stopped, or what one dispatched payload
+/// asks of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LinkEvent {
+    /// Keep reading.
+    Keep,
+    /// The socket died or the stream has a sequence gap: tear the socket
+    /// down and resume — the resend heals it.
+    Cut,
+    /// Garbled or hostile input, or the local end is gone: fail closed.
+    Fatal,
+}
+
+/// One end's half of a worker-link session — the one session engine
+/// both ends run, shared by `Arc` between the daemon's worker thread,
+/// reply handles and uplink reader, or a stub's writer and reader.
+/// Frames stay parked in the [`SendSequencer`] until acked, so a resumed
+/// socket replays exactly the unseen suffix.
+///
+/// Two locks keep a link deadlock-free while *both* ends block on their
+/// sockets: `seq` (the sequencers) is never held across socket I/O, and
+/// `sock` (the write side) is held across each blocking write, so frames
+/// go out whole and in order. A reader never waits for `sock` — an
+/// explicit `ACK` it cannot write is left owed for the socket's holder
+/// ([`WireOut::settle_acks`]) — so each end keeps draining what the
+/// other writes and a writer blocked on a full socket always completes.
 #[derive(Clone)]
 pub(crate) struct WireOut {
     inner: Arc<LinkInner>,
 }
 
 struct LinkInner {
-    state: StdMutex<SendHalf>,
+    seq: StdMutex<SeqHalf>,
+    /// Signalled when acks free resend-queue room, on resume and on death.
     room: Condvar,
-    /// Contiguous inbound delivery mark (the reader advances it; writers
-    /// stamp it as the piggybacked ack on every outbound frame).
-    delivered: AtomicU64,
-    /// Highest delivery mark the controller has been told about.
-    acked_mark: AtomicU64,
-    /// Set when the reconnect policy is exhausted: all further sends
-    /// fail immediately and blocked writers wake.
+    sock: StdMutex<SockHalf>,
+    /// Set when the session is over (policy exhausted, poisoned, garbled
+    /// peer, or closed after `Shutdown`): further sends fail at once and
+    /// blocked writers wake.
     dead: AtomicBool,
     compress: bool,
 }
 
-struct SendHalf {
+struct SeqHalf {
+    send: SendSequencer,
+    recv: RecvSequencer,
+    /// The reader owes the peer an explicit `ACK` it could not write.
+    ack_owed: bool,
+}
+
+struct SockHalf {
+    /// `None` while the socket is down; frames keep parking.
     conn: Option<Conn>,
-    seq: SendSequencer,
+    /// Reused encode buffer: one `write` per burst.
+    wbuf: Vec<u8>,
+}
+
+impl SockHalf {
+    /// Write `wbuf` out and clear it. A failed write shuts the socket, so
+    /// the reader's blocking read returns and starts the resume, and
+    /// drops the write half — the frames stay parked for the replay.
+    fn write_out(&mut self) -> bool {
+        let ok = (self.conn.as_mut()).is_some_and(|conn| conn.write_all(&self.wbuf).is_ok());
+        if !ok {
+            if let Some(conn) = self.conn.take() {
+                let _ = conn.shutdown(Shutdown::Both);
+            }
+        }
+        self.wbuf.clear();
+        ok
+    }
 }
 
 impl WireOut {
     pub(crate) fn new(conn: Conn, compress: bool) -> Self {
         WireOut {
             inner: Arc::new(LinkInner {
-                state: StdMutex::new(SendHalf {
-                    conn: Some(conn),
-                    seq: SendSequencer::new(SEND_QUEUE_LIMIT),
+                seq: StdMutex::new(SeqHalf {
+                    send: SendSequencer::new(SEND_QUEUE_LIMIT),
+                    recv: RecvSequencer::new(),
+                    ack_owed: false,
                 }),
                 room: Condvar::new(),
-                delivered: AtomicU64::new(0),
-                acked_mark: AtomicU64::new(0),
+                sock: StdMutex::new(SockHalf {
+                    conn: Some(conn),
+                    wbuf: Vec::new(),
+                }),
                 dead: AtomicBool::new(false),
                 compress,
             }),
         }
+    }
+
+    fn seq(&self) -> std::sync::MutexGuard<'_, SeqHalf> {
+        self.inner.seq.lock().expect("link sequencer lock")
     }
 
     /// Whether state blobs on this link are LZ4-compressed.
@@ -223,115 +316,207 @@ impl WireOut {
         self.inner.compress
     }
 
-    /// Send one session-bearing frame: assign a sequence number, park the
-    /// payload for resend, and write it if the socket is up. Blocks while
-    /// the resend queue is full (backpressure during an outage); a write
-    /// error is *not* an error here — the frame stays parked and the
-    /// reader thread's reconnect loop replays it.
+    /// Whether the session is over for good.
+    pub(crate) fn is_dead(&self) -> bool {
+        self.inner.dead.load(Ordering::Acquire)
+    }
+
+    /// Send one session-bearing frame (see [`WireOut::send_burst`]).
     pub(crate) fn send_frame(&self, kind: u8, body: &[u8]) -> io::Result<()> {
-        let mut st = self.inner.state.lock().expect("link lock");
-        while !st.seq.has_room() {
-            if self.inner.dead.load(Ordering::Acquire) {
-                return Err(io::Error::new(
-                    io::ErrorKind::BrokenPipe,
-                    "session is dead (reconnect policy exhausted)",
-                ));
-            }
-            let (guard, _) = self
-                .inner
-                .room
-                .wait_timeout(st, Duration::from_millis(50))
-                .expect("link lock");
-            st = guard;
+        self.send_burst(&mut vec![(kind, body.to_vec())])
+    }
+
+    /// Send a burst of session-bearing frames in one `write`: assign
+    /// sequence numbers, park every payload for resend, and write them if
+    /// the socket is up. Blocks while the resend queue is full
+    /// (backpressure during an outage). A write error is *not* an error
+    /// here — the frames stay parked and the reader's resume replays
+    /// them; only a dead session fails. Drains `frames`.
+    pub(crate) fn send_burst(&self, frames: &mut Vec<(u8, Vec<u8>)>) -> io::Result<()> {
+        // Wait for room before taking the socket: the acks that make room
+        // arrive through the reader, and a resume needs the socket.
+        let mut st = self.seq();
+        while !st.send.has_room() && !self.is_dead() {
+            st = self.inner.room.wait(st).expect("link sequencer lock");
         }
-        if self.inner.dead.load(Ordering::Acquire) {
-            return Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "session is dead (reconnect policy exhausted)",
-            ));
+        drop(st);
+        if self.is_dead() {
+            return Err(io::ErrorKind::BrokenPipe.into());
         }
-        let seq = st.seq.push(kind, body.to_vec());
-        let ack = self.inner.delivered.load(Ordering::Acquire);
-        if let Some(conn) = st.conn.as_mut() {
-            let frame = session_frame(kind, seq, ack, body);
-            if conn.write_all(&frame).and_then(|()| conn.flush()).is_err() {
-                // Socket died under us: drop the write half and let the
-                // reader's reconnect loop take over. The frame is parked.
-                st.conn = None;
-            } else {
-                self.inner.acked_mark.store(ack, Ordering::Release);
-            }
+        let mut sock = self.inner.sock.lock().expect("link socket lock");
+        let mut st = self.seq();
+        let ack = st.recv.delivered();
+        st.recv.mark_acked();
+        for (kind, body) in frames.drain(..) {
+            let seq = st.send.highest() + 1;
+            put_session_frame(&mut sock.wbuf, kind, seq, ack, &body);
+            st.send.push(kind, body);
         }
+        drop(st);
+        sock.write_out();
+        drop(sock);
+        self.settle_acks();
         Ok(())
     }
 
-    /// Classify one inbound sequence number (reader thread only).
-    pub(crate) fn accept(&self, seq: u64) -> SeqVerdict {
-        let delivered = self.inner.delivered.load(Ordering::Acquire);
-        if seq == delivered + 1 {
-            self.inner.delivered.store(seq, Ordering::Release);
-            SeqVerdict::Fresh
-        } else if seq <= delivered {
-            SeqVerdict::Duplicate
-        } else {
-            SeqVerdict::Gap
-        }
-    }
-
-    /// Inbound delivery high-water mark (what a `RESUME` advertises).
+    /// Inbound delivery high-water mark (what a `RESUME`/`RESUMED`
+    /// advertises).
     pub(crate) fn delivered(&self) -> u64 {
-        self.inner.delivered.load(Ordering::Acquire)
+        self.seq().recv.delivered()
     }
 
-    /// Apply the controller's cumulative ack to the resend queue.
-    pub(crate) fn peer_ack(&self, upto: u64) {
-        let mut st = self.inner.state.lock().expect("link lock");
-        if st.seq.ack(upto) {
+    /// Whether a peer-claimed delivery mark is consistent with this end's
+    /// outbound stream (see [`SendSequencer::valid_resume_point`]).
+    pub(crate) fn valid_resume_point(&self, delivered: u64) -> bool {
+        self.seq().send.valid_resume_point(delivered)
+    }
+
+    /// Apply the peer's cumulative ack to the resend queue, then classify
+    /// the frame's own sequence number (if it carries one).
+    fn on_inbound(&self, ack: u64, seq: Option<u64>) -> Option<SeqVerdict> {
+        let mut st = self.seq();
+        if st.send.ack(ack) {
             self.inner.room.notify_all();
         }
+        seq.map(|seq| st.recv.accept(seq))
     }
 
-    /// Send an explicit `ACK` if enough unacknowledged deliveries have
-    /// accumulated (reader thread, after draining a read).
-    pub(crate) fn flush_ack(&self) {
-        let delivered = self.inner.delivered.load(Ordering::Acquire);
-        if delivered - self.inner.acked_mark.load(Ordering::Acquire) < ACK_EVERY {
-            return;
-        }
-        let mut st = self.inner.state.lock().expect("link lock");
-        if let Some(conn) = st.conn.as_mut() {
-            let frame = frame_bytes(FRAME_ACK, &delivered.to_le_bytes());
-            if conn.write_all(&frame).and_then(|()| conn.flush()).is_ok() {
-                self.inner.acked_mark.store(delivered, Ordering::Release);
-            } else {
-                st.conn = None;
+    /// Write owed `ACK`s — unless another thread holds the socket, which
+    /// then does it: every socket holder calls this right after releasing
+    /// it, so an ack owed while the socket was busy is written by whoever
+    /// held it.
+    fn settle_acks(&self) {
+        while self.seq().ack_owed {
+            let Ok(mut sock) = self.inner.sock.try_lock() else {
+                return;
+            };
+            let mut st = self.seq();
+            // A frame written since the ack fell owed may have carried it.
+            if !std::mem::take(&mut st.ack_owed) || !st.recv.ack_due() {
+                return;
             }
+            let delivered = st.recv.delivered();
+            st.recv.mark_acked();
+            drop(st);
+            sock.wbuf
+                .extend_from_slice(&frame_bytes(FRAME_ACK, &delivered.to_le_bytes()));
+            sock.write_out();
         }
     }
 
     /// Install a fresh socket after a successful `RESUME`/`RESUMED`
-    /// exchange: prune everything the controller already delivered, then
-    /// replay the parked suffix in order.
-    pub(crate) fn resume(&self, mut conn: Conn, peer_delivered: u64) -> io::Result<()> {
-        let mut st = self.inner.state.lock().expect("link lock");
-        st.seq.ack(peer_delivered);
-        let ack = self.inner.delivered.load(Ordering::Acquire);
-        for (seq, kind, body) in st.seq.pending(peer_delivered) {
-            let frame = session_frame(kind, seq, ack, body);
-            conn.write_all(&frame)?;
+    /// exchange: prune everything the peer already delivered, park
+    /// `top_up` after the suffix, then replay the parked suffix in order.
+    /// If the replay fails the socket stays down (shut, so the reader
+    /// notices) and the frames stay parked for the next resume.
+    pub(crate) fn resume(
+        &self,
+        conn: Conn,
+        peer_delivered: u64,
+        top_up: Option<(u8, Vec<u8>)>,
+    ) -> io::Result<()> {
+        let mut sock = self.inner.sock.lock().expect("link socket lock");
+        if self.is_dead() {
+            // Closed while the worker re-dialed: the reader must not
+            // block on a socket nobody will write to.
+            let _ = conn.shutdown(Shutdown::Both);
+            return Err(io::ErrorKind::BrokenPipe.into());
         }
-        conn.flush()?;
-        self.inner.acked_mark.store(ack, Ordering::Release);
-        st.conn = Some(conn);
+        let mut st = self.seq();
+        st.send.ack(peer_delivered);
+        if let Some((kind, body)) = top_up {
+            st.send.push(kind, body);
+        }
+        let ack = st.recv.delivered();
+        st.recv.mark_acked();
+        for (seq, kind, body) in st.send.pending(peer_delivered) {
+            put_session_frame(&mut sock.wbuf, kind, seq, ack, body);
+        }
+        drop(st);
+        sock.conn = Some(conn);
+        let replayed = sock.write_out();
+        drop(sock);
         self.inner.room.notify_all();
-        Ok(())
+        self.settle_acks();
+        if replayed {
+            Ok(())
+        } else {
+            Err(io::ErrorKind::BrokenPipe.into())
+        }
     }
 
-    /// The reconnect policy is exhausted: fail all current and future
-    /// sends so the worker loop winds down.
-    pub(crate) fn mark_dead(&self) {
-        self.inner.dead.store(true, Ordering::Release);
+    /// End the session: fail all current and future sends so writers wind
+    /// down. Returns whether this call ended it.
+    pub(crate) fn mark_dead(&self) -> bool {
+        let first = !self.inner.dead.swap(true, Ordering::AcqRel);
+        // Notify under the lock so a writer between its room check and
+        // its wait cannot miss the wake-up.
+        let _st = self.seq();
         self.inner.room.notify_all();
+        first
+    }
+
+    /// End the session from the writing side, after its last frame: no
+    /// further sends, and the reader's blocking read returns at once. Only
+    /// the read side is shut, so the peer still reads everything written.
+    pub(crate) fn close(&self) {
+        self.mark_dead();
+        if let Some(conn) = &self.inner.sock.lock().expect("link socket lock").conn {
+            let _ = conn.shutdown(Shutdown::Read);
+        }
+    }
+
+    /// The inbound half, identical at both ends of a link: block on the
+    /// socket, apply piggybacked and explicit acks to the resend queue,
+    /// drop resend duplicates, hand each fresh payload to `dispatch`, and
+    /// owe the peer an explicit `ACK` every
+    /// [`ACK_EVERY`](super::session::ACK_EVERY) deliveries.
+    /// Returns when the socket dies or the stream has a gap
+    /// ([`LinkEvent::Cut`]), or when the peer broke framing or `dispatch`
+    /// gave up ([`LinkEvent::Fatal`]).
+    pub(crate) fn pump(
+        &self,
+        conn: &mut Conn,
+        fb: &mut FrameBuffer,
+        mut dispatch: impl FnMut(u8, &[u8]) -> LinkEvent,
+    ) -> LinkEvent {
+        loop {
+            let (kind, body) = match fb.read_frame(conn) {
+                Ok(frame) => frame,
+                Err(e) if e.kind() == io::ErrorKind::InvalidData => return LinkEvent::Fatal,
+                Err(_) => return LinkEvent::Cut,
+            };
+            let event = match kind {
+                FRAME_ACK => match decode_ack(&mut Reader::new(body)) {
+                    Ok(upto) => {
+                        self.on_inbound(upto, None);
+                        LinkEvent::Keep
+                    }
+                    Err(_) => LinkEvent::Fatal,
+                },
+                FRAME_MSG | FRAME_FORWARD | FRAME_REPLY | FRAME_ROUTING => {
+                    match split_session(body) {
+                        Ok((seq, ack, payload)) => match self.on_inbound(ack, Some(seq)) {
+                            Some(SeqVerdict::Fresh) => dispatch(kind, payload),
+                            Some(SeqVerdict::Gap) => LinkEvent::Cut,
+                            _ => LinkEvent::Keep, // a resend duplicate
+                        },
+                        Err(_) => LinkEvent::Fatal,
+                    }
+                }
+                // Unknown kinds are ignored for forward compatibility.
+                _ => LinkEvent::Keep,
+            };
+            if event != LinkEvent::Keep {
+                return event;
+            }
+            let mut st = self.seq();
+            if st.recv.ack_due() {
+                st.ack_owed = true;
+                drop(st);
+                self.settle_acks();
+            }
+        }
     }
 
     /// Relay `msg` to peer `dest` through the controller hub. Only called
@@ -497,27 +682,18 @@ impl Pending {
     /// it. A closed receiver is normal (no-op barrier waves drop theirs
     /// immediately), so channel send errors are ignored.
     fn fire(&self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
-        match self {
-            Pending::Ack(tx) => {
-                let _ = tx.send(ReplyPayload::decode_payload(r)?);
-            }
-            Pending::Install(tx) => {
-                let _ = tx.send(ReplyPayload::decode_payload(r)?);
-            }
-            Pending::EpochDone(tx) => {
-                let _ = tx.send(ReplyPayload::decode_payload(r)?);
-            }
-            Pending::Stats(tx) => {
-                let _ = tx.send(ReplyPayload::decode_payload(r)?);
-            }
-            Pending::Probe(tx) => {
-                let _ = tx.send(ReplyPayload::decode_payload(r)?);
-            }
-            Pending::Snapshot(tx) => {
-                let _ = tx.send(ReplyPayload::decode_payload(r)?);
-            }
+        fn deliver<T: ReplyPayload>(tx: &Sender<T>, r: &mut Reader<'_>) -> Result<(), DecodeError> {
+            let _ = tx.send(T::decode_payload(r)?);
+            Ok(())
         }
-        Ok(())
+        match self {
+            Pending::Ack(tx) => deliver(tx, r),
+            Pending::Install(tx) => deliver(tx, r),
+            Pending::EpochDone(tx) => deliver(tx, r),
+            Pending::Stats(tx) => deliver(tx, r),
+            Pending::Probe(tx) => deliver(tx, r),
+            Pending::Snapshot(tx) => deliver(tx, r),
+        }
     }
 }
 
@@ -1221,6 +1397,7 @@ pub(crate) fn decode_routing(r: &mut Reader<'_>) -> Result<(u64, Vec<NodeId>), D
 mod tests {
     use super::*;
     use crate::tuple::Value;
+    use std::time::Duration;
 
     /// Message tag 0 once carried row batches and tag 4 a per-move
     /// `Extract`; neither frame exists any more. A `MSG` or `FORWARD`
@@ -1249,11 +1426,13 @@ mod tests {
             let forward = forward.into_bytes();
 
             for (kind, payload) in [(FRAME_MSG, &body), (FRAME_FORWARD, &forward)] {
+                let mut bytes = Vec::new();
+                put_session_frame(&mut bytes, kind, 1, 0, payload);
                 let mut frames = FrameBuffer::new();
-                frames.extend(&session_frame(kind, 1, 0, payload));
+                frames.extend(&bytes);
                 let (got_kind, frame) = frames.next_frame().unwrap().expect("one whole frame");
                 assert_eq!(got_kind, kind);
-                let (_, _, payload) = split_session(&frame).unwrap();
+                let (_, _, payload) = split_session(frame).unwrap();
                 let mut r = Reader::new(payload);
                 if kind == FRAME_FORWARD {
                     assert_eq!(r.get_u64().unwrap(), 2);

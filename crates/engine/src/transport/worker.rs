@@ -48,8 +48,8 @@ use crate::routing::RoutingTable;
 use crate::runtime::{Msg, RoutingShared, WorkerCtx, WorkerGauge};
 use crate::topology::TopologyBuilder;
 use crate::transport::net::{self, Conn};
-use crate::transport::session::{ReconnectPolicy, SeqVerdict};
-use crate::transport::wire::{self, FrameBuffer, WireOut};
+use crate::transport::session::ReconnectPolicy;
+use crate::transport::wire::{self, FrameBuffer, LinkEvent, WireOut};
 use crate::transport::WorkerSpawn;
 
 /// How long a freshly started daemon keeps re-dialing the controller
@@ -144,9 +144,8 @@ fn run_worker(registry: &OperatorRegistry) -> io::Result<()> {
         loop {
             match net::connect(&addr) {
                 Ok(c) => break c,
-                Err(e) if Instant::now() < deadline => {
-                    let _ = e;
-                    std::thread::sleep(Duration::from_millis(100));
+                Err(_) if Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(100))
                 }
                 Err(e) => return Err(e),
             }
@@ -159,11 +158,11 @@ fn run_worker(registry: &OperatorRegistry) -> io::Result<()> {
     conn.flush()?;
 
     let mut fb = FrameBuffer::new();
-    let (kind, body) = net::read_frame_blocking(&mut conn, &mut fb)?;
+    let (kind, body) = fb.read_frame(&mut conn)?;
     if kind != wire::FRAME_INIT {
         return Err(bad_data(format!("expected INIT frame, got kind {kind}")));
     }
-    let init = wire::decode_init(&mut Reader::new(&body)).map_err(bad_data)?;
+    let init = wire::decode_init(&mut Reader::new(body)).map_err(bad_data)?;
 
     // Rebuild the topology: operator ids are dense and in `INIT` order,
     // so the builder reassigns the same ids the controller has.
@@ -242,19 +241,9 @@ fn run_worker(registry: &OperatorRegistry) -> io::Result<()> {
     Ok(())
 }
 
-/// Verdict of one inbound uplink frame.
-enum LinkEvent {
-    /// Keep reading.
-    Keep,
-    /// The stream is inconsistent with the session (sequence gap): tear
-    /// the socket down and reconnect — the resume resend heals it.
-    Cut,
-    /// Garbled or hostile input, or the worker is gone: fail closed.
-    Fatal,
-}
-
-/// The daemon side of the uplink session: the frame-reading loop plus
-/// the reconnect schedule it falls back to when the socket dies.
+/// The daemon side of the uplink session: the shared inbound pump (see
+/// [`WireOut::pump`]) plus the reconnect schedule it falls back to when
+/// the socket dies.
 struct ReaderLink {
     uplink: WireOut,
     gauge: Arc<WorkerGauge>,
@@ -268,41 +257,35 @@ struct ReaderLink {
 
 impl ReaderLink {
     fn run(self, mut conn: Conn, mut fb: FrameBuffer) {
-        'link: loop {
+        loop {
             // Read until the socket dies (then try to resume) or the
             // session itself is declared over.
-            while let Ok((kind, body)) = net::read_frame_blocking(&mut conn, &mut fb) {
-                match self.on_frame(kind, &body) {
-                    LinkEvent::Keep => self.uplink.flush_ack(),
-                    LinkEvent::Cut => break,
-                    LinkEvent::Fatal => {
-                        self.uplink.mark_dead();
-                        return;
-                    }
-                }
-            }
-            let _ = conn.shutdown();
+            let event = self.uplink.pump(&mut conn, &mut fb, |kind, payload| {
+                self.dispatch(kind, payload)
+            });
+            let _ = conn.shutdown(std::net::Shutdown::Both);
             // Re-dial under the policy; success re-enters the read loop
             // on a fresh socket with the session intact.
             let salt = 0x616c_6269_6300_0000u64 | u64::from(self.node.raw());
-            for attempt in 0..self.policy.attempts {
-                std::thread::sleep(self.policy.backoff(attempt, salt));
-                match self.try_resume() {
-                    Some((new_conn, new_fb)) => {
-                        conn = new_conn;
-                        fb = new_fb;
-                        continue 'link;
-                    }
-                    None => continue,
+            let resumed = (event != LinkEvent::Fatal).then(|| {
+                (0..self.policy.attempts).find_map(|attempt| {
+                    std::thread::sleep(self.policy.backoff(attempt, salt));
+                    self.try_resume()
+                })
+            });
+            match resumed {
+                Some(Some(resumed)) => (conn, fb) = resumed,
+                Some(None) => {
+                    eprintln!(
+                        "albic-worker: node {} lost its controller for good after {} attempts",
+                        self.node, self.policy.attempts
+                    );
+                    break;
                 }
+                None => break,
             }
-            eprintln!(
-                "albic-worker: node {} lost its controller for good after {} attempts",
-                self.node, self.policy.attempts
-            );
-            self.uplink.mark_dead();
-            return;
         }
+        self.uplink.mark_dead();
     }
 
     /// One reconnect attempt: dial, present `RESUME`, wait briefly for
@@ -323,42 +306,19 @@ impl ReaderLink {
         .ok()?;
         conn.set_read_timeout(Some(Duration::from_secs(2))).ok()?;
         let mut fb = FrameBuffer::new();
-        let (kind, body) = net::read_frame_blocking(&mut conn, &mut fb).ok()?;
+        let (kind, body) = fb.read_frame(&mut conn).ok()?;
         if kind != wire::FRAME_RESUMED {
             return None;
         }
-        let peer_delivered = wire::decode_resumed(&mut Reader::new(&body)).ok()?;
+        let peer_delivered = wire::decode_resumed(&mut Reader::new(body)).ok()?;
         conn.set_read_timeout(None).ok()?;
         let write_half = conn.try_clone().ok()?;
-        self.uplink.resume(write_half, peer_delivered).ok()?;
+        self.uplink.resume(write_half, peer_delivered, None).ok()?;
         Some((conn, fb))
     }
 
-    fn on_frame(&self, kind: u8, body: &[u8]) -> LinkEvent {
-        match kind {
-            wire::FRAME_ACK => match wire::decode_ack(&mut Reader::new(body)) {
-                Ok(upto) => {
-                    self.uplink.peer_ack(upto);
-                    LinkEvent::Keep
-                }
-                Err(_) => LinkEvent::Fatal,
-            },
-            wire::FRAME_MSG | wire::FRAME_ROUTING => {
-                let Ok((seq, ack, payload)) = wire::split_session(body) else {
-                    return LinkEvent::Fatal;
-                };
-                self.uplink.peer_ack(ack);
-                match self.uplink.accept(seq) {
-                    SeqVerdict::Duplicate => LinkEvent::Keep, // resume overlap
-                    SeqVerdict::Gap => LinkEvent::Cut,
-                    SeqVerdict::Fresh => self.dispatch(kind, payload),
-                }
-            }
-            // Unknown kinds are ignored for forward compatibility.
-            _ => LinkEvent::Keep,
-        }
-    }
-
+    /// Apply one deduplicated inbound payload: install a routing update,
+    /// or hand a message to the worker's event loop.
     fn dispatch(&self, kind: u8, payload: &[u8]) -> LinkEvent {
         let mut r = Reader::new(payload);
         if kind == wire::FRAME_ROUTING {
@@ -369,6 +329,9 @@ impl ReaderLink {
                 }
                 Err(_) => LinkEvent::Fatal,
             };
+        }
+        if kind != wire::FRAME_MSG {
+            return LinkEvent::Keep; // controller-bound kinds: not ours
         }
         match wire::decode_msg(&mut r, Some(&self.uplink)) {
             Ok(msg) => {

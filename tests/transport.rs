@@ -8,11 +8,12 @@
 //! that join a controller they were not spawned by.
 
 use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use albic::engine::fault::{FaultInjector, FaultPlan};
 use albic::engine::operator::{Counting, Identity, PaddedCounting, PADDED_STATE_PAD};
 use albic::engine::tuple::{hash_key, Tuple, Value};
+use albic::engine::Runtime;
 use albic::job::{Job, JobBuilder, Policy};
 use albic::types::{KeyGroupId, NodeId};
 use albic::{NetConfig, ReconnectPolicy, SocketKind, TransportOptions};
@@ -186,6 +187,125 @@ fn dropped_socket_resumes_session_with_exactly_once_counts() {
         "a resumed session must replay into bit-identical state"
     );
     assert!(probed.iter().any(|&(_, n)| n > 0), "counters actually ran");
+}
+
+/// Probe the `count` operator's per-group counters and shut the engine
+/// down.
+fn probe_counts(job: Job<Runtime>) -> Vec<(KeyGroupId, u64)> {
+    let rt = job.into_engine();
+    let cnt = rt.topology().operator_by_name("count").unwrap();
+    let probed = (0..rt.topology().num_key_groups())
+        .map(KeyGroupId::new)
+        .filter(|&g| rt.topology().operator_of_group(g) == cnt)
+        .map(|g| {
+            let count = rt.probe_state(g).map_or(0, |bytes| {
+                let mut arr = [0u8; 8];
+                arr.copy_from_slice(&bytes[..8]);
+                u64::from_le_bytes(arr)
+            });
+            (g, count)
+        })
+        .collect();
+    rt.shutdown();
+    probed
+}
+
+/// A stub writer is two threads' worth of session: cut the socket while
+/// the writer is in the middle of a burst larger than the socket buffer
+/// (well over 1 MiB of chunks, injected in one call) and the session
+/// must still resume — zero recovery, zero drops, and counters
+/// bit-identical to the in-process oracle.
+#[cfg(unix)]
+#[test]
+fn socket_dropped_mid_burst_resumes_with_exactly_once_counts() {
+    const ROWS_PER_KEY: u64 = 4_000; // 12 keys × 4 000 rows ≈ 1.4 MiB encoded
+    let drive = |mut job: Job<Runtime>, cut: bool| {
+        for p in 0..3u64 {
+            job.inject(
+                "events",
+                (0..12u64).flat_map(|k| {
+                    (0..ROWS_PER_KEY).map(move |i| Tuple::keyed(&k, Value::Int(i as i64), p))
+                }),
+            );
+            if cut && p == 1 {
+                // Right after the burst is queued: the writers are still
+                // pushing it down the sockets.
+                for node in 0..2 {
+                    assert!(job.engine_mut().drop_socket(NodeId::new(node)));
+                }
+            }
+            let report = job.step();
+            assert!(report.apply.failed.is_empty(), "{:?}", report.apply.failed);
+            assert!(
+                report.recovery.failed.is_empty(),
+                "period {p}: a dropped socket is not a dead worker — recovery must not fire"
+            );
+            assert_eq!(report.stats.dropped_tuples, 0.0, "period {p}: no drops");
+        }
+        probe_counts(job)
+    };
+    let oracle = drive(two_stage(2).build_threaded().expect("job starts"), false);
+    let probed = drive(
+        two_stage(2)
+            .transport(net(SocketKind::Uds))
+            .build_threaded()
+            .expect("job starts"),
+        true,
+    );
+    assert_eq!(
+        probed, oracle,
+        "a burst cut mid-write must replay exactly once"
+    );
+    assert_eq!(
+        probed.iter().map(|&(_, n)| n).sum::<u64>(),
+        3 * 12 * ROWS_PER_KEY
+    );
+}
+
+/// A SIGKILLed daemon whose stub writer sits parked on an *empty* inbox:
+/// nothing on the message path times out, so the kill itself must wake
+/// the writer — the worker reads dead within the runtime's fault
+/// patience (10 s) and recovery still ends exactly-once.
+#[test]
+fn sigkill_wakes_a_stub_parked_on_an_empty_inbox() {
+    let mut job = two_stage(3)
+        .checkpoint_interval(1)
+        .transport(net(SocketKind::Tcp))
+        .build_threaded()
+        .expect("job starts");
+    for p in 0..4u64 {
+        if p == 2 {
+            // The last step settled every inbox: all three writers are
+            // parked on an empty one.
+            let t0 = Instant::now();
+            assert!(
+                job.engine_mut().inject_fault(NodeId::new(1)),
+                "the killed worker must read dead within the fault patience"
+            );
+            assert!(t0.elapsed() < Duration::from_secs(10), "{:?}", t0.elapsed());
+        }
+        for k in 0..12u64 {
+            let n = 10 + (k * 3 + p) % 7;
+            job.inject(
+                "events",
+                (0..n).map(|i| Tuple::keyed(&k, Value::Int(i as i64), p)),
+            );
+        }
+        let report = job.step();
+        assert_eq!(
+            report.recovery.failed.len(),
+            usize::from(p == 2),
+            "period {p}: recovery report"
+        );
+        assert!(report.apply.failed.is_empty(), "{:?}", report.apply.failed);
+        assert_eq!(report.stats.dropped_tuples, 0.0, "period {p}: no drops");
+    }
+    let probed = probe_counts(job);
+    assert_eq!(
+        probed,
+        expected_counts(&probed, 4),
+        "exactly-once after SIGKILL"
+    );
 }
 
 /// Process-kill fault injection: a [`FaultPlan`] in networked mode
