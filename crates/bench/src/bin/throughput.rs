@@ -16,6 +16,11 @@
 //! * `per_tuple` — the same plane at `batch_size = 1`: every tuple is
 //!   its own one-row chunk hand-off, what each hop costs without
 //!   batching. The baseline of the speedup gate.
+//! * `trickle` — the default `batch_size`, injected [`TRICKLE_CALL`]
+//!   tuples per call, the way a paced source feeds the engine: every
+//!   hand-off starts as a short chunk, and what the plane does with a
+//!   queue of them (workers and stub writers coalesce what is already
+//!   queued) is what this line measures. Recorded, not gated.
 //!
 //! Every level runs a discarded warm-up pass and then three measured
 //! repetitions; the reported figures are the median repetition by
@@ -51,6 +56,8 @@ const KEY_GROUPS: u32 = 8;
 const NODES: usize = 3;
 /// Measured repetitions per load level (after one discarded warm-up).
 const REPS: usize = 3;
+/// Tuples per `inject` call in the `trickle` configuration.
+const TRICKLE_CALL: usize = 4;
 
 struct LevelResult {
     offered_tuples: usize,
@@ -61,6 +68,7 @@ struct LevelResult {
 
 struct ConfigResult {
     batch_size: usize,
+    call_tuples: usize,
     sustained_tps: f64,
     p50_settle_ms: f64,
     p99_settle_ms: f64,
@@ -162,6 +170,7 @@ fn run_config(cfg: RuntimeConfig, levels: &[usize], wave: usize) -> ConfigResult
     }
     ConfigResult {
         batch_size: cfg.batch_size,
+        call_tuples: wave,
         sustained_tps: best_tps,
         p50_settle_ms: best_p50,
         p99_settle_ms: best_p99,
@@ -188,9 +197,10 @@ fn config_json(name: &str, r: &ConfigResult) -> String {
         })
         .collect();
     format!(
-        "  \"{}\": {{\n    \"batch_size\": {},\n    \"sustained_tps\": {:.0},\n    \"p50_settle_ms\": {:.3},\n    \"p99_settle_ms\": {:.3},\n    \"levels\": [\n{}\n    ]\n  }}",
+        "  \"{}\": {{\n    \"batch_size\": {},\n    \"call_tuples\": {},\n    \"sustained_tps\": {:.0},\n    \"p50_settle_ms\": {:.3},\n    \"p99_settle_ms\": {:.3},\n    \"levels\": [\n{}\n    ]\n  }}",
         name,
         r.batch_size,
+        r.call_tuples,
         r.sustained_tps,
         r.p50_settle_ms,
         r.p99_settle_ms,
@@ -311,18 +321,21 @@ fn main() {
         wave,
     );
 
+    eprintln!("trickle (default batch_size, {TRICKLE_CALL} tuples per inject call):");
+    let trickle = run_config(RuntimeConfig::default(), &levels, TRICKLE_CALL);
+
     let speedup = if per_tuple.sustained_tps > 0.0 {
         columnar.sustained_tps / per_tuple.sustained_tps
     } else {
         0.0
     };
     println!(
-        "sustained: columnar {:.0} t/s vs per-tuple {:.0} t/s ({speedup:.2}x)",
-        columnar.sustained_tps, per_tuple.sustained_tps
+        "sustained: columnar {:.0} t/s vs per-tuple {:.0} t/s ({speedup:.2}x); trickle {:.0} t/s",
+        columnar.sustained_tps, per_tuple.sustained_tps, trickle.sustained_tps
     );
 
     let json = format!(
-        "{{\n  \"schema\": 3,\n  \"mode\": \"{}\",\n  \"machine\": {{\"cpu\": \"{}\", \"cores\": {}, \"os\": \"{}\"}},\n  \"git_rev\": \"{}\",\n  \"workload\": {{\"nodes\": {NODES}, \"key_groups_per_op\": {KEY_GROUPS}, \"keys\": {KEYS}, \"wave_tuples\": {wave}}},\n  \"gate_tps\": {:.0},\n  \"speedup_vs_per_tuple\": {:.2},\n{},\n{}\n}}\n",
+        "{{\n  \"schema\": 4,\n  \"mode\": \"{}\",\n  \"machine\": {{\"cpu\": \"{}\", \"cores\": {}, \"os\": \"{}\"}},\n  \"git_rev\": \"{}\",\n  \"workload\": {{\"nodes\": {NODES}, \"key_groups_per_op\": {KEY_GROUPS}, \"keys\": {KEYS}, \"wave_tuples\": {wave}}},\n  \"gate_tps\": {:.0},\n  \"speedup_vs_per_tuple\": {:.2},\n{},\n{},\n{}\n}}\n",
         if smoke { "smoke" } else { "full" },
         json_escape(&cpu_model()),
         std::thread::available_parallelism().map_or(0, |n| n.get()),
@@ -332,6 +345,7 @@ fn main() {
         speedup,
         config_json("columnar", &columnar),
         config_json("per_tuple", &per_tuple),
+        config_json("trickle", &trickle),
     );
     if let Err(e) = std::fs::write(out_path, &json) {
         eprintln!("warning: could not write {}: {e}", out_path.display());

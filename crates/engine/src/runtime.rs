@@ -66,6 +66,18 @@
 //! being dominated by per-message channel overhead; `batch_size = 1` is
 //! the per-tuple hand-off baseline.
 //!
+//! The inbound side batches too, without a timer: a worker that dequeues
+//! a data chunk first tops it up with the data chunks already queued
+//! right behind it, up to `batch_size` rows, and processes the result
+//! as one chunk (`coalesce`; a networked stub's writer does the same
+//! before encoding a frame). It stops at the first chunk that does not
+//! fit and at the first control message, which is handled next, so no
+//! control message is ever overtaken by data queued behind it. A paced
+//! source injects a few tuples per call; without this rule every such
+//! sliver would pay its own run dispatch, state lookup and emission at
+//! every hop. An idle inbox adds no wait, and a full chunk is never
+//! copied.
+//!
 //! Channels are *bounded* at [`RuntimeConfig::channel_capacity`] data
 //! chunks by a per-worker credit gauge:
 //!
@@ -434,11 +446,74 @@ impl WorkerGauge {
     }
 
     /// Snapshot the period counters, resetting peak/overflow.
-    fn collect(&self) -> (usize, usize, u64) {
+    pub(crate) fn collect(&self) -> QueueSample {
         let depth = self.depth.load(Ordering::Relaxed);
-        let peak = self.peak_depth.swap(0, Ordering::Relaxed).max(depth);
-        let overflow = self.overflow.swap(0, Ordering::Relaxed);
-        (depth, peak, overflow)
+        QueueSample {
+            depth,
+            peak: self.peak_depth.swap(0, Ordering::Relaxed).max(depth),
+            overflow: self.overflow.swap(0, Ordering::Relaxed),
+        }
+    }
+}
+
+/// One gauge's period counters, as [`WorkerGauge::collect`] reads them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct QueueSample {
+    pub(crate) depth: usize,
+    pub(crate) peak: usize,
+    pub(crate) overflow: u64,
+}
+
+impl QueueSample {
+    /// Fold this queue into a node's pressure. A networked node has two
+    /// queues in series — its stub's, holding chunks not yet written to
+    /// the socket, and the daemon's inbox — so the folds add up depth and
+    /// overflow; the peak is the larger peak, at least the total depth.
+    fn add_to(self, p: &mut NodePressure) {
+        p.queue_depth += self.depth;
+        p.peak_queue_depth = p.peak_queue_depth.max(self.peak).max(p.queue_depth);
+        p.overflow += self.overflow;
+    }
+}
+
+/// A worker's [`Msg::CollectStats`] answer: its node, its period
+/// collector, and — from a networked daemon only — its own inbox gauge,
+/// which the coordinator cannot read across the socket. (An in-process
+/// worker's gauge is the coordinator's own, collected directly.)
+pub(crate) type StatsReply = (NodeId, StatsCollector, Option<QueueSample>);
+
+/// Top a dequeued data chunk up with the data chunks queued right behind
+/// it, so a trickle of small chunks is processed (or encoded) as one.
+/// Takes each next message without waiting and splices it onto `head`
+/// while the result stays within `batch_size` rows. The first message
+/// that is not a data chunk, or a chunk that does not fit, is left in
+/// `stash` for the caller to handle next: no control message is ever
+/// overtaken, so per-sender FIFO — what epoch alignment relies on —
+/// holds. Releases one `gauge` credit per chunk it consumes (the head's
+/// credit stays the caller's). An idle inbox adds no wait, a full head
+/// is never copied, and `batch_size = 1` merges nothing.
+pub(crate) fn coalesce(
+    head: &mut StreamChunk,
+    inbox: &Receiver<Msg>,
+    gauge: &WorkerGauge,
+    batch_size: usize,
+    stash: &mut Option<Msg>,
+) {
+    debug_assert!(stash.is_none());
+    while head.len() < batch_size {
+        let Ok(msg) = inbox.try_recv() else {
+            return;
+        };
+        match msg {
+            Msg::DataChunk(next) if head.len() + next.visible_len() <= batch_size => {
+                gauge.dequeued();
+                head.append_range(&next, 0, next.len());
+            }
+            msg => {
+                *stash = Some(msg);
+                return;
+            }
+        }
     }
 }
 
@@ -730,9 +805,7 @@ pub(crate) enum Msg {
     /// Flush operator windows (period end).
     FlushWindows { ack: ReplyTo<()> },
     /// Snapshot and reset the worker's statistics.
-    CollectStats {
-        reply: ReplyTo<(NodeId, StatsCollector)>,
-    },
+    CollectStats { reply: ReplyTo<StatsReply> },
     /// Return the serialized state of a key group (diagnostics/tests).
     ProbeState {
         kg: KeyGroupId,
@@ -922,10 +995,16 @@ impl WorkerCtx {
     /// must not be destroyed with the channel — the graveyard is
     /// re-drained at every settle/period boundary instead.
     pub(crate) fn run(mut self) -> Receiver<Msg> {
+        // The message `coalesce` stopped at: handled before the inbox.
+        let mut stash = None;
         loop {
             // Drain without blocking; flush the outbox before sleeping so
             // an idle worker never sits on a partial batch.
-            let msg = match self.inbox.try_recv() {
+            let next = match stash.take() {
+                Some(msg) => Ok(msg),
+                None => self.inbox.try_recv(),
+            };
+            let mut msg = match next {
                 Ok(msg) => msg,
                 Err(TryRecvError::Empty) => {
                     self.flush_outbox();
@@ -936,6 +1015,15 @@ impl WorkerCtx {
                 }
                 Err(TryRecvError::Disconnected) => break,
             };
+            if let Msg::DataChunk(chunk) = &mut msg {
+                coalesce(
+                    chunk,
+                    &self.inbox,
+                    &self.gauge,
+                    self.cfg.batch_size,
+                    &mut stash,
+                );
+            }
             if !self.handle(msg) {
                 break;
             }
@@ -1058,7 +1146,10 @@ impl WorkerCtx {
                 }
                 let snapshot = self.stats.clone();
                 self.stats.reset();
-                let _ = reply.send((self.node, snapshot));
+                // A daemon's inbox gauge is its own: ship it, or the
+                // coordinator only ever sees the stub's socket queue.
+                let queue = self.uplink.is_some().then(|| self.gauge.collect());
+                let _ = reply.send((self.node, snapshot, queue));
             }
             Msg::ProbeState { kg, reply } => {
                 let op = self.topology.operator_of_group(kg);
@@ -2391,24 +2482,21 @@ impl Runtime {
         drop(reply_tx);
         let mut merged = StatsCollector::new();
         let mut pressure: HashMap<NodeId, NodePressure> = HashMap::new();
-        for (node, c) in self.gather(&reply_rx, &involved) {
-            pressure.insert(
-                node,
-                NodePressure {
-                    ingested: c.ingested,
-                    emitted: c.emitted,
-                    dropped: c.dropped,
-                    ..Default::default()
-                },
-            );
+        for (node, c, queue) in self.gather(&reply_rx, &involved) {
+            let mut p = NodePressure {
+                ingested: c.ingested,
+                emitted: c.emitted,
+                dropped: c.dropped,
+                ..Default::default()
+            };
+            if let Some(queue) = queue {
+                queue.add_to(&mut p);
+            }
+            pressure.insert(node, p);
             merged.merge(&c);
         }
         for (node, gauge) in self.gauges.read().iter() {
-            let (depth, peak, overflow) = gauge.collect();
-            let entry = pressure.entry(*node).or_default();
-            entry.queue_depth = depth;
-            entry.peak_queue_depth = peak;
-            entry.overflow = overflow;
+            gauge.collect().add_to(pressure.entry(*node).or_default());
         }
         // Losses at the ingestion edge (no worker collector saw them).
         let injected_lost = self.inject_dropped.swap(0, Ordering::Relaxed);
@@ -4222,6 +4310,257 @@ mod tests {
             report.failed[0].reason,
             MigrationFailure::UnknownDestination
         );
+        rt.shutdown();
+    }
+
+    /// A routed chunk of `rows` visible rows for the source operator.
+    fn chunk_of(rows: usize) -> StreamChunk {
+        let (topology, src, _) = two_op_topology();
+        let mut chunk = StreamChunk::from_tuples(
+            (0..rows).map(|i| Tuple::keyed(&(i as u64), Value::Int(i as i64), 0)),
+        );
+        chunk.assign_groups(src, &topology);
+        chunk
+    }
+
+    /// An inbox holding `msgs` in order, each data chunk metered on
+    /// `gauge` the way every sender meters it.
+    fn inbox_of(gauge: &WorkerGauge, msgs: Vec<Msg>) -> Receiver<Msg> {
+        let (tx, rx) = unbounded();
+        for msg in msgs {
+            if matches!(msg, Msg::DataChunk(_)) {
+                gauge.enqueued();
+            }
+            assert!(tx.send(msg).is_ok());
+        }
+        rx
+    }
+
+    fn depth(gauge: &WorkerGauge) -> usize {
+        gauge.depth.load(Ordering::Relaxed)
+    }
+
+    fn rows_of(msg: Option<Msg>) -> usize {
+        match msg {
+            Some(Msg::DataChunk(c)) => c.len(),
+            _ => panic!("expected a data chunk"),
+        }
+    }
+
+    #[test]
+    fn coalesce_stops_at_a_control_message_and_stashes_it() {
+        let gauge = WorkerGauge::default();
+        let inbox = inbox_of(
+            &gauge,
+            vec![
+                Msg::DataChunk(chunk_of(4)),
+                Msg::DataChunk(chunk_of(2)),
+                Msg::PeerBarrier {
+                    epoch: 7,
+                    from: NodeId::new(1),
+                },
+                Msg::DataChunk(chunk_of(5)),
+            ],
+        );
+        let mut head = chunk_of(3);
+        let mut stash = None;
+        coalesce(&mut head, &inbox, &gauge, 64, &mut stash);
+        assert_eq!(head.len(), 9, "both chunks ahead of the barrier merge");
+        assert!(
+            matches!(stash, Some(Msg::PeerBarrier { epoch: 7, .. })),
+            "the barrier is stashed, to be handled next"
+        );
+        assert_eq!(depth(&gauge), 1, "one credit per merged chunk");
+        // Nothing behind the barrier was touched.
+        assert_eq!(rows_of(inbox.try_recv().ok()), 5);
+    }
+
+    #[test]
+    fn coalesce_never_exceeds_batch_size() {
+        let gauge = WorkerGauge::default();
+        let inbox = inbox_of(
+            &gauge,
+            vec![Msg::DataChunk(chunk_of(10)), Msg::DataChunk(chunk_of(3))],
+        );
+        let mut head = chunk_of(60);
+        let mut stash = None;
+        coalesce(&mut head, &inbox, &gauge, 64, &mut stash);
+        assert_eq!(head.len(), 60, "60 + 10 rows would pass the batch size");
+        assert_eq!(rows_of(stash), 10, "the chunk that does not fit comes next");
+        assert_eq!(depth(&gauge), 2, "a stashed chunk keeps its credit");
+        assert_eq!(rows_of(inbox.try_recv().ok()), 3);
+
+        // Fill exactly to the batch size, then stop.
+        let inbox = inbox_of(
+            &gauge,
+            vec![
+                Msg::DataChunk(chunk_of(4)),
+                Msg::DataChunk(chunk_of(2)),
+                Msg::DataChunk(chunk_of(1)),
+            ],
+        );
+        let mut head = chunk_of(4);
+        let mut stash = None;
+        coalesce(&mut head, &inbox, &gauge, 10, &mut stash);
+        assert_eq!(head.len(), 10);
+        assert!(stash.is_none(), "a full head reads no further");
+        assert_eq!(depth(&gauge), 2 + 1);
+        assert_eq!(rows_of(inbox.try_recv().ok()), 1);
+    }
+
+    #[test]
+    fn coalesce_preserves_the_visible_count_of_masked_chunks() {
+        let gauge = WorkerGauge::default();
+        let mut next = chunk_of(6);
+        next.hide(0);
+        next.hide(4);
+        let inbox = inbox_of(&gauge, vec![Msg::DataChunk(next)]);
+        let mut head = chunk_of(4);
+        head.hide(1);
+        let mut stash = None;
+        coalesce(&mut head, &inbox, &gauge, 64, &mut stash);
+        assert_eq!(head.visible_len(), 3 + 4);
+        assert!(head.len() <= 64);
+        assert!(stash.is_none());
+        assert_eq!(depth(&gauge), 0);
+        // Only the masked rows are gone: the visible rows are the
+        // head's, then the next chunk's, in order.
+        let keys: Vec<u64> = head.to_tuples().iter().map(|t| t.key).collect();
+        let expect: Vec<u64> = [0, 2, 3]
+            .into_iter()
+            .chain([1, 2, 3, 5])
+            .map(|i: u64| chunk_of(6).key_at(i as usize))
+            .collect();
+        assert_eq!(keys, expect);
+    }
+
+    #[test]
+    fn coalesce_merges_nothing_at_batch_size_one() {
+        let gauge = WorkerGauge::default();
+        let inbox = inbox_of(
+            &gauge,
+            vec![Msg::DataChunk(chunk_of(1)), Msg::DataChunk(chunk_of(1))],
+        );
+        let mut head = chunk_of(1);
+        let mut stash = None;
+        coalesce(&mut head, &inbox, &gauge, 1, &mut stash);
+        assert_eq!(head.len(), 1);
+        assert!(stash.is_none(), "a full head does not even look");
+        assert_eq!(depth(&gauge), 2);
+    }
+
+    /// Run a one-node worker over `msgs`, all queued before it starts
+    /// (data chunks metered as every sender meters them), then a
+    /// `Shutdown`. Every group is local and every reply goes through a
+    /// channel, so nothing is ever written to `uplink`.
+    fn run_lone_worker(mut msgs: Vec<Msg>, uplink: Option<WireOut>) {
+        let (topology, _, _) = two_op_topology();
+        let node = NodeId::new(0);
+        let table = RoutingTable::round_robin(topology.num_key_groups(), &[node]);
+        let gauge = Arc::new(WorkerGauge::default());
+        msgs.push(Msg::Shutdown);
+        let spawn = WorkerSpawn {
+            node,
+            inbox: inbox_of(&gauge, msgs),
+            gauge,
+            topology: Arc::new(topology),
+            routing: Arc::new(RoutingShared::new(table)),
+            senders: Arc::default(),
+            gauges: Arc::default(),
+            dropped: Arc::default(),
+            cfg: RuntimeConfig::default(),
+        };
+        let _ = WorkerCtx::from_spawn(spawn, uplink).run();
+    }
+
+    /// The worker loop handles the message `coalesce` stopped at only
+    /// after the merged chunk: a statistics collection queued between
+    /// short data chunks counts exactly the rows queued ahead of it.
+    #[test]
+    fn a_control_message_sees_exactly_the_data_queued_ahead_of_it() {
+        let (tx, rx) = unbounded();
+        let collect = || Msg::CollectStats {
+            reply: ReplyTo::Chan(tx.clone()),
+        };
+        let mut msgs: Vec<Msg> = (0..3).map(|_| Msg::DataChunk(chunk_of(2))).collect();
+        msgs.push(collect());
+        msgs.extend((0..2).map(|_| Msg::DataChunk(chunk_of(1))));
+        msgs.push(collect());
+        run_lone_worker(msgs, None);
+        let ingested: Vec<f64> = (0..2).map(|_| rx.recv().unwrap().1.ingested).collect();
+        assert_eq!(ingested, vec![6.0, 2.0]);
+    }
+
+    /// A networked daemon's own inbox gauge is invisible to the
+    /// coordinator, which only sees its stub's socket queue: the daemon
+    /// must ship it in its statistics reply, and the coordinator folds it
+    /// into the node's pressure.
+    #[cfg(unix)]
+    #[test]
+    fn a_daemons_inbox_backlog_reaches_its_collected_stats() {
+        use crate::transport::net::Conn;
+        use std::os::unix::net::UnixStream;
+
+        let (reply_tx, reply_rx) = unbounded();
+        let collect = || Msg::CollectStats {
+            reply: ReplyTo::Chan(reply_tx.clone()),
+        };
+        // A backlog queued before the daemon's worker runs.
+        let mut msgs: Vec<Msg> = (0..5).map(|_| Msg::DataChunk(chunk_of(1))).collect();
+        msgs.extend([collect(), collect()]);
+        let (sock, _peer) = UnixStream::pair().unwrap();
+        run_lone_worker(msgs, Some(WireOut::new(Conn::Uds(sock), false)));
+
+        let (from, stats, queue) = reply_rx.recv().unwrap();
+        assert_eq!(from, NodeId::new(0));
+        assert_eq!(stats.ingested, 5.0, "the whole backlog was dequeued");
+        let sample = queue.expect("a daemon ships its gauge");
+        assert_eq!(
+            sample,
+            QueueSample {
+                depth: 0,
+                peak: 5,
+                overflow: 0
+            }
+        );
+        let (_, _, again) = reply_rx.recv().unwrap();
+        assert_eq!(
+            again,
+            Some(QueueSample::default()),
+            "collection resets the peak"
+        );
+
+        // The coordinator folds it onto the stub's own socket queue.
+        let mut pressure = NodePressure::default();
+        QueueSample {
+            depth: 1,
+            peak: 2,
+            overflow: 1,
+        }
+        .add_to(&mut pressure);
+        sample.add_to(&mut pressure);
+        assert_eq!(pressure.queue_depth, 1);
+        assert_eq!(pressure.peak_queue_depth, 5);
+        assert_eq!(pressure.overflow, 1);
+    }
+
+    /// An in-process worker's gauge is the coordinator's own: its reply
+    /// carries none, so the coordinator's collection is the only one and
+    /// the peak is not reset behind its back.
+    #[test]
+    fn in_process_stats_replies_carry_no_gauge() {
+        let (rt, src, _) = two_op_runtime(2);
+        rt.inject(src, (0..20).map(|i| Tuple::keyed(&i, Value::Int(i), 0)));
+        rt.quiesce(4);
+        let (tx, rx) = unbounded();
+        for s in rt.senders.read().values() {
+            let reply = ReplyTo::Chan(tx.clone());
+            assert!(s.send(Msg::CollectStats { reply }).is_ok());
+        }
+        for _ in 0..2 {
+            let (_, _, queue) = rx.recv().unwrap();
+            assert_eq!(queue, None);
+        }
         rt.shutdown();
     }
 }

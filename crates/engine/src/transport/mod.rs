@@ -38,7 +38,7 @@ pub(crate) mod lz4;
 pub mod session;
 pub(crate) mod wire;
 
-mod net;
+pub(crate) mod net;
 mod worker;
 
 pub use net::{NetConfig, NetTransport, SocketKind};

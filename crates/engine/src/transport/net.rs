@@ -56,7 +56,7 @@ use albic_types::NodeId;
 
 use crate::codec::{Reader, Writer};
 use crate::runtime::{
-    send_gated, GaugeMap, Msg, RoutingShared, RuntimeConfig, SenderMap, WorkerGauge,
+    coalesce, send_gated, GaugeMap, Msg, RoutingShared, RuntimeConfig, SenderMap, WorkerGauge,
     WORKER_SEND_PATIENCE,
 };
 use crate::transport::session::ReconnectPolicy;
@@ -868,7 +868,7 @@ fn stub_main(spawn: WorkerSpawn, ctx: StubCtx) -> Receiver<Msg> {
         out.close();
         return inbox;
     };
-    let inbox = stub_writer(inbox, &out, &gauge, &correlator);
+    let inbox = stub_writer(inbox, &out, &gauge, &correlator, cfg.batch_size);
     // Both ways out of the writer have already ended the reader's loop:
     // the reader killed the session itself, or the writer closed it.
     let _ = reader.join();
@@ -877,34 +877,42 @@ fn stub_main(spawn: WorkerSpawn, ctx: StubCtx) -> Receiver<Msg> {
 
 /// The stub's writer, run on the stub thread itself: block on the
 /// worker's inbox, drain whatever else is already queued up to
-/// [`WRITE_BURST_BYTES`], and send the burst as one `write`. Returns
-/// the inbox once the session is dead (the reader ended it and woke this
-/// thread through the inbox), or once a `Shutdown`/`Crash` and
-/// everything queued before it are on the wire.
+/// [`WRITE_BURST_BYTES`], and send the burst as one `write`. Short data
+/// chunks queued back to back are merged up to `batch_size` rows
+/// ([`coalesce`]) before encoding, so a trickle of them costs one frame,
+/// not one each. Returns the inbox once the session is dead (the reader
+/// ended it and woke this thread through the inbox), or once a
+/// `Shutdown`/`Crash` and everything queued before it are on the wire.
 fn stub_writer(
     inbox: Receiver<Msg>,
     out: &WireOut,
     gauge: &WorkerGauge,
     correlator: &Correlator,
+    batch_size: usize,
 ) -> Receiver<Msg> {
     let mut burst = Vec::new();
+    // The message `coalesce` stopped at: written before the inbox.
+    let mut stash = None;
     // One yield before parking lets a busy producer top the next burst
     // up; a writer that parked after every chunk would pay a futex wake
     // per chunk.
-    while let Ok(first) = inbox.try_recv().or_else(|_| {
-        std::thread::yield_now();
-        inbox.recv()
+    while let Some(first) = stash.take().or_else(|| {
+        inbox.try_recv().ok().or_else(|| {
+            std::thread::yield_now();
+            inbox.recv().ok()
+        })
     }) {
         if out.is_dead() {
             return inbox;
         }
         let (mut closing, mut bytes) = (false, 0);
         let mut next = Some(first);
-        while let Some(msg) = next {
-            if matches!(msg, Msg::DataChunk(_)) {
+        while let Some(mut msg) = next {
+            if let Msg::DataChunk(chunk) = &mut msg {
                 // The chunk left the queue for the wire: release its
                 // credit (the daemon meters its own inbox).
                 gauge.dequeued();
+                coalesce(chunk, &inbox, gauge, batch_size, &mut stash);
             }
             closing = matches!(msg, Msg::Shutdown | Msg::Crash);
             let frame = match msg {
@@ -928,7 +936,7 @@ fn stub_writer(
             next = if closing || bytes >= WRITE_BURST_BYTES {
                 None
             } else {
-                inbox.try_recv().ok()
+                stash.take().or_else(|| inbox.try_recv().ok())
             };
         }
         if out.send_burst(&mut burst).is_err() {
@@ -1219,12 +1227,83 @@ mod tests {
             }
             got
         });
-        let inbox = stub_writer(inbox, &out, &gauge, &Correlator::new());
+        let batch_size = RuntimeConfig::default().batch_size;
+        let inbox = stub_writer(inbox, &out, &gauge, &Correlator::new(), batch_size);
         assert!(inbox.try_recv().is_err(), "the inbox comes back drained");
         assert!(out.is_dead(), "a written Shutdown closes the session");
         let got = peer.join().expect("peer reads every frame");
         let mut want: Vec<u64> = (0..CHUNKS).collect();
         want.push(u64::MAX);
         assert_eq!(got, want, "the whole burst, in order, then the shutdown");
+    }
+
+    /// Short chunks queued back to back leave as merged frames of at most
+    /// `batch_size` rows, in order; a control message queued between
+    /// them is written in its place, never ahead of the data before it.
+    #[cfg(unix)]
+    #[test]
+    fn queued_short_chunks_merge_into_frames_up_to_the_batch_size() {
+        use crate::chunk::StreamChunk;
+        use crate::tuple::{Tuple, Value};
+
+        let (ours, mut theirs) = UnixStream::pair().expect("socket pair");
+        theirs
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        let out = WireOut::new(Conn::Uds(ours), false);
+        let (tx, inbox) = crossbeam::channel::unbounded();
+        let gauge = WorkerGauge::default();
+        let one_row = |ts: u64| {
+            Msg::DataChunk(StreamChunk::from_tuples([Tuple::keyed(
+                &ts,
+                Value::Int(1),
+                ts,
+            )]))
+        };
+        for ts in 0..10 {
+            gauge.enqueued();
+            assert!(tx.send(one_row(ts)).is_ok());
+        }
+        let routing = Msg::RoutingUpdate {
+            version: 3,
+            assignment: vec![NodeId::new(0)],
+        };
+        assert!(tx.send(routing).is_ok());
+        for ts in 10..13 {
+            gauge.enqueued();
+            assert!(tx.send(one_row(ts)).is_ok());
+        }
+        assert!(tx.send(Msg::Shutdown).is_ok());
+        let peer = std::thread::spawn(move || {
+            let mut fb = FrameBuffer::new();
+            let mut frames = Vec::new();
+            loop {
+                let (kind, body) = fb.read_frame(&mut theirs).expect("frame");
+                let (_, _, payload) = wire::split_session(body).expect("session frame");
+                if kind == wire::FRAME_ROUTING {
+                    frames.push(vec![u64::MAX - 1]);
+                    continue;
+                }
+                match wire::decode_msg(&mut Reader::new(payload), None) {
+                    Ok(Msg::DataChunk(c)) => {
+                        frames.push((0..c.len()).map(|i| c.ts_at(i)).collect())
+                    }
+                    Ok(Msg::Shutdown) => return frames,
+                    _ => panic!("unexpected frame"),
+                }
+            }
+        });
+        let inbox = stub_writer(inbox, &out, &gauge, &Correlator::new(), 4);
+        assert!(inbox.try_recv().is_err(), "the inbox comes back drained");
+        assert_eq!(gauge.collect().depth, 0, "one credit released per chunk");
+        let frames = peer.join().expect("peer reads every frame");
+        let want: Vec<Vec<u64>> = vec![
+            vec![0, 1, 2, 3],
+            vec![4, 5, 6, 7],
+            vec![8, 9],
+            vec![u64::MAX - 1],
+            vec![10, 11, 12],
+        ];
+        assert_eq!(frames, want);
     }
 }

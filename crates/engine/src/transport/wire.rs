@@ -30,14 +30,15 @@ use super::net::Conn;
 use super::session::{ReconnectPolicy, RecvSequencer, SendSequencer, SeqVerdict, SEND_QUEUE_LIMIT};
 use crate::chunk::StreamChunk;
 use crate::codec::{DecodeError, Found, Reader, Writer};
-use crate::runtime::{InstallReply, Msg, ReplyTo, RuntimeConfig};
+use crate::runtime::{InstallReply, Msg, QueueSample, ReplyTo, RuntimeConfig, StatsReply};
 use crate::stats::StatsCollector;
 
-/// Handshake magic ("ALBIC_W3"): rejects a stray client that is not an
+/// Handshake magic ("ALBIC_W4"): rejects a stray client that is not an
 /// albic worker speaking this protocol revision (revision 2 added
 /// sessions, join tokens, and compressed state blobs; revision 3 dropped
-/// the row-batch message and the `INIT` data-plane field).
-pub(crate) const WIRE_MAGIC: u64 = 0x414c_4249_435f_5733;
+/// the row-batch message and the `INIT` data-plane field; revision 4
+/// added the daemon's inbox gauge to the statistics reply).
+pub(crate) const WIRE_MAGIC: u64 = 0x414c_4249_435f_5734;
 
 /// Worker → controller: identity announcement + join token, first frame
 /// on a fresh connection.
@@ -593,14 +594,39 @@ impl ReplyPayload for (KeyGroupId, InstallReply) {
     }
 }
 
-impl ReplyPayload for (NodeId, StatsCollector) {
+impl ReplyPayload for StatsReply {
     fn encode_payload(&self, w: &mut Writer, _compress: bool) {
         w.put_u64(self.0.raw() as u64);
         encode_stats(&self.1, w);
+        match self.2 {
+            None => w.put_u64(0),
+            Some(q) => {
+                w.put_u64(1);
+                w.put_u64(q.depth as u64);
+                w.put_u64(q.peak as u64);
+                w.put_u64(q.overflow);
+            }
+        }
     }
     fn decode_payload(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let node = NodeId::new(r.get_u64()? as u32);
-        Ok((node, decode_stats(r)?))
+        let stats = decode_stats(r)?;
+        let queue = match r.get_u64()? {
+            0 => None,
+            1 => Some(QueueSample {
+                depth: r.get_u64()? as usize,
+                peak: r.get_u64()? as usize,
+                overflow: r.get_u64()?,
+            }),
+            tag => {
+                return Err(DecodeError::new(
+                    r.offset(),
+                    "option tag 0..=1",
+                    Found::Length(tag),
+                ))
+            }
+        };
+        Ok((node, stats, queue))
     }
 }
 
@@ -672,7 +698,7 @@ pub(crate) enum Pending {
     Ack(Sender<()>),
     Install(Sender<(KeyGroupId, InstallReply)>),
     EpochDone(Sender<NodeId>),
-    Stats(Sender<(NodeId, StatsCollector)>),
+    Stats(Sender<StatsReply>),
     Probe(Sender<Option<Vec<u8>>>),
     Snapshot(Sender<(NodeId, Vec<(u32, Vec<u8>)>)>),
 }
@@ -1503,5 +1529,39 @@ mod tests {
         assert_eq!(back.assignment, init.assignment);
         assert_eq!(back.compression, init.compression);
         assert_eq!(back.reconnect, init.reconnect);
+    }
+
+    /// The statistics reply round-trips its collector and, when present,
+    /// the daemon's inbox gauge; an absent gauge stays absent.
+    #[test]
+    fn stats_reply_round_trips_the_daemon_gauge() {
+        let mut stats = StatsCollector::new();
+        stats.ingested = 12.0;
+        stats.emitted = 5.0;
+        stats.dropped = 1.0;
+        stats.tuples_in.insert(3, 7.0);
+        stats.out_matrix.insert((3, 9), 4.0);
+        let gauge = QueueSample {
+            depth: 4,
+            peak: 1500,
+            overflow: 2,
+        };
+        for queue in [Some(gauge), None] {
+            let reply: StatsReply = (NodeId::new(2), stats.clone(), queue);
+            let mut w = Writer::new();
+            reply.encode_payload(&mut w, false);
+            let bytes = w.into_bytes();
+            let mut r = Reader::new(&bytes);
+            let (node, back, back_queue) = StatsReply::decode_payload(&mut r).expect("decode");
+            assert!(r.is_done(), "{} trailing bytes", r.remaining());
+            assert_eq!(node, NodeId::new(2));
+            assert_eq!(back_queue, queue);
+            assert_eq!(
+                (back.ingested, back.emitted, back.dropped),
+                (12.0, 5.0, 1.0)
+            );
+            assert_eq!(back.tuples_in, stats.tuples_in);
+            assert_eq!(back.out_matrix, stats.out_matrix);
+        }
     }
 }

@@ -37,16 +37,36 @@ struct RunOutcome {
     stats: Vec<PeriodStats>,
 }
 
-/// One full run of `job`: per period inject the scripted workload, apply
-/// that period's scripted migrations **without settling first** (the
-/// plan lands with chunks still in flight), then close the period.
-fn run_job(mut job: Job<Runtime>, schedule: &[Vec<(u32, u32)>]) -> RunOutcome {
+/// Inject one period's scripted input: one `inject` call per key, or —
+/// with `calls` non-empty — the period's tuples in the same order, in
+/// calls of `calls[0]`, `calls[1]`, ... tuples (cycling). The second is a
+/// trickle: every worker dequeues short chunks, which it coalesces.
+fn inject_period(job: &mut Job<Runtime>, period: u64, calls: &[usize]) {
+    if calls.is_empty() {
+        for tuples in support::period_input(period) {
+            job.inject("events", tuples);
+        }
+        return;
+    }
+    let mut tuples = support::period_input(period).concat().into_iter();
+    for &n in calls.iter().cycle() {
+        let call: Vec<Tuple> = tuples.by_ref().take(n).collect();
+        if call.is_empty() {
+            break;
+        }
+        job.inject("events", call);
+    }
+}
+
+/// One full run of `job`: per period inject the scripted workload (see
+/// [`inject_period`]), apply that period's scripted migrations **without
+/// settling first** (the plan lands with chunks still in flight), then
+/// close the period.
+fn run_job(mut job: Job<Runtime>, schedule: &[Vec<(u32, u32)>], calls: &[usize]) -> RunOutcome {
     let initial = job.engine().routing_snapshot();
     let mut stats = Vec::new();
     for (p, moves) in schedule.iter().enumerate() {
-        for tuples in support::period_input(p as u64) {
-            job.inject("events", tuples);
-        }
+        inject_period(&mut job, p as u64, calls);
         // Mid-batch landing: no settle between inject and apply, so the
         // reconfiguration overtakes tuples still queued on the data plane.
         let plan = plan_of(&job.engine().routing_snapshot(), moves);
@@ -100,9 +120,14 @@ fn counting_job(
         .expect("valid job spec")
 }
 
-/// Run `job` over `schedule` and assert it against the reference
-/// interpreter fed the same input under the job's initial routing.
-fn assert_matches_reference(job: Job<Runtime>, schedule: &[Vec<(u32, u32)>]) -> RunOutcome {
+/// Run `job` over `schedule`, injecting in `calls` (see
+/// [`inject_period`]), and assert it against the reference interpreter
+/// fed the same input under the job's initial routing.
+fn assert_matches_reference(
+    job: Job<Runtime>,
+    schedule: &[Vec<(u32, u32)>],
+    calls: &[usize],
+) -> RunOutcome {
     let topology = job.engine().topology().clone();
     let initial = job.engine().routing_snapshot();
     let cluster = job.engine().view().cluster.clone();
@@ -112,7 +137,7 @@ fn assert_matches_reference(job: Job<Runtime>, schedule: &[Vec<(u32, u32)>]) -> 
         .map(|p| vec![(source, support::period_input(p).concat())])
         .collect();
     let reference = run_reference(&topology, &initial, &input);
-    let run = run_job(job, schedule);
+    let run = run_job(job, schedule, calls);
     assert_eq!(
         run.states, reference.states,
         "final per-group states diverge from the reference interpreter"
@@ -190,10 +215,11 @@ fn assert_counting_matches_reference(
     capacity: usize,
     barrier: usize,
     schedule: &[Vec<(u32, u32)>],
+    calls: &[usize],
 ) {
     let job = counting_job(mode, batch, capacity, barrier);
     let topology = job.engine().topology().clone();
-    let run = assert_matches_reference(job, schedule);
+    let run = assert_matches_reference(job, schedule, calls);
     let counted: u64 = support::counts_of(&topology, &run.states).iter().sum();
     assert_eq!(counted, support::total_tuples(schedule.len() as u64));
 }
@@ -213,7 +239,7 @@ proptest! {
             2..4,
         ),
     ) {
-        assert_counting_matches_reference(ReconfigMode::Quiesce, batch, capacity, 0, &schedule);
+        assert_counting_matches_reference(ReconfigMode::Quiesce, batch, capacity, 0, &schedule, &[]);
     }
 
     /// Steady state (no plans in flight): *every* per-period statistics
@@ -227,7 +253,7 @@ proptest! {
         periods in 2usize..=4,
     ) {
         let schedule = vec![vec![]; periods];
-        assert_counting_matches_reference(ReconfigMode::Quiesce, batch, capacity, 0, &schedule);
+        assert_counting_matches_reference(ReconfigMode::Quiesce, batch, capacity, 0, &schedule, &[]);
     }
 
     /// Epoch-aligned reconfiguration: same final states as the reference,
@@ -246,7 +272,30 @@ proptest! {
             2..4,
         ),
     ) {
-        assert_counting_matches_reference(ReconfigMode::Epoch, batch, capacity, barrier, &schedule);
+        assert_counting_matches_reference(ReconfigMode::Epoch, batch, capacity, barrier, &schedule, &[]);
+    }
+
+    /// Trickle injection under epoch reconfiguration: each period's input
+    /// arrives in calls of 1–5 tuples, so workers dequeue runs of short
+    /// chunks and coalesce them — across the periodic no-op barrier waves
+    /// and the mid-stream migration waves, whose barrier messages must
+    /// never be overtaken by the data queued behind them. Final states
+    /// equal the reference's, routing is the scripted one, nothing is
+    /// dropped.
+    #[test]
+    fn trickle_injection_matches_reference_under_epoch(
+        batch in 1usize..=48,
+        capacity in 8usize..=128,
+        barrier in 16usize..256,
+        calls in proptest::collection::vec(1usize..=5, 1..6),
+        schedule in proptest::collection::vec(
+            proptest::collection::vec((0u32..16, 0u32..NODES as u32), 1..3),
+            2..4,
+        ),
+    ) {
+        assert_counting_matches_reference(
+            ReconfigMode::Epoch, batch, capacity, barrier, &schedule, &calls,
+        );
     }
 
     /// The chunk codec round-trips arbitrary mixed-variant chunks
@@ -370,7 +419,7 @@ fn mid_chunk_migration_matches_row_oracle() {
         vec![(3, 2), (6, 1)],
         vec![(9, 0), (14, 2), (1, 1)],
     ];
-    assert_counting_matches_reference(ReconfigMode::Quiesce, 4, 16, 0, &schedule);
+    assert_counting_matches_reference(ReconfigMode::Quiesce, 4, 16, 0, &schedule, &[]);
 }
 
 /// A tumbling count window: per key, how many tuples arrived this
@@ -451,7 +500,7 @@ fn period_end_emissions_reach_a_downstream_counter_exactly_once() {
             .build_threaded()
             .expect("valid job spec");
         let topology = job.engine().topology().clone();
-        let run = assert_matches_reference(job, &vec![vec![]; periods]);
+        let run = assert_matches_reference(job, &vec![vec![]; periods], &[]);
         let counted: u64 = support::counts_of(&topology, &run.states).iter().sum();
         assert_eq!(counted, support::KEYS * periods as u64, "batch {batch}");
         for (p, stats) in run.stats.iter().enumerate() {

@@ -262,6 +262,39 @@ fn socket_dropped_mid_burst_resumes_with_exactly_once_counts() {
     );
 }
 
+/// A trickle over UDS: every tuple is its own `inject` call, so each
+/// stub writer finds runs of one-row chunks queued and merges them into
+/// frames, and each daemon merges the chunks queued in its own inbox —
+/// across the control messages of the MILP policy's migrations. Counts
+/// must equal the in-process oracle's, with nothing dropped.
+#[cfg(unix)]
+#[test]
+fn uds_trickle_of_one_tuple_calls_counts_like_the_in_process_oracle() {
+    let drive = |mut job: Job<Runtime>| {
+        for p in 0..3u64 {
+            for i in 0..16u64 {
+                for k in 0..12u64 {
+                    job.inject("events", [Tuple::keyed(&k, Value::Int(i as i64), p)]);
+                }
+            }
+            let report = job.step();
+            assert!(report.apply.failed.is_empty(), "{:?}", report.apply.failed);
+            assert!(report.recovery.failed.is_empty(), "period {p}");
+            assert_eq!(report.stats.dropped_tuples, 0.0, "period {p}: no drops");
+        }
+        probe_counts(job)
+    };
+    let oracle = drive(two_stage(2).build_threaded().expect("job starts"));
+    let probed = drive(
+        two_stage(2)
+            .transport(net(SocketKind::Uds))
+            .build_threaded()
+            .expect("job starts"),
+    );
+    assert_eq!(probed, oracle);
+    assert_eq!(probed.iter().map(|&(_, n)| n).sum::<u64>(), 3 * 16 * 12);
+}
+
 /// A SIGKILLed daemon whose stub writer sits parked on an *empty* inbox:
 /// nothing on the message path times out, so the kill itself must wake
 /// the writer — the worker reads dead within the runtime's fault
