@@ -53,7 +53,7 @@ fn bench_runtime_throughput(c: &mut Criterion) {
             .collect();
         b.iter(|| {
             rt.inject(src, tuples.clone());
-            rt.quiesce(3);
+            rt.quiesce();
         });
         let _ = rt.end_period();
         rt.shutdown();
@@ -80,7 +80,7 @@ fn bench_runtime_noop_round(c: &mut Criterion) {
             src,
             (0..1000).map(|i| Tuple::keyed(&(i % 64), Value::Int(i), i as u64)),
         );
-        rt.quiesce(3);
+        rt.quiesce();
         let mut controller = Controller::new(&mut rt);
         let mut policy = NoopPolicy;
         b.iter(|| controller.step(&mut policy));

@@ -31,7 +31,7 @@ fn bench_migration_roundtrip(c: &mut Criterion) {
             src,
             (0..1000).map(|i| Tuple::keyed(&(i % 8), Value::Int(i), 0)),
         );
-        rt.quiesce(3);
+        rt.quiesce();
         let kg = rt.topology().group_for_key(cnt, hash_key(&3i64));
         let nodes = [NodeId::new(0), NodeId::new(1)];
         let mut flip = 0usize;

@@ -22,6 +22,11 @@
 //!   queue of them (workers and stub writers coalesce what is already
 //!   queued) is what this line measures. Recorded, not gated.
 //!
+//! A `control` block records what an adaptation round costs the control
+//! plane: the median wall time of an idle `Job::step` (no-op policy,
+//! settled data plane) on the same 3-node job, and the control fan-outs
+//! that step issues — a machine-independent count. Recorded, not gated.
+//!
 //! Every level runs a discarded warm-up pass and then three measured
 //! repetitions; the reported figures are the median repetition by
 //! throughput, so one scheduler hiccup cannot contaminate a committed
@@ -43,6 +48,7 @@ use std::time::{Duration, Instant};
 
 use albic_core::job::{Job, Policy};
 use albic_engine::operator::{Counting, Identity};
+use albic_engine::runtime::Runtime;
 use albic_engine::tuple::{Tuple, Value};
 use albic_engine::RuntimeConfig;
 
@@ -58,6 +64,8 @@ const NODES: usize = 3;
 const REPS: usize = 3;
 /// Tuples per `inject` call in the `trickle` configuration.
 const TRICKLE_CALL: usize = 4;
+/// Idle adaptation rounds timed for the `control` block.
+const IDLE_STEPS: usize = 400;
 
 struct LevelResult {
     offered_tuples: usize,
@@ -83,8 +91,9 @@ fn percentile_ms(sorted: &[Duration], p: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)].as_secs_f64() * 1e3
 }
 
-/// One repetition of one load level on a fresh job.
-fn run_level(cfg: RuntimeConfig, offered: usize, wave: usize) -> LevelResult {
+/// The measured `events → count` job on [`NODES`] workers, warmed up:
+/// every state populated, every channel faulted in, the plane settled.
+fn warm_job(cfg: RuntimeConfig, wave: usize) -> Job<Runtime> {
     let mut job = Job::builder()
         .source("events", KEY_GROUPS, Identity)
         .operator("count", KEY_GROUPS, Counting)
@@ -94,10 +103,14 @@ fn run_level(cfg: RuntimeConfig, offered: usize, wave: usize) -> LevelResult {
         .runtime_config(cfg)
         .build_threaded()
         .expect("valid throughput job");
-
-    // Warmup: populate states, fault in channels.
     job.inject("events", make_wave(0, wave));
     job.settle();
+    job
+}
+
+/// One repetition of one load level on a fresh job.
+fn run_level(cfg: RuntimeConfig, offered: usize, wave: usize) -> LevelResult {
+    let mut job = warm_job(cfg, wave);
 
     // Throughput phase: stream the whole level through the pipeline
     // and settle once at the end, so the quiesce barrier is amortized
@@ -176,6 +189,25 @@ fn run_config(cfg: RuntimeConfig, levels: &[usize], wave: usize) -> ConfigResult
         p99_settle_ms: best_p99,
         levels: out,
     }
+}
+
+/// The `control` block: `(median wall ms, control fan-outs)` of an idle
+/// `Job::step` — no-op policy, nothing injected since the previous round.
+fn run_control(wave: usize) -> (f64, u64) {
+    let mut job = warm_job(RuntimeConfig::default(), wave);
+    let _ = job.step();
+    let mut times = Vec::with_capacity(IDLE_STEPS);
+    let mut fanouts = 0;
+    for _ in 0..IDLE_STEPS {
+        let before = job.engine().control_fanouts();
+        let started = Instant::now();
+        let _ = job.step();
+        times.push(started.elapsed());
+        fanouts = job.engine().control_fanouts() - before;
+    }
+    job.shutdown();
+    times.sort();
+    (percentile_ms(&times, 0.5), fanouts)
 }
 
 fn make_wave(base: usize, n: usize) -> impl Iterator<Item = Tuple> {
@@ -324,6 +356,8 @@ fn main() {
     eprintln!("trickle (default batch_size, {TRICKLE_CALL} tuples per inject call):");
     let trickle = run_config(RuntimeConfig::default(), &levels, TRICKLE_CALL);
 
+    let (idle_step_ms, idle_step_fanouts) = run_control(wave);
+
     let speedup = if per_tuple.sustained_tps > 0.0 {
         columnar.sustained_tps / per_tuple.sustained_tps
     } else {
@@ -333,9 +367,12 @@ fn main() {
         "sustained: columnar {:.0} t/s vs per-tuple {:.0} t/s ({speedup:.2}x); trickle {:.0} t/s",
         columnar.sustained_tps, per_tuple.sustained_tps, trickle.sustained_tps
     );
+    println!(
+        "control: idle Job::step p50 {idle_step_ms:.3} ms, {idle_step_fanouts} control fan-outs"
+    );
 
     let json = format!(
-        "{{\n  \"schema\": 4,\n  \"mode\": \"{}\",\n  \"machine\": {{\"cpu\": \"{}\", \"cores\": {}, \"os\": \"{}\"}},\n  \"git_rev\": \"{}\",\n  \"workload\": {{\"nodes\": {NODES}, \"key_groups_per_op\": {KEY_GROUPS}, \"keys\": {KEYS}, \"wave_tuples\": {wave}}},\n  \"gate_tps\": {:.0},\n  \"speedup_vs_per_tuple\": {:.2},\n{},\n{},\n{}\n}}\n",
+        "{{\n  \"schema\": 5,\n  \"mode\": \"{}\",\n  \"machine\": {{\"cpu\": \"{}\", \"cores\": {}, \"os\": \"{}\"}},\n  \"git_rev\": \"{}\",\n  \"workload\": {{\"nodes\": {NODES}, \"key_groups_per_op\": {KEY_GROUPS}, \"keys\": {KEYS}, \"wave_tuples\": {wave}}},\n  \"gate_tps\": {:.0},\n  \"speedup_vs_per_tuple\": {:.2},\n{},\n{},\n{},\n  \"control\": {{\"idle_step_ms_p50\": {idle_step_ms:.4}, \"idle_step_fanouts\": {idle_step_fanouts}}}\n}}\n",
         if smoke { "smoke" } else { "full" },
         json_escape(&cpu_model()),
         std::thread::available_parallelism().map_or(0, |n| n.get()),

@@ -94,9 +94,9 @@
 //!
 //! # How the coordinator waits
 //!
-//! Every control protocol — settle barriers, `end_period`'s window flush
-//! and statistics collection, checkpoint capture, the epoch wave,
-//! `probe_state` and recovery — is a fan-out of control messages that
+//! Every control protocol — settle rounds, `end_period`'s window flush
+//! and statistics collection (which carries the checkpoint capture), the
+//! epoch wave, `probe_state` and recovery — is a fan-out of control messages that
 //! each carry a reply channel, followed by a wait for the replies
 //! (`Runtime::gather`, `Runtime::wait_reply`). The wait takes a reply as
 //! soon as it lands, so an adaptation round costs what its workers take
@@ -112,6 +112,33 @@
 //! its parked inbox, so the channel never disconnects. A wait whose
 //! worker died takes any reply that raced the death and returns short;
 //! the next [`Runtime::recover`] handles the corpse.
+//!
+//! Waiting for a quiet data plane ([`Runtime::quiesce`], behind every
+//! settle) *counts* instead of running a fixed number of barrier rounds.
+//! Every worker keeps one monotonic activity counter: data chunks it
+//! dequeued plus data chunks it sent to a peer (a channel send, or a
+//! daemon's `FORWARD` frame). A round is a `Barrier` message to every live
+//! worker, answered with the counter once the worker's outbox is flushed.
+//! The wait stops at the first complete round whose counters equal the
+//! previous complete round's over the same workers. Equal counters prove
+//! the plane quiet because inboxes are FIFO per sender: a chunk sent
+//! before its sender acked round *r−1* is queued ahead of round *r*'s
+//! barrier at its receiver (in-process because round *r* is sent only
+//! after that ack arrived; over sockets because the hub relays a daemon's
+//! `FORWARD` into the receiver's queue before it resolves the `REPLY`
+//! written after it), so the receiver dequeued it before acking round *r*
+//! — and, its counter unchanged, before acking round *r−1*. A chunk sent
+//! later would have moved its sender's counter. So nothing was dequeued
+//! or sent between the rounds, and every chunk sent before was dequeued
+//! and (a worker finishes a chunk before its next message) processed.
+//! The last complete round's counters are remembered: a settle on a
+//! plane that was already quiet costs one round, and `end_period`'s
+//! window flush, itself a counting round, needs no barrier after it
+//! unless the windows emitted across workers. Chunks the coordinator
+//! enqueued before a round move the counters; chunks other threads inject
+//! concurrently are not waited for. A plane that keeps moving gets at
+//! most `2·(depth+1)` rounds; a round a worker dies in ends the wait and
+//! forgets the remembered counters.
 //!
 //! Every worker exports per-period ingest/emit counters and its queue
 //! depth (current, peak, overflow) into [`PeriodStats::pressure`], so
@@ -477,10 +504,22 @@ impl QueueSample {
 }
 
 /// A worker's [`Msg::CollectStats`] answer: its node, its period
-/// collector, and — from a networked daemon only — its own inbox gauge,
-/// which the coordinator cannot read across the socket. (An in-process
-/// worker's gauge is the coordinator's own, collected directly.)
-pub(crate) type StatsReply = (NodeId, StatsCollector, Option<QueueSample>);
+/// collector, from a networked daemon only its own inbox gauge (which
+/// the coordinator cannot read across the socket; an in-process
+/// worker's gauge is the coordinator's own, collected directly), and the
+/// key-group states it serialized when the collection carried a
+/// checkpoint capture.
+pub(crate) type StatsReply = (
+    NodeId,
+    StatsCollector,
+    Option<QueueSample>,
+    Option<Vec<(u32, Vec<u8>)>>,
+);
+
+/// A worker's answer to one counting round ([`Msg::Barrier`],
+/// [`Msg::FlushWindows`]): its node and its activity counter — data
+/// chunks it has dequeued plus data chunks it has sent to peers, ever.
+pub(crate) type Activity = (NodeId, u64);
 
 /// Top a dequeued data chunk up with the data chunks queued right behind
 /// it, so a trickle of small chunks is processed (or encoded) as one.
@@ -800,26 +839,24 @@ pub(crate) enum Msg {
     /// it sent before its barrier is already ahead of this message in
     /// our FIFO inbox, so this inbound edge is aligned.
     PeerBarrier { epoch: u64, from: NodeId },
-    /// FIFO barrier: flush the outbox, then reply.
-    Barrier(ReplyTo<()>),
-    /// Flush operator windows (period end).
-    FlushWindows { ack: ReplyTo<()> },
-    /// Snapshot and reset the worker's statistics.
-    CollectStats { reply: ReplyTo<StatsReply> },
+    /// FIFO barrier of a counting round ([`Runtime::quiesce`]): flush
+    /// the outbox, then reply with the worker's activity counter.
+    Barrier(ReplyTo<Activity>),
+    /// Flush operator windows (period end) and the outbox, then reply
+    /// like a [`Msg::Barrier`]: the flush is a counting round too.
+    FlushWindows { ack: ReplyTo<Activity> },
+    /// Snapshot and reset the worker's statistics. With `capture` set
+    /// (a checkpoint boundary, data plane quiesced) the reply also
+    /// carries the serialized key-group states of a full or an
+    /// incremental capture (see `WorkerCtx::snapshot_states`).
+    CollectStats {
+        capture: Option<CheckpointMode>,
+        reply: ReplyTo<StatsReply>,
+    },
     /// Return the serialized state of a key group (diagnostics/tests).
     ProbeState {
         kg: KeyGroupId,
         reply: ReplyTo<Option<Vec<u8>>>,
-    },
-    /// Serialize local key-group state (checkpoint capture). Sent at
-    /// period boundaries while the data plane is quiesced. With
-    /// `delta_only` set, only groups written since the previous capture
-    /// are serialized (the worker's dirty set); a full capture also
-    /// reads back the raw bytes of worker-spilled groups so the image is
-    /// complete. Either way the dirty set is drained by the capture.
-    SnapshotStates {
-        delta_only: bool,
-        reply: ReplyTo<(NodeId, Vec<(u32, Vec<u8>)>)>,
     },
     /// Reset to a checkpoint: drop all states, buffers and period
     /// counters, then install the given serialized states through the
@@ -916,8 +953,11 @@ pub(crate) struct WorkerCtx {
     /// worker are walked iteratively, not by recursion).
     chunk_worklist: Vec<StreamChunk>,
     stats: StatsCollector,
+    /// Data chunks dequeued plus data chunks sent to peers: the monotonic
+    /// counter a counting round ([`Runtime::quiesce`]) compares.
+    activity: u64,
     /// Key groups written since the last checkpoint capture — what an
-    /// incremental [`Msg::SnapshotStates`] serializes. Populated on every
+    /// incremental capture ([`Msg::CollectStats`]) serializes. Populated on every
     /// state-mutating path (process, install, mutating period-end flush)
     /// and drained by captures; costs one fast-hash insert per write.
     dirty: FastMap<u32, ()>,
@@ -980,6 +1020,7 @@ impl WorkerCtx {
             emit_sorter: ChunkSorter::default(),
             chunk_worklist: Vec::new(),
             stats: StatsCollector::new(),
+            activity: 0,
             dirty: FastMap::default(),
             spilled: FastMap::default(),
             spill_dir: None,
@@ -1044,18 +1085,12 @@ impl WorkerCtx {
         // cloned before the coordinator unpublished it). Those tuples
         // must re-enter routing — their groups were drained off this
         // node, so on_chunk forwards them — not be destroyed with the
-        // channel. Late barriers are acked so no quiescer can hang.
+        // channel.
         while let Ok(msg) = self.inbox.try_recv() {
-            match msg {
-                Msg::DataChunk(chunk) => {
-                    self.gauge.dequeued();
-                    self.stats.record_ingest(chunk.visible_len() as f64);
-                    self.on_chunk(chunk);
-                }
-                Msg::Barrier(ack) => {
-                    let _ = ack.send(());
-                }
-                _ => {}
+            if let Msg::DataChunk(chunk) = msg {
+                self.gauge.dequeued();
+                self.stats.record_ingest(chunk.visible_len() as f64);
+                self.on_chunk(chunk);
             }
         }
         // Best-effort flush so a shutdown never strands coalesced tuples.
@@ -1079,6 +1114,7 @@ impl WorkerCtx {
         match msg {
             Msg::DataChunk(chunk) => {
                 self.gauge.dequeued();
+                self.activity += 1;
                 self.stats.record_ingest(chunk.visible_len() as f64);
                 self.on_chunk(chunk);
             }
@@ -1127,13 +1163,16 @@ impl WorkerCtx {
                 self.check_epoch_alignment(epoch);
             }
             Msg::Barrier(ack) => {
-                let _ = ack.send(());
+                let _ = ack.send((self.node, self.activity));
             }
             Msg::FlushWindows { ack } => {
                 self.flush_windows();
-                let _ = ack.send(());
+                // What the windows emitted across workers is sent, and
+                // counted, before the ack.
+                self.flush_outbox();
+                let _ = ack.send((self.node, self.activity));
             }
-            Msg::CollectStats { reply } => {
+            Msg::CollectStats { capture, reply } => {
                 let group_ids: Vec<u32> = self.states.keys().copied().collect();
                 for g in group_ids {
                     let kg = KeyGroupId::new(g);
@@ -1149,7 +1188,8 @@ impl WorkerCtx {
                 // A daemon's inbox gauge is its own: ship it, or the
                 // coordinator only ever sees the stub's socket queue.
                 let queue = self.uplink.is_some().then(|| self.gauge.collect());
-                let _ = reply.send((self.node, snapshot, queue));
+                let states = capture.map(|mode| self.snapshot_states(mode));
+                let _ = reply.send((self.node, snapshot, queue, states));
             }
             Msg::ProbeState { kg, reply } => {
                 let op = self.topology.operator_of_group(kg);
@@ -1157,10 +1197,6 @@ impl WorkerCtx {
                 let logic = Arc::clone(&self.topology.operator(op).logic);
                 let bytes = self.states.get(&kg.raw()).map(|s| logic.serialize_state(s));
                 let _ = reply.send(bytes);
-            }
-            Msg::SnapshotStates { delta_only, reply } => {
-                let states = self.snapshot_states(delta_only);
-                let _ = reply.send((self.node, states));
             }
             Msg::Rollback {
                 states,
@@ -1299,59 +1335,38 @@ impl WorkerCtx {
             Some(state) => logic.serialize_state(state),
             None => logic.serialize_state(&logic.new_state()),
         };
-        if let Some(up) = self.uplink.clone() {
-            // Networked: the Install travels up the socket and is
-            // relayed to `dest` by the controller hub. A broken socket
-            // means this whole worker is about to die with it, so the
-            // state is simply kept local (the reply cannot be delivered
-            // either way).
-            let msg = Msg::Install {
-                kg,
-                op,
-                wire_bytes: bytes.len(),
-                bytes,
-                done,
-            };
-            if up.forward(dest, &msg).is_err() {
-                if let Msg::Install { done, .. } = msg {
-                    if let Some(state) = state {
-                        self.states.insert(kg.raw(), state);
-                    }
-                    let _ = done.send((kg, InstallReply::DestinationGone));
-                }
-            }
-            return;
-        }
-        let sender = self.senders.read().get(&dest).cloned();
-        // A failed send returns the message, so `done` (and the
-        // bytes) can be recovered instead of silently dropped.
-        let undelivered = match sender {
-            Some(s) => s
-                .send(Msg::Install {
-                    kg,
-                    op,
-                    wire_bytes: bytes.len(),
-                    bytes,
-                    done,
-                })
-                .err()
-                .map(|e| e.0),
-            None => Some(Msg::Install {
-                kg,
-                op,
-                wire_bytes: bytes.len(),
-                bytes,
-                done,
-            }),
+        let msg = Msg::Install {
+            kg,
+            op,
+            wire_bytes: bytes.len(),
+            bytes,
+            done,
         };
-        if let Some(Msg::Install { done, .. }) = undelivered {
-            // The destination worker is unreachable: the state
-            // never left this node, so keep serving it here and
-            // tell the coordinator explicitly.
+        if let Err(Msg::Install { done, .. }) = self.send_control(dest, msg) {
+            // The destination is unreachable (or, networked, this
+            // worker's own socket broke, and the worker dies with it):
+            // the state never left this node, so keep serving it here
+            // and tell the coordinator explicitly.
             if let Some(state) = state {
                 self.states.insert(kg.raw(), state);
             }
             let _ = done.send((kg, InstallReply::DestinationGone));
+        }
+    }
+
+    /// Send a control message to peer `dest` — up the socket for the
+    /// controller hub to relay when networked, over the peer's channel
+    /// in-process — returning it if it cannot be delivered.
+    // The large `Err` is the point, as for `send_gated`.
+    #[allow(clippy::result_large_err)]
+    fn send_control(&self, dest: NodeId, msg: Msg) -> Result<(), Msg> {
+        if let Some(up) = &self.uplink {
+            return up.forward(dest, &msg).map_err(|_| msg);
+        }
+        let sender = self.senders.read().get(&dest).cloned();
+        match sender {
+            Some(s) => s.send(msg).map_err(|e| e.0),
+            None => Err(msg),
         }
     }
 
@@ -1378,36 +1393,11 @@ impl WorkerCtx {
         for &(kg, _, to) in moves.iter() {
             self.routing_cache.reroute(kg, to);
         }
-        if let Some(up) = &self.uplink {
-            // Networked: announcements reach peers via the controller
-            // hub. A dead peer's (or a dead hub's) failure is fine: the
-            // coordinator detects the corpse and aborts the wave.
-            for &peer in participants.iter() {
-                if peer != self.node {
-                    let _ = up.forward(
-                        peer,
-                        &Msg::PeerBarrier {
-                            epoch,
-                            from: self.node,
-                        },
-                    );
-                }
-            }
-        } else {
-            let senders = self.senders.read().clone();
-            for &peer in participants.iter() {
-                if peer == self.node {
-                    continue;
-                }
-                if let Some(s) = senders.get(&peer) {
-                    // A dead peer's send failure is fine: the coordinator
-                    // detects the corpse and aborts the wave.
-                    let _ = s.send(Msg::PeerBarrier {
-                        epoch,
-                        from: self.node,
-                    });
-                }
-            }
+        // A dead peer's (or, networked, a dead hub's) failure is fine:
+        // the coordinator detects the corpse and aborts the wave.
+        for &peer in participants.iter().filter(|&&p| p != self.node) {
+            let from = self.node;
+            let _ = self.send_control(peer, Msg::PeerBarrier { epoch, from });
         }
         let entry = self.epochs.entry(epoch).or_default();
         entry.wave = Some(EpochWave {
@@ -1456,13 +1446,14 @@ impl WorkerCtx {
     }
 
     /// Serialize local key-group state for a checkpoint capture, sorted
-    /// by group id so a checkpoint's byte layout is deterministic. With
-    /// `delta_only` set, only groups in the dirty set are serialized
+    /// by group id so a checkpoint's byte layout is deterministic. An
+    /// incremental capture serializes only groups in the dirty set
     /// (spilled groups are never dirty — dropping one requires it clean);
     /// a full capture additionally reads back the raw file bytes of
     /// worker-spilled groups so the returned image is complete. Both
     /// variants drain the dirty set: the store now covers those writes.
-    fn snapshot_states(&mut self, delta_only: bool) -> Vec<(u32, Vec<u8>)> {
+    fn snapshot_states(&mut self, mode: CheckpointMode) -> Vec<(u32, Vec<u8>)> {
+        let delta_only = mode == CheckpointMode::Incremental;
         let mut ids: Vec<u32> = if delta_only {
             self.dirty
                 .keys()
@@ -1758,6 +1749,7 @@ impl WorkerCtx {
     /// silently discarded.
     fn send_chunk(&mut self, dest: NodeId, chunk: StreamChunk) {
         let n = chunk.visible_len() as f64;
+        self.activity += 1;
         if let Some(up) = &self.uplink {
             match up.forward(dest, &Msg::DataChunk(chunk)) {
                 Ok(()) => self.stats.record_emit(n),
@@ -2001,9 +1993,15 @@ pub struct Runtime {
     /// here instead of being destroyed, and [`Runtime::drain_graveyard`]
     /// re-routes it at the next settle/period boundary.
     graveyard: Vec<Receiver<Msg>>,
-    /// Barrier rounds [`Runtime::settle`] runs: enough for a tuple to
-    /// traverse the whole topology (with margin), derived from its depth.
+    /// The most counting rounds one [`Runtime::quiesce`] runs on a plane
+    /// that never goes quiet: `2·(depth+1)`, enough for a tuple to
+    /// traverse the whole topology with margin.
     settle_rounds: usize,
+    /// The activity counters of the last complete counting round, sorted
+    /// by node: what the next round confirms a quiet plane against.
+    last_round: Mutex<Option<Vec<Activity>>>,
+    /// Control fan-outs issued so far ([`Runtime::control_fanouts`]).
+    fanouts: AtomicU64,
     /// Inject-side replay log (shared with every [`Injector`]); disabled
     /// until [`Runtime::configure_recovery`].
     replay_log: Arc<ReplayLog>,
@@ -2115,6 +2113,8 @@ impl Runtime {
             inject_dropped: Arc::new(AtomicU64::new(0)),
             graveyard: Vec::new(),
             settle_rounds,
+            last_round: Mutex::new(None),
+            fanouts: AtomicU64::new(0),
             replay_log: Arc::new(ReplayLog::disabled()),
             checkpoint_interval: 0,
             checkpoint_store: CheckpointStore::new(
@@ -2301,35 +2301,29 @@ impl Runtime {
 
     /// Recover chunks that landed in a terminated worker's channel
     /// after its final drain: re-route them to the groups' current
-    /// owners (counting anything undeliverable), and ack any late
-    /// barrier so no quiescer can hang. Called at every settle and
-    /// period boundary; receivers stay parked so arbitrarily late sends
-    /// are still caught next time.
+    /// owners, counting anything undeliverable. Called at every settle
+    /// and period boundary; receivers stay parked so arbitrarily late
+    /// sends are still caught next time.
     fn drain_graveyard(&mut self) {
         for i in 0..self.graveyard.len() {
             while let Ok(msg) = self.graveyard[i].try_recv() {
-                match msg {
-                    Msg::DataChunk(chunk) => {
-                        for (node, c) in rebucket(&chunk, &self.routing) {
-                            let n = c.visible_len() as u64;
-                            if send_gated(
-                                &self.senders,
-                                &self.gauges,
-                                self.cfg.channel_capacity,
-                                WORKER_SEND_PATIENCE,
-                                node,
-                                Msg::DataChunk(c),
-                            )
-                            .is_err()
-                            {
-                                self.inject_dropped.fetch_add(n, Ordering::Relaxed);
-                            }
-                        }
+                let Msg::DataChunk(chunk) = msg else {
+                    continue;
+                };
+                for (node, c) in rebucket(&chunk, &self.routing) {
+                    let n = c.visible_len() as u64;
+                    if send_gated(
+                        &self.senders,
+                        &self.gauges,
+                        self.cfg.channel_capacity,
+                        WORKER_SEND_PATIENCE,
+                        node,
+                        Msg::DataChunk(c),
+                    )
+                    .is_err()
+                    {
+                        self.inject_dropped.fetch_add(n, Ordering::Relaxed);
                     }
-                    Msg::Barrier(ack) => {
-                        let _ = ack.send(());
-                    }
-                    _ => {}
                 }
             }
         }
@@ -2358,14 +2352,9 @@ impl Runtime {
     /// join handle), so sending to it succeeds but is never answered —
     /// every control-plane fan-out must skip corpses or it hangs.
     fn alive_senders(&self) -> Vec<(NodeId, Sender<Msg>)> {
-        let mut alive: Vec<(NodeId, Sender<Msg>)> = self
-            .senders
-            .read()
-            .iter()
-            .map(|(n, s)| (*n, s.clone()))
-            .collect();
-        alive.retain(|(n, _)| self.worker_alive(*n));
-        alive
+        let senders = self.senders.read();
+        let alive = senders.iter().filter(|(n, _)| self.worker_alive(**n));
+        alive.map(|(n, s)| (*n, s.clone())).collect()
     }
 
     /// Collect one reply per involved worker, watching their liveness: a
@@ -2420,69 +2409,103 @@ impl Runtime {
         }
     }
 
-    /// Wait until all workers have drained everything enqueued so far.
-    ///
-    /// One round = a FIFO barrier on every worker; a worker flushes its
-    /// pending outbound batches before acknowledging. Cross-worker
-    /// forwarding re-enqueues tuples, so `rounds` must be at least the
-    /// topology depth (number of operator hops) plus one. Crashed
-    /// workers are skipped — they can never acknowledge a barrier.
-    pub fn quiesce(&self, rounds: usize) {
-        for _ in 0..rounds.max(1) {
-            let (ack_tx, ack_rx) = unbounded();
-            let mut involved = Vec::new();
-            for (node, s) in self.alive_senders() {
-                if s.send(Msg::Barrier(ReplyTo::Chan(ack_tx.clone()))).is_ok() {
-                    involved.push(node);
-                }
-            }
-            drop(ack_tx);
-            let _ = self.gather(&ack_rx, &involved);
-        }
+    /// Send one control message to every live worker (`make` builds it
+    /// around the shared reply handle) and [`Runtime::gather`] the
+    /// replies; returns them and whether every worker reached answered.
+    fn fan_out<T>(&self, mut make: impl FnMut(NodeId, ReplyTo<T>) -> Msg) -> (Vec<T>, bool) {
+        self.fanouts.fetch_add(1, Ordering::Relaxed);
+        let (tx, rx) = unbounded();
+        let involved: Vec<NodeId> = self
+            .alive_senders()
+            .into_iter()
+            .filter(|(node, s)| s.send(make(*node, ReplyTo::Chan(tx.clone()))).is_ok())
+            .map(|(node, _)| node)
+            .collect();
+        drop(tx);
+        let replies = self.gather(&rx, &involved);
+        let complete = replies.len() == involved.len();
+        (replies, complete)
     }
 
-    /// End the current statistics period: flush windows, collect and merge
-    /// worker statistics (including the per-worker pressure signal), and
-    /// return the period snapshot.
+    /// Control fan-outs issued so far, one per message broadcast to every
+    /// live worker (counting round, window flush, statistics collection,
+    /// epoch wave, rollback): a machine-independent control-plane cost.
+    pub fn control_fanouts(&self) -> u64 {
+        self.fanouts.load(Ordering::Relaxed)
+    }
+
+    /// Wait until the data plane is quiet: every data chunk enqueued so
+    /// far processed, everything it emitted too, and no chunk left in any
+    /// queue. Returns the counting rounds it ran: one when the plane was
+    /// already quiet at the previous round, at most `2·(depth+1)` on a
+    /// plane that keeps moving. A round a worker dies in ends the wait
+    /// unconfirmed (the next [`Runtime::recover`] handles the corpse).
+    /// See the module docs, *How the coordinator waits*, for the rule and
+    /// why it is sound.
+    pub fn quiesce(&self) -> usize {
+        for round in 1..=self.settle_rounds {
+            let (acks, complete) = self.fan_out(|_, ack| Msg::Barrier(ack));
+            if self.confirm_quiet(acks, complete) != Some(false) {
+                return round;
+            }
+        }
+        self.settle_rounds
+    }
+
+    /// Fold one counting round into the remembered counters: `Some(true)`
+    /// when they equal the previous complete round's (quiet), `Some(false)`
+    /// when something moved, and `None` for an incomplete round, which
+    /// forgets the previous one: nothing is confirmed past a dead worker.
+    fn confirm_quiet(&self, mut acks: Vec<Activity>, complete: bool) -> Option<bool> {
+        let mut last = self.last_round.lock();
+        if !complete {
+            *last = None;
+            return None;
+        }
+        acks.sort_unstable();
+        let quiet = last.as_ref() == Some(&acks);
+        *last = Some(acks);
+        Some(quiet)
+    }
+
+    /// End the current statistics period: flush windows, settle what
+    /// they emitted, collect and merge worker statistics (including the
+    /// per-worker pressure signal) together with a period-aligned
+    /// checkpoint when one is due, and return the period snapshot.
     pub fn end_period(&mut self) -> PeriodStats {
         // Recover anything a late sender parked in a dead worker's
         // channel before measuring.
         self.drain_graveyard();
-        let senders = self.alive_senders();
-        // Flush windows and wait.
-        let (ack_tx, ack_rx) = unbounded();
-        let mut involved = Vec::new();
-        for (node, s) in &senders {
-            if s.send(Msg::FlushWindows {
-                ack: ReplyTo::Chan(ack_tx.clone()),
-            })
-            .is_ok()
-            {
-                involved.push(*node);
-            }
+        // The flush is a counting round: when the windows emitted nothing
+        // across workers and the plane was quiet, it confirms that.
+        let (acks, complete) = self.fan_out(|_, ack| Msg::FlushWindows { ack });
+        if self.confirm_quiet(acks, complete) != Some(true) {
+            // Window emissions are crossing workers: settle them.
+            self.quiesce();
         }
-        drop(ack_tx);
-        let _ = self.gather(&ack_rx, &involved);
-        // Window emissions may hop across workers: settle them.
-        self.quiesce(3);
 
+        // Period-aligned checkpoint: the data plane is quiesced, so the
+        // states captured with the statistics plus a fresh log are a
+        // consistent cut of the stream. A replay log at its soft
+        // capacity pulls the capture forward to this boundary regardless
+        // of the schedule — overflow forces an early checkpoint instead
+        // of truncating the delta.
+        let period = self.clock.current().index();
+        let due = self.checkpoint_interval > 0
+            && ((period + 1) % self.checkpoint_interval == 0 || self.replay_log.over_capacity());
+        let full = self.checkpoint_store.wants_full();
+        let capture = due.then_some(if full {
+            CheckpointMode::Full
+        } else {
+            CheckpointMode::Incremental
+        });
         // Collect stats, tracking which worker each snapshot came from so
         // the per-node pressure signal survives the merge.
-        let (reply_tx, reply_rx) = unbounded();
-        let mut involved = Vec::new();
-        for (node, s) in &senders {
-            if s.send(Msg::CollectStats {
-                reply: ReplyTo::Chan(reply_tx.clone()),
-            })
-            .is_ok()
-            {
-                involved.push(*node);
-            }
-        }
-        drop(reply_tx);
+        let (replies, complete) = self.fan_out(|_, reply| Msg::CollectStats { capture, reply });
         let mut merged = StatsCollector::new();
         let mut pressure: HashMap<NodeId, NodePressure> = HashMap::new();
-        for (node, c, queue) in self.gather(&reply_rx, &involved) {
+        let mut states: Vec<(u32, Vec<u8>)> = Vec::new();
+        for (node, c, queue, snap) in replies {
             let mut p = NodePressure {
                 ingested: c.ingested,
                 emitted: c.emitted,
@@ -2494,6 +2517,7 @@ impl Runtime {
             }
             pressure.insert(node, p);
             merged.merge(&c);
+            states.extend(snap.into_iter().flatten());
         }
         for (node, gauge) in self.gauges.read().iter() {
             gauge.collect().add_to(pressure.entry(*node).or_default());
@@ -2508,19 +2532,9 @@ impl Runtime {
             PeriodStats::compute(period, &merged, allocation, &self.cluster, &self.cost);
         stats.pressure = pressure;
         let recovery = std::mem::take(&mut self.pending_recovery);
-        // Period-aligned checkpoint: the data plane is quiesced and the
-        // collectors were just drained, so the snapshot plus a fresh log
-        // is a consistent cut of the stream. A replay log at its soft
-        // capacity pulls the capture forward to this boundary regardless
-        // of the schedule — overflow forces an early checkpoint instead
-        // of truncating the delta.
-        let on_schedule = (period.index() + 1) % self.checkpoint_interval.max(1) == 0;
-        let checkpoint_bytes =
-            if self.checkpoint_interval > 0 && (on_schedule || self.replay_log.over_capacity()) {
-                self.capture_checkpoint(period.index())
-            } else {
-                0
-            };
+        let checkpoint_bytes = capture.map_or(0, |_| {
+            self.commit_checkpoint(period.index(), states, full, complete)
+        });
         // Everything injected from here on belongs to the next period —
         // the tag replay uses to rewind stats to the checkpoint.
         self.replay_log.set_period(period.index() + 1);
@@ -2552,41 +2566,29 @@ impl Runtime {
         stats
     }
 
-    /// Capture a checkpoint and reset the replay log — everything up to
-    /// and including `period` is now covered by the store. In incremental
-    /// mode only dirty groups are serialized; returns the captured bytes
+    /// Commit a checkpoint captured by the period's statistics
+    /// collection and reset the replay log — everything up to and
+    /// including `period` is now covered by the store. In incremental
+    /// mode only dirty groups were serialized; returns the captured bytes
     /// for the period record.
     ///
-    /// The capture must be all-or-nothing: if a worker dies mid-snapshot,
-    /// committing the partial cut (and clearing the log that could
-    /// rebuild the missing groups) would silently lose state — so an
-    /// incomplete capture is abandoned, keeping the previous checkpoint
-    /// and the (still-growing) log, and the next period boundary retries
-    /// with a forced full capture (some workers already drained their
-    /// dirty sets into the abandoned cut).
-    fn capture_checkpoint(&mut self, period: u64) -> u64 {
-        let full = self.checkpoint_store.wants_full();
-        let (tx, rx) = unbounded();
-        let mut involved = Vec::new();
-        for (node, s) in self.alive_senders() {
-            if s.send(Msg::SnapshotStates {
-                delta_only: !full,
-                reply: ReplyTo::Chan(tx.clone()),
-            })
-            .is_ok()
-            {
-                involved.push(node);
-            }
-        }
-        drop(tx);
-        let snaps = self.gather(&rx, &involved);
-        if snaps.len() < involved.len() {
+    /// The capture must be all-or-nothing: if a worker died before
+    /// replying (`complete` unset), committing the partial cut (and
+    /// clearing the log that could rebuild the missing groups) would
+    /// silently lose state — so it is abandoned instead, keeping the
+    /// previous checkpoint and the (still-growing) log, and the next
+    /// period boundary retries with a forced full capture (some workers
+    /// already drained their dirty sets into the abandoned cut).
+    fn commit_checkpoint(
+        &mut self,
+        period: u64,
+        mut states: Vec<(u32, Vec<u8>)>,
+        full: bool,
+        complete: bool,
+    ) -> u64 {
+        if !complete {
             self.checkpoint_store.abandon();
             return 0;
-        }
-        let mut states: Vec<(u32, Vec<u8>)> = Vec::new();
-        for (_, snap) in snaps {
-            states.extend(snap);
         }
         states.sort_unstable_by_key(|(g, _)| *g);
         let outcome = self.checkpoint_store.ingest(period, states, full);
@@ -2724,6 +2726,7 @@ impl Runtime {
         let moves: EpochMoves = Arc::new(live.clone());
         let (install_tx, install_rx) = unbounded();
         let (done_tx, done_rx) = unbounded();
+        self.fanouts.fetch_add(1, Ordering::Relaxed);
         let mut involved = Vec::new();
         for (node, s) in &senders {
             if s.send(Msg::EpochBarrier {
@@ -2834,11 +2837,11 @@ impl Runtime {
         let log = Arc::clone(&self.replay_log);
         let _gate = stop_the_world.then(|| log.gate.write());
         if stop_the_world {
-            self.quiesce(self.settle_rounds);
+            self.quiesce();
         }
         let mut report = self.run_wave(&plan.migrations, mode);
         if stop_the_world {
-            self.quiesce(self.settle_rounds);
+            self.quiesce();
         }
         report.added = added;
         for &node in &plan.mark_removal {
@@ -2889,8 +2892,8 @@ impl Runtime {
         }
         // Nothing routes to a drained node any more, but tuples forwarded
         // to it before its last group moved away may still sit in its
-        // inbox; a quiesce round flushes them out to their new owners.
-        self.quiesce(2);
+        // inbox; quiescing flushes them out to their new owners.
+        self.quiesce();
         for &node in &drained {
             // Unpublish first so no worker can clone the sender afterwards.
             let sender = self.senders.write().remove(&node);
@@ -3015,7 +3018,7 @@ impl Runtime {
             }
             // Settle the survivors so no pre-crash tuple is still in
             // flight when the rollback discards and rebuilds state.
-            self.quiesce(self.settle_rounds);
+            self.quiesce();
             let survivors: Vec<NodeId> = self.cluster.alive().map(|n| n.id).collect();
             if survivors.is_empty() {
                 // Total loss: nothing to restore onto. Routing still
@@ -3044,13 +3047,13 @@ impl Runtime {
             // survivors keep their live state and only the dead node's
             // groups restart empty (availability-only recovery).
             if self.checkpoint_interval > 0 {
-                if self.rollback_to_checkpoint().is_err() {
+                if !self.rollback_to_checkpoint() {
                     continue;
                 }
                 let (replayed, truncated) = self.replay_log_entries();
                 report.tuples_replayed = replayed;
                 log_truncated = truncated;
-                self.quiesce(self.settle_rounds);
+                self.quiesce();
             }
         }
         report.checkpoint_period = self.checkpoint_store.period();
@@ -3075,8 +3078,8 @@ impl Runtime {
     /// message carries their ids and the spill directory instead, and
     /// workers fault them in lazily from their files, which is what keeps
     /// rollback cost proportional to the hot set rather than total
-    /// state. Errs with the node if a worker dies mid-rollback.
-    fn rollback_to_checkpoint(&mut self) -> Result<(), NodeId> {
+    /// state. Returns `false` if a worker dies mid-rollback.
+    fn rollback_to_checkpoint(&mut self) -> bool {
         // The rollback also rewinds the period's measurement: counters
         // recorded for work that is about to be discarded and replayed
         // would otherwise double-count (workers clear their collectors in
@@ -3101,34 +3104,13 @@ impl Runtime {
                 .or_default()
                 .push(g);
         }
-        let (ack_tx, ack_rx) = unbounded();
-        let mut involved = Vec::new();
-        for (node, sender) in self.alive_senders() {
-            let states = per_node.remove(&node).unwrap_or_default();
-            let spilled = per_node_spilled.remove(&node).unwrap_or_default();
-            if sender
-                .send(Msg::Rollback {
-                    states,
-                    spilled,
-                    spill_dir: spill_dir.clone(),
-                    ack: ReplyTo::Chan(ack_tx.clone()),
-                })
-                .is_ok()
-            {
-                involved.push(node);
-            }
-        }
-        drop(ack_tx);
-        let acked = self.gather(&ack_rx, &involved).len();
-        if acked < involved.len() {
-            let dead = involved
-                .iter()
-                .find(|&&n| !self.worker_alive(n))
-                .copied()
-                .unwrap_or(involved[0]);
-            return Err(dead);
-        }
-        Ok(())
+        self.fan_out(|node, ack| Msg::Rollback {
+            states: per_node.remove(&node).unwrap_or_default(),
+            spilled: per_node_spilled.remove(&node).unwrap_or_default(),
+            spill_dir: spill_dir.clone(),
+            ack,
+        })
+        .1
     }
 
     /// Re-inject the logged post-checkpoint delta in arrival order,
@@ -3157,7 +3139,7 @@ impl Runtime {
             // Settle the replayed prior-period work, then drop the stats
             // it re-accumulated (worker collectors reset on collection;
             // state sizes survive a reset by design).
-            self.quiesce(self.settle_rounds);
+            self.quiesce();
             self.discard_period_stats();
         }
         self.replay_batches(&entries[split..]);
@@ -3188,19 +3170,10 @@ impl Runtime {
     /// costs survive, exactly as at a real period boundary); dropping the
     /// replies erases the re-measured work of replayed prior periods.
     fn discard_period_stats(&self) {
-        let (tx, rx) = unbounded();
-        let mut involved = Vec::new();
-        for (node, s) in self.alive_senders() {
-            if s.send(Msg::CollectStats {
-                reply: ReplyTo::Chan(tx.clone()),
-            })
-            .is_ok()
-            {
-                involved.push(node);
-            }
-        }
-        drop(tx);
-        let _ = self.gather(&rx, &involved);
+        let _ = self.fan_out(|_, reply| Msg::CollectStats {
+            capture: None,
+            reply,
+        });
         // The inject-edge drop counter also belongs to the discarded
         // re-measurement window.
         self.inject_dropped.store(0, Ordering::Relaxed);
@@ -3240,13 +3213,13 @@ impl Runtime {
 
 impl ReconfigEngine for Runtime {
     /// Quiesce until every tuple injected so far has fully traversed the
-    /// topology (the barrier-round count is derived from its depth).
-    /// Batches recovered from terminated workers' channels re-enter
-    /// routing first, so they are settled and measured like any other
-    /// in-flight tuple.
+    /// topology ([`Runtime::quiesce`]; one round when the plane was
+    /// already quiet). Batches recovered from terminated workers'
+    /// channels re-enter routing first, so they are settled and measured
+    /// like any other in-flight tuple.
     fn settle(&mut self) {
         self.drain_graveyard();
-        self.quiesce(self.settle_rounds);
+        self.quiesce();
     }
 
     fn terminate_drained(&mut self) -> Vec<NodeId> {
@@ -3331,7 +3304,7 @@ mod tests {
             .map(|i| Tuple::keyed(&(i % 10), Value::Int(i), i as u64))
             .collect();
         rt.inject(src, tuples);
-        rt.quiesce(4);
+        rt.quiesce();
         let stats = rt.end_period();
         // 100 tuples at the source + 100 at the counter.
         assert!(
@@ -3364,7 +3337,7 @@ mod tests {
                 src,
                 (0..300).map(|i| Tuple::keyed(&(i % 10), Value::Int(i), i as u64)),
             );
-            rt.quiesce(4);
+            rt.quiesce();
             let stats = rt.end_period();
             assert!(
                 (stats.total_tuples - 600.0).abs() < 1e-9,
@@ -3385,7 +3358,7 @@ mod tests {
             src,
             (0..200).map(|i| Tuple::keyed(&(i % 10), Value::Int(i), i as u64)),
         );
-        rt.quiesce(4);
+        rt.quiesce();
         let stats = rt.end_period();
         assert_eq!(stats.pressure.len(), 3, "one pressure entry per worker");
         let ingested: f64 = stats.pressure.values().map(|p| p.ingested).sum();
@@ -3411,7 +3384,7 @@ mod tests {
             src,
             (0..50).map(|i| Tuple::keyed(&key, Value::Int(i), i as u64)),
         );
-        rt.quiesce(4);
+        rt.quiesce();
         let _ = rt.end_period();
 
         // Move the counter's key group to the other node.
@@ -3437,7 +3410,7 @@ mod tests {
             src,
             (50..60).map(|i| Tuple::keyed(&key, Value::Int(i), i as u64)),
         );
-        rt.quiesce(4);
+        rt.quiesce();
         let bytes = rt.probe_state(kg).expect("state exists on destination");
         let mut arr = [0u8; 8];
         arr.copy_from_slice(&bytes[..8]);
@@ -3469,7 +3442,7 @@ mod tests {
             src,
             (200..300).map(|i| Tuple::keyed(&key, Value::Int(i), i as u64)),
         );
-        rt.quiesce(6);
+        rt.quiesce();
 
         let bytes = rt.probe_state(kg).expect("state present");
         let mut arr = [0u8; 8];
@@ -3491,7 +3464,7 @@ mod tests {
             src,
             (0..50).map(|i| Tuple::keyed(&key, Value::Int(i), i as u64)),
         );
-        rt.quiesce(4);
+        rt.quiesce();
         let _ = rt.end_period();
 
         let kg = rt.topology().group_for_key(cnt, hash_key(&key));
@@ -3515,7 +3488,7 @@ mod tests {
             src,
             (50..60).map(|i| Tuple::keyed(&key, Value::Int(i), i as u64)),
         );
-        rt.quiesce(4);
+        rt.quiesce();
         let bytes = rt.probe_state(kg).expect("state exists on destination");
         let mut arr = [0u8; 8];
         arr.copy_from_slice(&bytes[..8]);
@@ -3550,7 +3523,7 @@ mod tests {
             src,
             (200..300).map(|i| Tuple::keyed(&key, Value::Int(i), i as u64)),
         );
-        rt.quiesce(6);
+        rt.quiesce();
 
         let bytes = rt.probe_state(kg).expect("state present");
         let mut arr = [0u8; 8];
@@ -3582,7 +3555,7 @@ mod tests {
             for k in [k1, k2] {
                 rt.inject(src, (0..20).map(|i| Tuple::keyed(&k, Value::Int(i), 0)));
             }
-            rt.quiesce(4);
+            rt.quiesce();
             let _ = rt.end_period();
             let mut plan = ReconfigPlan::noop();
             for k in [k1, k2] {
@@ -3635,7 +3608,7 @@ mod tests {
                 (chunk * 50..(chunk + 1) * 50).map(|i| Tuple::keyed(&key, Value::Int(i), 0)),
             );
         }
-        rt.quiesce(6);
+        rt.quiesce();
         let kg = rt.topology().group_for_key(cnt, hash_key(&key));
         let bytes = rt.probe_state(kg).expect("state present");
         let mut arr = [0u8; 8];
@@ -3689,7 +3662,7 @@ mod tests {
         assert!(owner == from || owner == to, "routing stays consistent");
         let recovery = rt.recover();
         assert_eq!(recovery.failed, vec![to], "the corpse was recovered");
-        rt.quiesce(4);
+        rt.quiesce();
         assert!(
             rt.cluster().get(to).is_none(),
             "the victim left the cluster"
@@ -3701,7 +3674,7 @@ mod tests {
     fn stats_reset_between_periods() {
         let (mut rt, src, _) = two_op_runtime(1);
         rt.inject(src, (0..10).map(|i| Tuple::keyed(&i, Value::Int(i), 0)));
-        rt.quiesce(4);
+        rt.quiesce();
         let s1 = rt.end_period();
         assert!(s1.total_tuples > 0.0);
         let s2 = rt.end_period();
@@ -3721,7 +3694,7 @@ mod tests {
     fn end_period_records_history() {
         let (mut rt, src, _) = two_op_runtime(2);
         rt.inject(src, (0..20).map(|i| Tuple::keyed(&i, Value::Int(i), 0)));
-        rt.quiesce(4);
+        rt.quiesce();
         rt.end_period();
         rt.end_period();
         assert_eq!(rt.history().len(), 2);
@@ -3742,7 +3715,7 @@ mod tests {
             src,
             (0..40).map(|i| Tuple::keyed(&(i % 8), Value::Int(i), i as u64)),
         );
-        rt.quiesce(4);
+        rt.quiesce();
         rt.end_period();
 
         // Scale out by one node and move half the counter's groups there —
@@ -3772,7 +3745,7 @@ mod tests {
             src,
             (0..40).map(|i| Tuple::keyed(&(i % 8), Value::Int(i), i as u64)),
         );
-        rt.quiesce(4);
+        rt.quiesce();
         let stats = rt.end_period();
         assert!(stats.load_of(new_id) > 0.0, "new node must carry load");
         rt.shutdown();
@@ -3785,7 +3758,7 @@ mod tests {
             src,
             (0..60).map(|i| Tuple::keyed(&(i % 8), Value::Int(i), i as u64)),
         );
-        rt.quiesce(4);
+        rt.quiesce();
         rt.end_period();
 
         // Mark node 1, drain it with real migrations, then terminate.
@@ -3821,7 +3794,7 @@ mod tests {
             src,
             (0..30).map(|i| Tuple::keyed(&(i % 8), Value::Int(i), i as u64)),
         );
-        rt.quiesce(4);
+        rt.quiesce();
         let stats = rt.end_period();
         assert!((stats.total_tuples - 60.0).abs() < 1e-9, "30 src + 30 cnt");
         rt.shutdown();
@@ -3912,7 +3885,7 @@ mod tests {
             src,
             (0..40).map(|i| Tuple::keyed(&key, Value::Int(i), i as u64)),
         );
-        rt.quiesce(4);
+        rt.quiesce();
         rt.end_period();
 
         let kg = rt.topology().group_for_key(cnt, hash_key(&key));
@@ -3970,7 +3943,7 @@ mod tests {
             src,
             (0..10).map(|i| Tuple::keyed(&key, Value::Int(i), i as u64)),
         );
-        rt.quiesce(2);
+        rt.quiesce();
         let stats = rt.end_period();
         assert!(
             stats.dropped_tuples >= 10.0,
@@ -4025,7 +3998,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        rt.quiesce(4);
+        rt.quiesce();
         let stats = rt.end_period();
         let expected = (threads * per_thread * 2) as f64; // src + cnt
         assert!(
@@ -4071,7 +4044,7 @@ mod tests {
 
         let key = 1i32;
         rt.inject(op, (0..5).map(|i| Tuple::keyed(&key, Value::Int(i), 0)));
-        rt.quiesce(2);
+        rt.quiesce();
         let kg = rt.topology().group_for_key(op, hash_key(&key));
         let stats = rt.end_period();
         assert_eq!(stats.group_state_bytes[kg.index()], 5.0);
@@ -4084,7 +4057,7 @@ mod tests {
             to: NodeId::new(1),
         }]);
         rt.inject(op, (0..3).map(|i| Tuple::keyed(&key, Value::Int(i), 1)));
-        rt.quiesce(2);
+        rt.quiesce();
         let stats = rt.end_period();
         assert_eq!(
             stats.group_state_bytes[kg.index()],
@@ -4117,13 +4090,13 @@ mod tests {
             src,
             (0..50).map(|i| Tuple::keyed(&key, Value::Int(i), i as u64)),
         );
-        rt.quiesce(4);
+        rt.quiesce();
         let _ = rt.end_period(); // checkpoint covers the 50
         rt.inject(
             src,
             (50..80).map(|i| Tuple::keyed(&key, Value::Int(i), i as u64)),
         );
-        rt.quiesce(4);
+        rt.quiesce();
 
         // Kill the worker hosting the counter group: its state (80) dies
         // with it.
@@ -4150,7 +4123,7 @@ mod tests {
             src,
             (80..100).map(|i| Tuple::keyed(&key, Value::Int(i), i as u64)),
         );
-        rt.quiesce(4);
+        rt.quiesce();
         let stats = rt.end_period();
         assert_eq!(stats.dropped_tuples, 0.0);
         assert_eq!(count_of(&rt, kg), 100);
@@ -4170,7 +4143,7 @@ mod tests {
             src,
             (0..40).map(|i| Tuple::keyed(&key, Value::Int(i), i as u64)),
         );
-        rt.quiesce(4);
+        rt.quiesce();
         let kg = rt.topology().group_for_key(cnt, hash_key(&key));
         let victim = rt.routing_snapshot().node_of(kg);
         assert!(rt.inject_fault(victim));
@@ -4184,7 +4157,7 @@ mod tests {
             src,
             (0..5).map(|i| Tuple::keyed(&key, Value::Int(i), i as u64)),
         );
-        rt.quiesce(4);
+        rt.quiesce();
         assert_eq!(count_of(&rt, kg), 5, "counter restarted from empty");
         rt.shutdown();
     }
@@ -4205,7 +4178,7 @@ mod tests {
             src,
             (0..hard + 20).map(|i| Tuple::keyed(&(i % 4), Value::Int(i), i as u64)),
         );
-        rt.quiesce(4);
+        rt.quiesce();
         assert!(rt.inject_fault(NodeId::new(1)));
         let report = rt.recover();
         assert_eq!(report.tuples_replayed, hard as u64);
@@ -4230,7 +4203,7 @@ mod tests {
             src,
             (0..40).map(|i| Tuple::keyed(&(i % 8), Value::Int(i), i as u64)),
         );
-        rt.quiesce(4);
+        rt.quiesce();
         rt.end_period();
 
         // Mark node 1 and drain it — a legitimate scale-in in progress.
@@ -4272,7 +4245,7 @@ mod tests {
             src,
             (0..20).map(|i| Tuple::keyed(&key, Value::Int(i), i as u64)),
         );
-        rt.quiesce(4);
+        rt.quiesce();
         let kg = rt.topology().group_for_key(cnt, hash_key(&key));
         let from = rt.routing_snapshot().node_of(kg);
         let to = if from == NodeId::new(0) {
@@ -4299,7 +4272,7 @@ mod tests {
     fn migration_to_unknown_node_is_surfaced() {
         let (mut rt, src, cnt) = two_op_runtime(2);
         rt.inject(src, (0..10).map(|i| Tuple::keyed(&1, Value::Int(i), 0)));
-        rt.quiesce(4);
+        rt.quiesce();
         let kg = rt.topology().group_for_key(cnt, hash_key(&1));
         let report = rt.migrate(&[Migration {
             group: kg,
@@ -4480,6 +4453,7 @@ mod tests {
     fn a_control_message_sees_exactly_the_data_queued_ahead_of_it() {
         let (tx, rx) = unbounded();
         let collect = || Msg::CollectStats {
+            capture: None,
             reply: ReplyTo::Chan(tx.clone()),
         };
         let mut msgs: Vec<Msg> = (0..3).map(|_| Msg::DataChunk(chunk_of(2))).collect();
@@ -4503,6 +4477,7 @@ mod tests {
 
         let (reply_tx, reply_rx) = unbounded();
         let collect = || Msg::CollectStats {
+            capture: None,
             reply: ReplyTo::Chan(reply_tx.clone()),
         };
         // A backlog queued before the daemon's worker runs.
@@ -4511,7 +4486,7 @@ mod tests {
         let (sock, _peer) = UnixStream::pair().unwrap();
         run_lone_worker(msgs, Some(WireOut::new(Conn::Uds(sock), false)));
 
-        let (from, stats, queue) = reply_rx.recv().unwrap();
+        let (from, stats, queue, _) = reply_rx.recv().unwrap();
         assert_eq!(from, NodeId::new(0));
         assert_eq!(stats.ingested, 5.0, "the whole backlog was dequeued");
         let sample = queue.expect("a daemon ships its gauge");
@@ -4523,7 +4498,7 @@ mod tests {
                 overflow: 0
             }
         );
-        let (_, _, again) = reply_rx.recv().unwrap();
+        let (_, _, again, _) = reply_rx.recv().unwrap();
         assert_eq!(
             again,
             Some(QueueSample::default()),
@@ -4551,16 +4526,174 @@ mod tests {
     fn in_process_stats_replies_carry_no_gauge() {
         let (rt, src, _) = two_op_runtime(2);
         rt.inject(src, (0..20).map(|i| Tuple::keyed(&i, Value::Int(i), 0)));
-        rt.quiesce(4);
+        rt.quiesce();
         let (tx, rx) = unbounded();
         for s in rt.senders.read().values() {
             let reply = ReplyTo::Chan(tx.clone());
-            assert!(s.send(Msg::CollectStats { reply }).is_ok());
+            let capture = None;
+            assert!(s.send(Msg::CollectStats { capture, reply }).is_ok());
         }
         for _ in 0..2 {
-            let (_, _, queue) = rx.recv().unwrap();
+            let (_, _, queue, _) = rx.recv().unwrap();
             assert_eq!(queue, None);
         }
         rt.shutdown();
+    }
+
+    /// An identity operator that sleeps before forwarding each tuple, so
+    /// data stays in flight across several counting rounds.
+    #[derive(Debug)]
+    struct Sleepy;
+
+    impl crate::operator::Operator for Sleepy {
+        fn name(&self) -> &str {
+            "sleepy"
+        }
+        fn new_state(&self) -> StateBox {
+            Box::new(())
+        }
+        fn serialize_state(&self, _state: &StateBox) -> Vec<u8> {
+            Vec::new()
+        }
+        fn deserialize_state(&self, _bytes: &[u8]) -> StateBox {
+            Box::new(())
+        }
+        fn process(&self, tuple: &Tuple, _state: &mut StateBox, out: &mut Emissions) {
+            std::thread::sleep(Duration::from_micros(200));
+            out.emit(tuple.clone());
+        }
+    }
+
+    /// A runtime over `ops` chained in order (the first is the source),
+    /// with every group of operator `i` on node `placement[i]`.
+    fn chain_runtime(
+        ops: Vec<Arc<dyn crate::operator::Operator>>,
+        placement: &[u32],
+        nodes: usize,
+    ) -> (Runtime, Vec<OperatorId>) {
+        let mut b = TopologyBuilder::new();
+        let mut ids = Vec::new();
+        for (i, logic) in ops.into_iter().enumerate() {
+            let name = format!("op{i}");
+            let id = match i {
+                0 => b.source(&name, 4, logic),
+                _ => b.operator(&name, 4, logic),
+            };
+            if let Some(&prev) = ids.last() {
+                b.edge(prev, id);
+            }
+            ids.push(id);
+        }
+        let topology = b.build().unwrap();
+        let assignment = placement
+            .iter()
+            .flat_map(|&n| [NodeId::new(n); 4])
+            .collect();
+        let routing = RoutingTable::from_assignment(assignment);
+        let cluster = Cluster::homogeneous(nodes);
+        let rt = Runtime::start(topology, cluster, routing, CostModel::default());
+        (rt, ids)
+    }
+
+    /// Sum of a `Counting` operator's states over all of its groups.
+    fn total_count(rt: &Runtime, op: OperatorId) -> u64 {
+        rt.topology()
+            .groups_of(op)
+            .map(|g| count_of(rt, KeyGroupId::new(g)))
+            .sum()
+    }
+
+    #[test]
+    fn counting_quiesce_confirms_an_idle_plane_in_one_round() {
+        within(Duration::from_secs(20), || {
+            let (mut rt, src, _) = two_op_runtime(2);
+            rt.inject(src, (0..50).map(|i| Tuple::keyed(&i, Value::Int(i), 0)));
+            assert!(rt.quiesce() >= 2, "moving counters cannot confirm quiet");
+            assert_eq!(rt.quiesce(), 1, "already quiet: one round confirms it");
+            let before = rt.control_fanouts();
+            ReconfigEngine::settle(&mut rt);
+            assert_eq!(rt.control_fanouts() - before, 1);
+            rt.shutdown();
+        });
+    }
+
+    #[test]
+    fn counting_quiesce_makes_an_idle_period_boundary_a_flush_and_a_collection() {
+        within(Duration::from_secs(20), || {
+            for checkpoint in [
+                None,
+                Some(CheckpointMode::Full),
+                Some(CheckpointMode::Incremental),
+            ] {
+                let (mut rt, src, _) = two_op_runtime(2);
+                if let Some(mode) = checkpoint {
+                    rt.configure_recovery(1, DEFAULT_REPLAY_LOG_CAPACITY);
+                    rt.configure_checkpointing(mode, None).unwrap();
+                }
+                for _ in 0..3 {
+                    rt.inject(src, (0..50).map(|i| Tuple::keyed(&i, Value::Int(i), 0)));
+                    ReconfigEngine::settle(&mut rt);
+                    let before = rt.control_fanouts();
+                    ReconfigEngine::settle(&mut rt);
+                    let stats = rt.end_period();
+                    assert_eq!(
+                        rt.control_fanouts() - before,
+                        3,
+                        "{checkpoint:?}: one confirming round, one flush, one collection"
+                    );
+                    assert_eq!(stats.total_tuples, 100.0, "{checkpoint:?}");
+                    let captured = rt.history().last().unwrap().checkpoint_bytes;
+                    assert_eq!(captured > 0, checkpoint.is_some(), "{checkpoint:?}");
+                }
+                rt.shutdown();
+            }
+        });
+    }
+
+    #[test]
+    fn counting_quiesce_waits_out_a_deep_chain_within_its_round_bound() {
+        within(Duration::from_secs(30), || {
+            // src(0) → sleepy(1) → sleepy(0) → count(1): every hop crosses.
+            let ops: Vec<Arc<dyn crate::operator::Operator>> = vec![
+                Arc::new(Identity),
+                Arc::new(Sleepy),
+                Arc::new(Sleepy),
+                Arc::new(Counting),
+            ];
+            let (rt, ids) = chain_runtime(ops, &[0, 1, 0, 1], 2);
+            assert_eq!(rt.topology().depth(), 3);
+            rt.quiesce();
+            assert_eq!(rt.quiesce(), 1);
+            rt.inject(ids[0], (0..40).map(|i| Tuple::keyed(&i, Value::Int(i), 0)));
+            let rounds = rt.quiesce();
+            assert!(rounds > 1, "data in flight needs more than one round");
+            assert!(rounds <= rt.settle_rounds, "{rounds} rounds");
+            assert_eq!(total_count(&rt, ids[3]), 40, "quiet means fully processed");
+            assert_eq!(rt.quiesce(), 1);
+            rt.shutdown();
+        });
+    }
+
+    #[test]
+    fn counting_quiesce_ends_unconfirmed_when_a_worker_dies_mid_round() {
+        within(Duration::from_secs(30), || {
+            // The source sits on node 1 and takes ~50 ms for the batch,
+            // so node 1 is alive when the round's barrier reaches it —
+            // queued behind a crash it never answers.
+            let ops: Vec<Arc<dyn crate::operator::Operator>> =
+                vec![Arc::new(Sleepy), Arc::new(Counting)];
+            let (mut rt, ids) = chain_runtime(ops, &[1, 0], 2);
+            rt.quiesce();
+            rt.inject(ids[0], (0..250).map(|i| Tuple::keyed(&i, Value::Int(i), 0)));
+            let victim = rt.senders.read().get(&NodeId::new(1)).cloned().unwrap();
+            assert!(victim.send(Msg::Crash).is_ok());
+            assert_eq!(rt.quiesce(), 1, "the broken round ends the wait");
+            assert!(rt.last_round.lock().is_none(), "nothing is remembered");
+            // The survivor alone: no baseline, so one round cannot confirm.
+            assert_eq!(rt.quiesce(), 2);
+            assert_eq!(rt.quiesce(), 1);
+            assert_eq!(rt.recover().failed, vec![NodeId::new(1)]);
+            rt.shutdown();
+        });
     }
 }

@@ -220,10 +220,10 @@ pub trait ReconfigEngine {
     /// Settle all in-flight work so a following
     /// [`end_period`](ReconfigEngine::end_period) measures everything
     /// submitted so far. The simulator has no in-flight work (the default
-    /// no-op); the threaded runtime runs enough quiesce barrier rounds for
-    /// a tuple to traverse the whole topology. Controllers call this at
-    /// the top of every adaptation round, so drivers no longer hand-tune
-    /// quiesce depths.
+    /// no-op); the threaded runtime runs counting barrier rounds until
+    /// its workers' activity counters confirm the data plane quiet.
+    /// Controllers call this at the top of every adaptation round, so
+    /// drivers never hand-tune quiesce depths.
     fn settle(&mut self) {}
 
     /// Release every marked node whose key groups have all been drained

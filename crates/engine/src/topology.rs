@@ -268,7 +268,7 @@ impl Topology {
     /// Number of stream hops on the longest operator chain (0 for a single
     /// operator). The topology is a DAG, so this is the longest-path length
     /// — the number of forwarding rounds a tuple needs to traverse the job,
-    /// which the threaded runtime uses to size its quiesce barriers.
+    /// which bounds the threaded runtime's quiesce rounds.
     pub fn depth(&self) -> usize {
         let n = self.operators.len();
         let mut depth = vec![0usize; n];

@@ -28,17 +28,23 @@ use albic_types::{KeyGroupId, NodeId, OperatorId};
 use super::lz4;
 use super::net::Conn;
 use super::session::{ReconnectPolicy, RecvSequencer, SendSequencer, SeqVerdict, SEND_QUEUE_LIMIT};
+use crate::checkpoint::CheckpointMode;
 use crate::chunk::StreamChunk;
 use crate::codec::{DecodeError, Found, Reader, Writer};
-use crate::runtime::{InstallReply, Msg, QueueSample, ReplyTo, RuntimeConfig, StatsReply};
+use crate::runtime::{
+    Activity, InstallReply, Msg, QueueSample, ReplyTo, RuntimeConfig, StatsReply,
+};
 use crate::stats::StatsCollector;
 
-/// Handshake magic ("ALBIC_W4"): rejects a stray client that is not an
+/// Handshake magic ("ALBIC_W5"): rejects a stray client that is not an
 /// albic worker speaking this protocol revision (revision 2 added
 /// sessions, join tokens, and compressed state blobs; revision 3 dropped
 /// the row-batch message and the `INIT` data-plane field; revision 4
-/// added the daemon's inbox gauge to the statistics reply).
-pub(crate) const WIRE_MAGIC: u64 = 0x414c_4249_435f_5734;
+/// added the daemon's inbox gauge to the statistics reply; revision 5
+/// made barrier and window-flush acks carry the worker's activity
+/// counter and folded the checkpoint capture into the statistics
+/// collection, retiring message tag 12).
+pub(crate) const WIRE_MAGIC: u64 = 0x414c_4249_435f_5735;
 
 /// Worker → controller: identity announcement + join token, first frame
 /// on a fresh connection.
@@ -550,6 +556,16 @@ impl ReplyPayload for () {
     }
 }
 
+impl ReplyPayload for Activity {
+    fn encode_payload(&self, w: &mut Writer, _compress: bool) {
+        w.put_u64(self.0.raw() as u64);
+        w.put_u64(self.1);
+    }
+    fn decode_payload(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok((NodeId::new(r.get_u64()? as u32), r.get_u64()?))
+    }
+}
+
 impl ReplyPayload for NodeId {
     fn encode_payload(&self, w: &mut Writer, _compress: bool) {
         w.put_u64(self.raw() as u64);
@@ -595,7 +611,7 @@ impl ReplyPayload for (KeyGroupId, InstallReply) {
 }
 
 impl ReplyPayload for StatsReply {
-    fn encode_payload(&self, w: &mut Writer, _compress: bool) {
+    fn encode_payload(&self, w: &mut Writer, compress: bool) {
         w.put_u64(self.0.raw() as u64);
         encode_stats(&self.1, w);
         match self.2 {
@@ -607,26 +623,43 @@ impl ReplyPayload for StatsReply {
                 w.put_u64(q.overflow);
             }
         }
+        match &self.3 {
+            None => w.put_u64(0),
+            Some(states) => {
+                w.put_u64(1);
+                encode_states(states, w, compress);
+            }
+        }
     }
     fn decode_payload(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let node = NodeId::new(r.get_u64()? as u32);
         let stats = decode_stats(r)?;
-        let queue = match r.get_u64()? {
-            0 => None,
-            1 => Some(QueueSample {
+        let queue = match get_option_tag(r)? {
+            false => None,
+            true => Some(QueueSample {
                 depth: r.get_u64()? as usize,
                 peak: r.get_u64()? as usize,
                 overflow: r.get_u64()?,
             }),
-            tag => {
-                return Err(DecodeError::new(
-                    r.offset(),
-                    "option tag 0..=1",
-                    Found::Length(tag),
-                ))
-            }
         };
-        Ok((node, stats, queue))
+        let states = match get_option_tag(r)? {
+            false => None,
+            true => Some(decode_states(r)?),
+        };
+        Ok((node, stats, queue, states))
+    }
+}
+
+/// An `Option` presence tag: 0 or 1, anything else fails closed.
+fn get_option_tag(r: &mut Reader<'_>) -> Result<bool, DecodeError> {
+    match r.get_u64()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        tag => Err(DecodeError::new(
+            r.offset(),
+            "option tag 0..=1",
+            Found::Length(tag),
+        )),
     }
 }
 
@@ -641,26 +674,10 @@ impl ReplyPayload for Option<Vec<u8>> {
         }
     }
     fn decode_payload(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match r.get_u64()? {
-            0 => Ok(None),
-            1 => Ok(Some(get_byte_vec(r)?)),
-            tag => Err(DecodeError::new(
-                r.offset(),
-                "option tag 0..=1",
-                Found::Length(tag),
-            )),
-        }
-    }
-}
-
-impl ReplyPayload for (NodeId, Vec<(u32, Vec<u8>)>) {
-    fn encode_payload(&self, w: &mut Writer, compress: bool) {
-        w.put_u64(self.0.raw() as u64);
-        encode_states(&self.1, w, compress);
-    }
-    fn decode_payload(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let node = NodeId::new(r.get_u64()? as u32);
-        Ok((node, decode_states(r)?))
+        Ok(match get_option_tag(r)? {
+            false => None,
+            true => Some(get_byte_vec(r)?),
+        })
     }
 }
 
@@ -696,11 +713,11 @@ impl<T: ReplyPayload> ReplyTo<T> {
 #[derive(Clone)]
 pub(crate) enum Pending {
     Ack(Sender<()>),
+    Activity(Sender<Activity>),
     Install(Sender<(KeyGroupId, InstallReply)>),
     EpochDone(Sender<NodeId>),
     Stats(Sender<StatsReply>),
     Probe(Sender<Option<Vec<u8>>>),
-    Snapshot(Sender<(NodeId, Vec<(u32, Vec<u8>)>)>),
 }
 
 impl Pending {
@@ -714,11 +731,11 @@ impl Pending {
         }
         match self {
             Pending::Ack(tx) => deliver(tx, r),
+            Pending::Activity(tx) => deliver(tx, r),
             Pending::Install(tx) => deliver(tx, r),
             Pending::EpochDone(tx) => deliver(tx, r),
             Pending::Stats(tx) => deliver(tx, r),
             Pending::Probe(tx) => deliver(tx, r),
-            Pending::Snapshot(tx) => deliver(tx, r),
         }
     }
 }
@@ -1030,25 +1047,25 @@ pub(crate) fn encode_msg(
         }
         Msg::Barrier(ack) => {
             w.put_u64(8);
-            w.put_u64(reply_id(ack, reg, Pending::Ack));
+            w.put_u64(reply_id(ack, reg, Pending::Activity));
         }
         Msg::FlushWindows { ack } => {
             w.put_u64(9);
-            w.put_u64(reply_id(ack, reg, Pending::Ack));
+            w.put_u64(reply_id(ack, reg, Pending::Activity));
         }
-        Msg::CollectStats { reply } => {
+        Msg::CollectStats { capture, reply } => {
             w.put_u64(10);
+            w.put_u64(match capture {
+                None => 0,
+                Some(CheckpointMode::Full) => 1,
+                Some(CheckpointMode::Incremental) => 2,
+            });
             w.put_u64(reply_id(reply, reg, Pending::Stats));
         }
         Msg::ProbeState { kg, reply } => {
             w.put_u64(11);
             w.put_u64(kg.raw() as u64);
             w.put_u64(reply_id(reply, reg, Pending::Probe));
-        }
-        Msg::SnapshotStates { delta_only, reply } => {
-            w.put_u64(12);
-            w.put_u64(u64::from(*delta_only));
-            w.put_u64(reply_id(reply, reg, Pending::Snapshot));
         }
         Msg::Rollback {
             states,
@@ -1155,14 +1172,22 @@ pub(crate) fn decode_msg(r: &mut Reader<'_>, out: Option<&WireOut>) -> Result<Ms
             ack: wire_reply(r, out)?,
         },
         10 => Msg::CollectStats {
+            capture: match r.get_u64()? {
+                0 => None,
+                1 => Some(CheckpointMode::Full),
+                2 => Some(CheckpointMode::Incremental),
+                tag => {
+                    return Err(DecodeError::new(
+                        r.offset(),
+                        "capture tag 0..=2",
+                        Found::Length(tag),
+                    ))
+                }
+            },
             reply: wire_reply(r, out)?,
         },
         11 => Msg::ProbeState {
             kg: KeyGroupId::new(r.get_u64()? as u32),
-            reply: wire_reply(r, out)?,
-        },
-        12 => Msg::SnapshotStates {
-            delta_only: r.get_u64()? != 0,
             reply: wire_reply(r, out)?,
         },
         13 => {
@@ -1209,7 +1234,7 @@ pub(crate) fn decode_msg(r: &mut Reader<'_>, out: Option<&WireOut>) -> Result<Ms
         tag => {
             return Err(DecodeError::new(
                 at,
-                "message tag 1..=3 or 5..=17",
+                "message tag 1..=3, 5..=11 or 13..=17",
                 Found::Length(tag),
             ))
         }
@@ -1425,11 +1450,11 @@ mod tests {
     use crate::tuple::Value;
     use std::time::Duration;
 
-    /// Message tag 0 once carried row batches and tag 4 a per-move
-    /// `Extract`; neither frame exists any more. A `MSG` or `FORWARD`
-    /// body bearing either — here shaped like a well-formed message of
-    /// the old layout — must fail at the tag with a typed error instead
-    /// of being parsed.
+    /// Message tag 0 once carried row batches, tag 4 a per-move
+    /// `Extract` and tag 12 a separate checkpoint snapshot request; none
+    /// of these frames exists any more. A `MSG` or `FORWARD` body bearing
+    /// one — here shaped like a well-formed message of the old layout —
+    /// must fail at the tag with a typed error instead of being parsed.
     #[test]
     fn message_tag_zero_is_rejected_with_a_typed_decode_error() {
         let mut row_batch = Writer::new();
@@ -1445,7 +1470,15 @@ mod tests {
         extract.put_u64(3); // key group
         extract.put_u64(1); // destination node
         extract.put_u64(9); // reply id
-        for (tag, body) in [(0, row_batch.into_bytes()), (4, extract.into_bytes())] {
+        let mut snapshot = Writer::new();
+        snapshot.put_u64(12); // tag
+        snapshot.put_u64(1); // delta only
+        snapshot.put_u64(9); // reply id
+        for (tag, body) in [
+            (0, row_batch.into_bytes()),
+            (4, extract.into_bytes()),
+            (12, snapshot.into_bytes()),
+        ] {
             let mut forward = Writer::new();
             forward.put_u64(2); // destination node
             forward.put_bytes(&body);
@@ -1468,7 +1501,7 @@ mod tests {
                     panic!("frame kind {kind}: tag {tag} decoded as a message");
                 };
                 assert_eq!(err.offset, at, "frame kind {kind}, tag {tag}");
-                assert_eq!(err.expected, "message tag 1..=3 or 5..=17");
+                assert_eq!(err.expected, "message tag 1..=3, 5..=11 or 13..=17");
                 assert!(matches!(err.found, Found::Length(t) if t == tag), "{err}");
             }
         }
@@ -1547,12 +1580,14 @@ mod tests {
             overflow: 2,
         };
         for queue in [Some(gauge), None] {
-            let reply: StatsReply = (NodeId::new(2), stats.clone(), queue);
+            let reply: StatsReply = (NodeId::new(2), stats.clone(), queue, None);
             let mut w = Writer::new();
             reply.encode_payload(&mut w, false);
             let bytes = w.into_bytes();
             let mut r = Reader::new(&bytes);
-            let (node, back, back_queue) = StatsReply::decode_payload(&mut r).expect("decode");
+            let (node, back, back_queue, states) =
+                StatsReply::decode_payload(&mut r).expect("decode");
+            assert_eq!(states, None);
             assert!(r.is_done(), "{} trailing bytes", r.remaining());
             assert_eq!(node, NodeId::new(2));
             assert_eq!(back_queue, queue);
@@ -1563,5 +1598,135 @@ mod tests {
             assert_eq!(back.tuples_in, stats.tuples_in);
             assert_eq!(back.out_matrix, stats.out_matrix);
         }
+    }
+
+    /// A statistics reply carries the checkpoint states the collection
+    /// asked for — compressed or not, an empty capture included — and a
+    /// collection that asked for none carries none.
+    #[test]
+    fn stats_reply_round_trips_with_and_without_snapshot_states() {
+        let big = (0..200u8).map(|i| i % 4).collect::<Vec<u8>>();
+        for states in [None, Some(vec![]), Some(vec![(3, vec![1, 2]), (9, big)])] {
+            for compress in [false, true] {
+                let reply: StatsReply =
+                    (NodeId::new(1), StatsCollector::new(), None, states.clone());
+                let mut w = Writer::new();
+                reply.encode_payload(&mut w, compress);
+                let bytes = w.into_bytes();
+                let mut r = Reader::new(&bytes);
+                let back = StatsReply::decode_payload(&mut r).expect("decode");
+                assert!(r.is_done(), "{} trailing bytes", r.remaining());
+                assert_eq!((back.0, back.3), (NodeId::new(1), states.clone()));
+            }
+        }
+        // A presence tag other than 0 or 1 fails closed.
+        let mut w = Writer::new();
+        (NodeId::new(1), StatsCollector::new(), None, None).encode_payload(&mut w, false);
+        let mut bytes = w.into_bytes();
+        *bytes.last_mut().unwrap() = 7;
+        let err = StatsReply::decode_payload(&mut Reader::new(&bytes)).unwrap_err();
+        assert_eq!(err.expected, "option tag 0..=1");
+    }
+
+    /// Encode `msg` as the controller does (parking its reply channel in
+    /// `correlator`) and decode it as the daemon does.
+    fn over_the_wire(msg: &Msg, correlator: &Correlator) -> Msg {
+        let mut w = Writer::new();
+        encode_msg(msg, &mut w, false, &mut |p| correlator.register(p));
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        let back = decode_msg(&mut r, None).expect("decode");
+        assert!(r.is_done(), "{} trailing bytes", r.remaining());
+        back
+    }
+
+    /// The reply id a decoded message carries.
+    fn wire_id<T>(reply: &ReplyTo<T>) -> u64 {
+        match reply {
+            ReplyTo::Wire { id, .. } => *id,
+            ReplyTo::Chan(_) => panic!("a decoded reply handle is a wire id"),
+        }
+    }
+
+    /// `Barrier` and `FlushWindows` acks carry `(node, activity)`: the
+    /// controller parks an activity channel for them, and the daemon's
+    /// `REPLY` payload resolves it with both fields intact.
+    #[test]
+    fn barrier_and_flush_acks_round_trip_the_activity_counter() {
+        let correlator = Correlator::new();
+        let (tx, rx) = crossbeam::channel::unbounded();
+        let msgs = [
+            Msg::Barrier(ReplyTo::Chan(tx.clone())),
+            Msg::FlushWindows {
+                ack: ReplyTo::Chan(tx),
+            },
+        ];
+        for (i, msg) in msgs.iter().enumerate() {
+            let id = match over_the_wire(msg, &correlator) {
+                Msg::Barrier(ack) | Msg::FlushWindows { ack } => wire_id(&ack),
+                _ => panic!("message {i} changed kind on the wire"),
+            };
+            let ack: Activity = (NodeId::new(3), u64::MAX - i as u64);
+            let mut w = Writer::new();
+            ack.encode_payload(&mut w, false);
+            let bytes = w.into_bytes();
+            correlator.fire(id, &mut Reader::new(&bytes)).expect("fire");
+            assert_eq!(rx.try_recv(), Ok(ack));
+        }
+    }
+
+    /// The checkpoint request rides on `CollectStats`: none, a full or an
+    /// incremental capture, each surviving the trip; an unknown capture
+    /// tag fails closed.
+    #[test]
+    fn collect_stats_carries_the_capture_request() {
+        let correlator = Correlator::new();
+        let (tx, _rx) = crossbeam::channel::unbounded();
+        for capture in [
+            None,
+            Some(CheckpointMode::Full),
+            Some(CheckpointMode::Incremental),
+        ] {
+            let reply = ReplyTo::Chan(tx.clone());
+            match over_the_wire(&Msg::CollectStats { capture, reply }, &correlator) {
+                Msg::CollectStats { capture: back, .. } => assert_eq!(back, capture),
+                _ => panic!("not a statistics collection"),
+            }
+        }
+        let mut w = Writer::new();
+        for word in [10, 3, 1] {
+            w.put_u64(word);
+        }
+        let Err(err) = decode_msg(&mut Reader::new(&w.into_bytes()), None) else {
+            panic!("capture tag 3 decoded");
+        };
+        assert_eq!(err.expected, "capture tag 0..=2");
+    }
+
+    /// A worker of the previous protocol revision (`ALBIC_W4`) is turned
+    /// away at `HELLO` and at `RESUME`: its barrier acks and statistics
+    /// replies have a different layout.
+    #[test]
+    fn an_albic_w4_handshake_is_rejected() {
+        let w4 = u64::from_be_bytes(*b"ALBIC_W4");
+        assert_eq!(WIRE_MAGIC, u64::from_be_bytes(*b"ALBIC_W5"));
+        let mut hello = encode_hello(NodeId::new(1), "token");
+        hello[..8].copy_from_slice(&w4.to_le_bytes());
+        let err = decode_hello(&mut Reader::new(&hello)).unwrap_err();
+        assert_eq!(err.expected, "wire magic");
+        assert!(matches!(err.found, Found::Length(m) if m == w4), "{err}");
+        let mut resume = encode_resume(&ResumeMsg {
+            node: NodeId::new(1),
+            token: "token".into(),
+            delivered: 0,
+            routing_version: 0,
+        });
+        resume[..8].copy_from_slice(&w4.to_le_bytes());
+        assert!(decode_resume(&mut Reader::new(&resume)).is_err());
+        let current = encode_hello(NodeId::new(1), "token");
+        assert_eq!(
+            decode_hello(&mut Reader::new(&current)).unwrap(),
+            (NodeId::new(1), "token".to_string())
+        );
     }
 }

@@ -602,7 +602,7 @@ mod tests {
         for (op, tuples) in injections {
             rt.inject(op, tuples);
         }
-        rt.quiesce(12);
+        rt.quiesce();
         let stats = rt.end_period();
         rt.shutdown();
         stats

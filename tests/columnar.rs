@@ -16,10 +16,8 @@
 
 mod support;
 
-use std::collections::BTreeMap;
-
 use albic::engine::chunk::ChunkSorter;
-use albic::engine::operator::{Counting, Emissions, Identity, Operator, StateBox};
+use albic::engine::operator::{Counting, Identity};
 use albic::engine::tuple::{Tuple, Value};
 use albic::engine::{
     PeriodStats, ReconfigEngine, ReconfigMode, Runtime, RuntimeConfig, StreamChunk,
@@ -27,7 +25,7 @@ use albic::engine::{
 use albic::job::{Job, Policy};
 use albic::types::NodeId;
 use proptest::prelude::*;
-use support::{plan_of, run_reference, scripted_routing, NODES};
+use support::{plan_of, run_reference, scripted_routing, WindowCount, NODES};
 
 /// What one runtime run leaves behind: final per-group states, final
 /// routing, and the statistics snapshot of every period.
@@ -422,51 +420,6 @@ fn mid_chunk_migration_matches_row_oracle() {
     assert_counting_matches_reference(ReconfigMode::Quiesce, 4, 16, 0, &schedule, &[]);
 }
 
-/// A tumbling count window: per key, how many tuples arrived this
-/// period. At period end it emits one `(key, count)` tuple per key seen,
-/// in key order, and clears.
-struct WindowCount;
-
-type WindowState = BTreeMap<u64, u64>;
-
-impl Operator for WindowCount {
-    fn name(&self) -> &str {
-        "window-count"
-    }
-    fn new_state(&self) -> StateBox {
-        Box::new(WindowState::new())
-    }
-    fn serialize_state(&self, state: &StateBox) -> Vec<u8> {
-        let window = state.downcast_ref::<WindowState>().expect("window state");
-        window
-            .iter()
-            .flat_map(|(k, c)| k.to_le_bytes().into_iter().chain(c.to_le_bytes()))
-            .collect()
-    }
-    fn deserialize_state(&self, bytes: &[u8]) -> StateBox {
-        let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8 bytes"));
-        let window: WindowState = bytes
-            .chunks_exact(16)
-            .map(|pair| (word(&pair[..8]), word(&pair[8..])))
-            .collect();
-        Box::new(window)
-    }
-    fn process(&self, tuple: &Tuple, state: &mut StateBox, _out: &mut Emissions) {
-        let window = state.downcast_mut::<WindowState>().expect("window state");
-        *window.entry(tuple.key).or_insert(0) += 1;
-    }
-    fn on_period_end(&self, state: &mut StateBox, out: &mut Emissions) {
-        let window = state.downcast_mut::<WindowState>().expect("window state");
-        for (&key, &count) in window.iter() {
-            out.emit(Tuple::raw(key, Value::Int(count as i64), 0));
-        }
-        window.clear();
-    }
-    fn period_end_mutates(&self) -> bool {
-        true
-    }
-}
-
 /// Period-end emissions reach a downstream operator on another worker:
 /// a window on node 0 flushes into counters spread over nodes 1 and 0,
 /// so each flush takes both the cross-worker hand-off and the local
@@ -507,4 +460,60 @@ fn period_end_emissions_reach_a_downstream_counter_exactly_once() {
             assert!(stats.cross_tuples > 0.0, "batch {batch} period {p}");
         }
     }
+}
+
+/// Regression: the boundary once settled window emissions with a fixed
+/// three barrier rounds, so emissions crossing more workers than that
+/// leaked into the next period — here period 0's later hops and counter
+/// read no load where the reference counts every emission. The counting
+/// quiesce waits until the chain is quiet: every per-period signal and
+/// the final states equal the reference's.
+#[test]
+fn period_end_emissions_cross_a_deep_chain_within_their_period() {
+    let job = support::deep_window_chain(NODES)
+        .build_threaded()
+        .expect("valid job spec");
+    let topology = job.engine().topology().clone();
+    let periods = 4;
+    let run = assert_matches_reference(job, &vec![vec![]; periods], &[]);
+    let counted: u64 = support::counts_of(&topology, &run.states).iter().sum();
+    assert_eq!(counted, support::KEYS * periods as u64);
+}
+
+/// The same chain with a checkpoint at every boundary and a worker killed
+/// right after one: the checkpoint must be cut after the period's window
+/// emissions landed, or the rows still in flight at the capture are in
+/// neither the checkpoint nor the replay log, and recovery loses them.
+#[test]
+fn period_end_emissions_of_a_deep_chain_survive_a_kill_after_the_boundary() {
+    let mut job = support::deep_window_chain(NODES)
+        .checkpoint_interval(1)
+        .build_threaded()
+        .expect("valid job spec");
+    let topology = job.engine().topology().clone();
+    let initial = job.engine().routing_snapshot();
+    let source = topology.operator_by_name("events").expect("events source");
+    let periods = 4u64;
+    let input: Vec<_> = (0..periods)
+        .map(|p| vec![(source, support::period_input(p).concat())])
+        .collect();
+    let reference = run_reference(&topology, &initial, &input);
+    for p in 0..periods {
+        inject_period(&mut job, p, &[]);
+        let step = job.step();
+        if p == 1 {
+            assert!(step.recovery.failed.is_empty());
+            assert!(job.engine_mut().inject_fault(NodeId::new(1)));
+        }
+        if p == 2 {
+            assert_eq!(step.recovery.failed, vec![NodeId::new(1)]);
+        }
+    }
+    job.settle();
+    assert_eq!(
+        support::final_states(job.engine()),
+        reference.states,
+        "final per-group states diverge from the reference interpreter"
+    );
+    job.shutdown();
 }

@@ -1,7 +1,9 @@
 //! Shared support for the differential suites (`tests/columnar.rs`,
 //! `tests/epoch.rs`): the scripted workload, plan and state-probe
 //! helpers, and a single-threaded **reference interpreter** of a
-//! topology that the threaded runtime is checked against.
+//! topology that the threaded runtime is checked against. Also the
+//! deep windowed chain ([`deep_window_chain`]) that `tests/columnar.rs`
+//! and `tests/transport.rs` settle period ends on.
 //!
 //! The reference runs every operator tuple by tuple through
 //! [`Operator::process`](albic::engine::Operator::process) and
@@ -16,10 +18,11 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use albic::engine::operator::{Emissions, StateBox};
+use albic::engine::operator::{Counting, Emissions, Identity, Operator, StateBox};
 use albic::engine::stats::StatsCollector;
 use albic::engine::tuple::{Tuple, Value};
 use albic::engine::{Migration, ReconfigPlan, RoutingTable, Runtime, Topology};
+use albic::job::{Job, JobBuilder, Policy};
 use albic::types::{KeyGroupId, NodeId, OperatorId};
 
 /// Distinct keys of the scripted workload.
@@ -243,4 +246,105 @@ impl Interpreter<'_> {
         self.stats.reset();
         snapshot
     }
+}
+
+/// A tumbling count window: per key, how many tuples arrived this
+/// period. At period end it emits one `(key, count)` tuple per key seen,
+/// in key order, and clears.
+pub struct WindowCount;
+
+type WindowState = BTreeMap<u64, u64>;
+
+impl Operator for WindowCount {
+    fn name(&self) -> &str {
+        "window-count"
+    }
+    fn new_state(&self) -> StateBox {
+        Box::new(WindowState::new())
+    }
+    fn serialize_state(&self, state: &StateBox) -> Vec<u8> {
+        let window = state.downcast_ref::<WindowState>().expect("window state");
+        window
+            .iter()
+            .flat_map(|(k, c)| k.to_le_bytes().into_iter().chain(c.to_le_bytes()))
+            .collect()
+    }
+    fn deserialize_state(&self, bytes: &[u8]) -> StateBox {
+        let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8 bytes"));
+        let window: WindowState = bytes
+            .chunks_exact(16)
+            .map(|pair| (word(&pair[..8]), word(&pair[8..])))
+            .collect();
+        Box::new(window)
+    }
+    fn process(&self, tuple: &Tuple, state: &mut StateBox, _out: &mut Emissions) {
+        let window = state.downcast_mut::<WindowState>().expect("window state");
+        *window.entry(tuple.key).or_insert(0) += 1;
+    }
+    fn on_period_end(&self, state: &mut StateBox, out: &mut Emissions) {
+        let window = state.downcast_mut::<WindowState>().expect("window state");
+        for (&key, &count) in window.iter() {
+            out.emit(Tuple::raw(key, Value::Int(count as i64), 0));
+        }
+        window.clear();
+    }
+    fn period_end_mutates(&self) -> bool {
+        true
+    }
+}
+
+/// An identity operator that sleeps 100 µs per tuple: emissions crossing
+/// a chain of these stay in flight for many barrier rounds.
+pub struct SlowHop;
+
+impl Operator for SlowHop {
+    fn name(&self) -> &str {
+        "slow-hop"
+    }
+    fn new_state(&self) -> StateBox {
+        Box::new(())
+    }
+    fn serialize_state(&self, _state: &StateBox) -> Vec<u8> {
+        Vec::new()
+    }
+    fn deserialize_state(&self, _bytes: &[u8]) -> StateBox {
+        Box::new(())
+    }
+    fn process(&self, tuple: &Tuple, _state: &mut StateBox, out: &mut Emissions) {
+        std::thread::sleep(std::time::Duration::from_micros(100));
+        out.emit(tuple.clone());
+    }
+}
+
+/// [`SlowHop`]s between the window and the counter of [`deep_window_chain`].
+pub const DEEP_HOPS: u32 = 7;
+
+/// `events → window → 7 slow hops → count` on `nodes` workers, 4 key
+/// groups per operator: the events round-robin, the window
+/// ([`WindowCount`]) on node 0, then the hops ([`SlowHop`]) and the
+/// counter alternating nodes 1 and 0. After the window flush every
+/// period-end emission crosses workers eight times, slowly.
+pub fn deep_window_chain(nodes: usize) -> JobBuilder {
+    let groups = 4u32;
+    let mut assignment: Vec<u32> = (0..groups).map(|g| g % nodes as u32).collect();
+    assignment.extend([0; 4]);
+    let mut job = Job::builder()
+        .source("events", groups, Identity)
+        .operator("window", groups, WindowCount)
+        .edge("events", "window");
+    let mut prev = "window".to_string();
+    for hop in 1..=DEEP_HOPS {
+        let name = format!("hop{hop}");
+        job = job
+            .operator(name.clone(), groups, SlowHop)
+            .edge(prev, name.clone());
+        assignment.extend([hop % 2; 4]);
+        prev = name;
+    }
+    assignment.extend([(DEEP_HOPS + 1) % 2; 4]);
+    job.operator("count", groups, Counting)
+        .edge(prev, "count")
+        .nodes(nodes)
+        .routing_assignment(assignment)
+        .policy(Policy::noop())
 }

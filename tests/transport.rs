@@ -7,11 +7,15 @@
 //! policy, LZ4-compressed state blobs, and token-authenticated workers
 //! that join a controller they were not spawned by.
 
+mod support;
+
 use std::process::{Child, Command, Stdio};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use albic::engine::fault::{FaultInjector, FaultPlan};
 use albic::engine::operator::{Counting, Identity, PaddedCounting, PADDED_STATE_PAD};
+use albic::engine::transport::{worker_main, OperatorRegistry};
 use albic::engine::tuple::{hash_key, Tuple, Value};
 use albic::engine::Runtime;
 use albic::job::{Job, JobBuilder, Policy};
@@ -293,6 +297,88 @@ fn uds_trickle_of_one_tuple_calls_counts_like_the_in_process_oracle() {
     );
     assert_eq!(probed, oracle);
     assert_eq!(probed.iter().map(|&(_, n)| n).sum::<u64>(), 3 * 16 * 12);
+}
+
+/// The worker daemon of the deep-chain case: this test binary itself,
+/// re-entered by [`deep_chain_worker_launcher`] with only this test
+/// selected, serving as a worker that also knows the chain's window and
+/// hop operators. Run as part of the suite — no controller address in
+/// the environment — it returns at once.
+#[cfg(unix)]
+#[test]
+fn deep_chain_worker_daemon() {
+    if std::env::var_os("ALBIC_WORKER_CONNECT").is_none() {
+        return;
+    }
+    let mut registry = OperatorRegistry::with_builtins();
+    registry
+        .register(Arc::new(support::WindowCount))
+        .register(Arc::new(support::SlowHop));
+    std::process::exit(worker_main(registry));
+}
+
+/// A launcher script for [`deep_chain_worker_daemon`], usable as a
+/// `NetConfig` worker command.
+#[cfg(unix)]
+fn deep_chain_worker_launcher() -> std::path::PathBuf {
+    use std::os::unix::fs::PermissionsExt;
+    let exe = std::env::current_exe().expect("test binary path");
+    let script =
+        std::env::temp_dir().join(format!("albic-deep-chain-worker-{}.sh", std::process::id()));
+    let body = format!(
+        "#!/bin/sh\nexec '{}' deep_chain_worker_daemon --exact --test-threads=1 >/dev/null\n",
+        exe.display()
+    );
+    std::fs::write(&script, body).expect("write the launcher");
+    std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755))
+        .expect("make the launcher executable");
+    script
+}
+
+/// Window emissions crossing eight slow hops between two daemons — each
+/// hop a `FORWARD` through the controller hub — are settled within
+/// their period: per-period loads and final counts equal the in-process
+/// oracle's.
+#[cfg(unix)]
+#[test]
+fn uds_deep_window_chain_counts_like_the_in_process_oracle() {
+    let drive = |mut job: Job<Runtime>| {
+        let mut periods = Vec::new();
+        for p in 0..3u64 {
+            for tuples in support::period_input(p) {
+                job.inject("events", tuples);
+            }
+            let report = job.step();
+            assert!(report.recovery.failed.is_empty(), "period {p}");
+            assert_eq!(report.stats.dropped_tuples, 0.0, "period {p}: no drops");
+            let loads: Vec<u64> = report
+                .stats
+                .group_loads
+                .iter()
+                .map(|l| l.to_bits())
+                .collect();
+            periods.push((loads, report.stats.total_tuples, report.stats.cross_tuples));
+        }
+        job.settle();
+        let counts = support::final_counts(job.engine());
+        job.shutdown();
+        (periods, counts)
+    };
+    let oracle = drive(
+        support::deep_window_chain(2)
+            .build_threaded()
+            .expect("job starts"),
+    );
+    let launcher = deep_chain_worker_launcher();
+    let networked = drive(
+        support::deep_window_chain(2)
+            .transport(TransportOptions::Net(NetConfig::uds(&launcher)))
+            .build_threaded()
+            .expect("job starts"),
+    );
+    let _ = std::fs::remove_file(&launcher);
+    assert_eq!(networked, oracle);
+    assert_eq!(oracle.1.iter().sum::<u64>(), 3 * support::KEYS);
 }
 
 /// A SIGKILLed daemon whose stub writer sits parked on an *empty* inbox:
