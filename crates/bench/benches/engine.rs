@@ -1,12 +1,14 @@
 //! Microbenchmarks for the engine substrate: simulator ticks at paper
-//! scale, tuple throughput through the threaded runtime, and the cost of
-//! one healthy no-op adaptation round on it.
+//! scale, tuple throughput through the threaded runtime, the cost of one
+//! healthy no-op adaptation round on it, and one checkpoint capture's
+//! spill-tier traffic.
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use albic_core::Controller;
+use albic_engine::checkpoint::{CheckpointMode, CheckpointStore, SpillConfig};
 use albic_engine::operator::{Counting, Identity};
 use albic_engine::reconfig::NoopPolicy;
 use albic_engine::topology::TopologyBuilder;
@@ -88,10 +90,40 @@ fn bench_runtime_noop_round(c: &mut Criterion) {
     });
 }
 
+/// One incremental capture in the spill tier's steady state: the store
+/// spills the two 4 KiB groups dirtied the period before and un-spills
+/// the two it spilled then, which are dirty again. Only the store runs
+/// (no workers), so this is the disk-side cost a capture adds to a
+/// period boundary.
+fn bench_checkpoint_spill_period(c: &mut Criterion) {
+    c.bench_function("checkpoint_spill_period", |b| {
+        let dir = std::env::temp_dir().join(format!("albic-bench-spill-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let spill = SpillConfig {
+            dir: dir.clone(),
+            cold_after: 1,
+        };
+        let mut store = CheckpointStore::new(CheckpointMode::Incremental, 1, Some(spill))
+            .expect("spill directory");
+        let image = vec![7u8; 4096];
+        store.ingest(0, (0..4).map(|g| (g, image.clone())).collect(), true);
+        let mut period = 1u64;
+        b.iter(|| {
+            let pair = (period % 2) as u32 * 2;
+            let states = vec![(pair, image.clone()), (pair + 1, image.clone())];
+            store.ingest(period, states, false);
+            period += 1;
+        });
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+    });
+}
+
 criterion_group!(
     benches,
     bench_sim_tick,
     bench_runtime_throughput,
-    bench_runtime_noop_round
+    bench_runtime_noop_round,
+    bench_checkpoint_spill_period
 );
 criterion_main!(benches);

@@ -1019,6 +1019,9 @@ pub struct JobSummary {
     pub max_delta_bytes: u64,
     /// Most key groups any period held on the cold-state spill tier.
     pub max_spilled_groups: usize,
+    /// Spill records that failed a read or a write over the run (0 in a
+    /// healthy run; see [`PeriodRecord::spill_failures`]).
+    pub total_spill_failures: u64,
     /// The raw per-period records (loads, migrations, node counts).
     pub records: Vec<PeriodRecord>,
 }
@@ -1046,6 +1049,7 @@ impl JobSummary {
             total_checkpoint_bytes: records.iter().map(|r| r.checkpoint_bytes).sum(),
             max_delta_bytes: records.iter().map(|r| r.delta_bytes).max().unwrap_or(0),
             max_spilled_groups: records.iter().map(|r| r.spilled_groups).max().unwrap_or(0),
+            total_spill_failures: records.iter().map(|r| r.spill_failures).sum(),
             records: records.to_vec(),
         }
     }

@@ -94,6 +94,7 @@ mod tests {
             checkpoint_bytes: 0,
             delta_bytes: 0,
             spilled_groups: 0,
+            spill_failures: 0,
         }
     }
 

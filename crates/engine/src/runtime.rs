@@ -191,7 +191,7 @@
 //! memory and a recovery rollback ships only the hot set eagerly.
 
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -202,7 +202,7 @@ use parking_lot::{Mutex, RwLock};
 
 use albic_types::{KeyGroupId, NodeId, OperatorId, PeriodClock};
 
-use crate::checkpoint::{CheckpointMode, CheckpointStore, SpillConfig};
+use crate::checkpoint::{CheckpointMode, CheckpointStore, SegmentReader, SpillConfig, SpillExtent};
 use crate::chunk::{ChunkEmissions, ChunkSlice, ChunkSorter, StreamChunk};
 use crate::cluster::Cluster;
 use crate::cost::CostModel;
@@ -506,14 +506,16 @@ impl QueueSample {
 /// A worker's [`Msg::CollectStats`] answer: its node, its period
 /// collector, from a networked daemon only its own inbox gauge (which
 /// the coordinator cannot read across the socket; an in-process
-/// worker's gauge is the coordinator's own, collected directly), and the
+/// worker's gauge is the coordinator's own, collected directly), the
 /// key-group states it serialized when the collection carried a
-/// checkpoint capture.
+/// checkpoint capture, and the spill records it failed to read since
+/// its previous answer.
 pub(crate) type StatsReply = (
     NodeId,
     StatsCollector,
     Option<QueueSample>,
     Option<Vec<(u32, Vec<u8>)>>,
+    u64,
 );
 
 /// A worker's answer to one counting round ([`Msg::Barrier`],
@@ -861,24 +863,28 @@ pub(crate) enum Msg {
     /// Reset to a checkpoint: drop all states, buffers and period
     /// counters, then install the given serialized states through the
     /// same install path a migration [`Msg::Install`] uses. `spilled`
-    /// lists the cold groups whose images stay on disk under `spill_dir`
-    /// — the worker faults those in lazily on first access instead of
-    /// installing them eagerly, which keeps rollback cost sublinear in
-    /// total state. The inject-side log replays the discarded delta
-    /// afterwards.
+    /// locates the cold groups whose images stay in the spill segment
+    /// `segment` — the worker faults those in lazily on first access
+    /// instead of installing them eagerly, which keeps rollback cost
+    /// sublinear in total state. The inject-side log replays the
+    /// discarded delta afterwards.
     Rollback {
         states: Vec<(u32, Vec<u8>)>,
-        spilled: Vec<u32>,
-        spill_dir: Option<String>,
+        spilled: Vec<SpillExtent>,
+        segment: Option<String>,
         ack: ReplyTo<()>,
     },
     /// Drop the in-memory copy of cold key groups whose checkpoint image
-    /// now lives as a file under `dir` (the coordinator's spill tier).
-    /// The worker keeps any group it has written since the last capture
-    /// (its file would be stale) and faults dropped groups back in from
-    /// their files on next access. Carries the full current spilled set,
-    /// so a missed message is healed by the next one.
-    SpillGroups { dir: String, groups: Vec<u32> },
+    /// now lives at `extents` of the spill segment `segment` (the
+    /// coordinator's spill tier). The worker keeps any group it has
+    /// written since the last capture (its record would be stale) and
+    /// faults dropped groups back in from their records on next access.
+    /// Carries every spilled group this worker owns, so a missed message
+    /// is healed by the next one.
+    SpillGroups {
+        segment: String,
+        extents: Vec<SpillExtent>,
+    },
     /// Abrupt worker death (fault injection): exit immediately, dropping
     /// all per-group state, without draining the inbox tail or flushing
     /// the outbox — a crash, not a shutdown.
@@ -962,12 +968,16 @@ pub(crate) struct WorkerCtx {
     /// and drained by captures; costs one fast-hash insert per write.
     dirty: FastMap<u32, ()>,
     /// Key groups whose newest checkpoint image lives on the spill tier
-    /// instead of in this worker's memory. A data tuple, probe or extract
-    /// for one of these faults the state back in from its file first.
-    spilled: FastMap<u32, ()>,
-    /// Where the spill files live (set by the first [`Msg::SpillGroups`]
-    /// or [`Msg::Rollback`] that carries a directory).
-    spill_dir: Option<PathBuf>,
+    /// instead of in this worker's memory, with where their records sit.
+    /// A data tuple, probe or extract for one of these faults the state
+    /// back in from the segment first.
+    spilled: FastMap<u32, SpillExtent>,
+    /// The spill segment the newest [`Msg::SpillGroups`] or
+    /// [`Msg::Rollback`] named, opened on the first fault-in.
+    segment: SegmentReader,
+    /// Spill records that failed to read (short, or failing their header
+    /// check) since the last [`Msg::CollectStats`] reported them.
+    spill_failures: u64,
     /// Set by [`Msg::Crash`]: die without the graceful-shutdown drain.
     crashed: bool,
     /// Set on a networked worker daemon: the socket uplink every
@@ -1023,7 +1033,8 @@ impl WorkerCtx {
             activity: 0,
             dirty: FastMap::default(),
             spilled: FastMap::default(),
-            spill_dir: None,
+            segment: SegmentReader::default(),
+            spill_failures: 0,
             crashed: false,
             uplink,
         }
@@ -1189,7 +1200,8 @@ impl WorkerCtx {
                 // coordinator only ever sees the stub's socket queue.
                 let queue = self.uplink.is_some().then(|| self.gauge.collect());
                 let states = capture.map(|mode| self.snapshot_states(mode));
-                let _ = reply.send((self.node, snapshot, queue, states));
+                let failures = std::mem::take(&mut self.spill_failures);
+                let _ = reply.send((self.node, snapshot, queue, states, failures));
             }
             Msg::ProbeState { kg, reply } => {
                 let op = self.topology.operator_of_group(kg);
@@ -1201,7 +1213,7 @@ impl WorkerCtx {
             Msg::Rollback {
                 states,
                 spilled,
-                spill_dir,
+                segment,
                 ack,
             } => {
                 // Back to the checkpoint: every post-checkpoint state,
@@ -1226,35 +1238,35 @@ impl WorkerCtx {
                     self.install_state(kg, op, &bytes);
                 }
                 // Cold groups are not installed eagerly: the worker only
-                // remembers they live on the spill tier and faults each
-                // one in from its file on first access.
-                if let Some(dir) = spill_dir {
-                    self.spill_dir = Some(PathBuf::from(dir));
+                // remembers where they live on the spill tier and faults
+                // each one in from its record on first access.
+                if let Some(segment) = segment {
+                    self.segment.point_at(Path::new(&segment));
                 }
                 self.spilled.clear();
-                for g in spilled {
-                    self.spilled.insert(g, ());
+                for ext in spilled {
+                    self.spilled.insert(ext.group, ext);
                 }
                 // Post-rollback content equals the checkpoint image by
                 // construction, so nothing is dirty relative to it.
                 self.dirty.clear();
                 let _ = ack.send(());
             }
-            Msg::SpillGroups { dir, groups } => {
-                self.spill_dir = Some(PathBuf::from(dir));
+            Msg::SpillGroups { segment, extents } => {
+                self.segment.point_at(Path::new(&segment));
                 // Full-set semantics: the worker's spill view is replaced
                 // wholesale, so a previously missed message heals here.
                 self.spilled.clear();
-                for g in groups {
+                for ext in extents {
                     // Dirty guard: this worker's copy is newer than the
-                    // spill file (written at the last capture), so the
+                    // spill record (written at the last capture), so the
                     // in-memory state must survive until the next capture
                     // picks it up and the coordinator re-spills it.
-                    if self.dirty.contains_key(&g) {
+                    if self.dirty.contains_key(&ext.group) {
                         continue;
                     }
-                    self.states.remove(&g);
-                    self.spilled.insert(g, ());
+                    self.states.remove(&ext.group);
+                    self.spilled.insert(ext.group, ext);
                 }
             }
             // Intercepted before the outbox flush above.
@@ -1284,21 +1296,21 @@ impl WorkerCtx {
         self.spilled.remove(&kg.raw());
     }
 
-    /// Fault a spilled key group back into memory from its file before
-    /// anything touches it. A no-op for resident or never-spilled groups;
-    /// if the file cannot be read (stale mark after the group moved away
-    /// and back), the mark is dropped and the caller's normal
-    /// missing-state path creates a fresh state.
+    /// Fault a spilled key group back into memory from its segment
+    /// record before anything touches it. A no-op for resident or
+    /// never-spilled groups; if the record cannot be read or fails its
+    /// header check, the failure is counted for the period record, the
+    /// mark is dropped and the caller's normal missing-state path creates
+    /// a fresh state.
     fn ensure_resident(&mut self, kg: KeyGroupId, op: OperatorId) {
         let g = kg.raw();
-        if self.states.contains_key(&g) || !self.spilled.contains_key(&g) {
+        if self.states.contains_key(&g) {
             return;
         }
-        self.spilled.remove(&g);
-        let Some(dir) = self.spill_dir.clone() else {
+        let Some(ext) = self.spilled.remove(&g) else {
             return;
         };
-        if let Ok(bytes) = std::fs::read(crate::checkpoint::spill_file(&dir, g)) {
+        if let Some(bytes) = self.read_spilled(ext) {
             let logic = Arc::clone(&self.topology.operator(op).logic);
             let state = logic.deserialize_state(&bytes);
             self.states.insert(g, state);
@@ -1306,6 +1318,14 @@ impl WorkerCtx {
             // (its checkpoint image on disk is still current) until a
             // tuple actually mutates it.
         }
+    }
+
+    /// One positioned, header-checked read of a spill record; a failure
+    /// is counted, never silent.
+    fn read_spilled(&mut self, ext: SpillExtent) -> Option<Vec<u8>> {
+        let read = self.segment.read(ext);
+        self.spill_failures += u64::from(read.is_err());
+        read.ok()
     }
 
     /// Serialize `kg`'s state and ship it to `dest` as a [`Msg::Install`];
@@ -1449,9 +1469,11 @@ impl WorkerCtx {
     /// by group id so a checkpoint's byte layout is deterministic. An
     /// incremental capture serializes only groups in the dirty set
     /// (spilled groups are never dirty — dropping one requires it clean);
-    /// a full capture additionally reads back the raw file bytes of
-    /// worker-spilled groups so the returned image is complete. Both
-    /// variants drain the dirty set: the store now covers those writes.
+    /// a full capture additionally reads back the records of
+    /// worker-spilled groups so the returned image is complete (a record
+    /// that fails its read is counted and left out, and the store keeps
+    /// its entry). Both variants drain the dirty set: the store now
+    /// covers those writes.
     fn snapshot_states(&mut self, mode: CheckpointMode) -> Vec<(u32, Vec<u8>)> {
         let delta_only = mode == CheckpointMode::Incremental;
         let mut ids: Vec<u32> = if delta_only {
@@ -1473,20 +1495,20 @@ impl WorkerCtx {
                 snap.push((g, logic.serialize_state(state)));
             }
         }
-        if !delta_only {
-            if let Some(dir) = self.spill_dir.clone() {
-                let mut cold: Vec<u32> = self.spilled.keys().copied().collect();
-                cold.sort_unstable();
-                for g in cold {
-                    if self.states.contains_key(&g) {
-                        continue;
-                    }
-                    if let Ok(bytes) = std::fs::read(crate::checkpoint::spill_file(&dir, g)) {
-                        snap.push((g, bytes));
-                    }
+        if !delta_only && !self.spilled.is_empty() {
+            let mut cold: Vec<SpillExtent> = self
+                .spilled
+                .values()
+                .filter(|ext| !self.states.contains_key(&ext.group))
+                .copied()
+                .collect();
+            cold.sort_unstable_by_key(|ext| ext.group);
+            for ext in cold {
+                if let Some(bytes) = self.read_spilled(ext) {
+                    snap.push((ext.group, bytes));
                 }
-                snap.sort_unstable_by_key(|(g, _)| *g);
             }
+            snap.sort_unstable_by_key(|(g, _)| *g);
         }
         self.dirty.clear();
         snap
@@ -2013,6 +2035,9 @@ pub struct Runtime {
     checkpoint_store: CheckpointStore,
     /// Recovery accounting folded into the next period's record.
     pending_recovery: RecoveryAccounting,
+    /// Spill failures (worker reads and store writes) reported since the
+    /// last period record, folded into the next one.
+    spill_failures: AtomicU64,
     /// What [`Runtime::apply`] runs around the migration wave, how the
     /// period is charged for its pause, and whether injectors emit
     /// periodic no-op barrier waves.
@@ -2124,6 +2149,7 @@ impl Runtime {
             )
             .expect("a store without a spill tier touches no disk"),
             pending_recovery: RecoveryAccounting::default(),
+            spill_failures: AtomicU64::new(0),
             mode: ReconfigMode::Quiesce,
             epoch: Arc::new(EpochShared::new()),
         };
@@ -2505,7 +2531,8 @@ impl Runtime {
         let mut merged = StatsCollector::new();
         let mut pressure: HashMap<NodeId, NodePressure> = HashMap::new();
         let mut states: Vec<(u32, Vec<u8>)> = Vec::new();
-        for (node, c, queue, snap) in replies {
+        for (node, c, queue, snap, failures) in replies {
+            self.spill_failures.fetch_add(failures, Ordering::Relaxed);
             let mut p = NodePressure {
                 ingested: c.ingested,
                 emitted: c.emitted,
@@ -2559,6 +2586,7 @@ impl Runtime {
             checkpoint_bytes,
             delta_bytes: self.checkpoint_store.delta_bytes(),
             spilled_groups: self.checkpoint_store.spilled_count(),
+            spill_failures: self.spill_failures.swap(0, Ordering::Relaxed),
         });
         // The data plane is settled: a safe point for transport
         // housekeeping (e.g. pruning resolved reply correlations).
@@ -2592,19 +2620,21 @@ impl Runtime {
         }
         states.sort_unstable_by_key(|(g, _)| *g);
         let outcome = self.checkpoint_store.ingest(period, states, full);
+        self.spill_failures
+            .fetch_add(self.checkpoint_store.take_failures(), Ordering::Relaxed);
         self.replay_log.clear();
-        // Tell the workers which groups now live on the spill tier (the
-        // full current set, so a previously missed broadcast heals).
+        // Tell each worker where the spilled groups it owns now live (the
+        // full current set, so a previously missed message heals).
         // Workers keep any group they have re-dirtied since this capture
         // began — impossible here, as the plane is quiesced — and fault
-        // spilled groups back in from their files on next access.
-        if let Some(dir) = self.checkpoint_store.spill_dir() {
-            let dir = dir.to_string_lossy().into_owned();
-            let groups = self.checkpoint_store.spilled_ids();
-            for (_, s) in self.alive_senders() {
+        // spilled groups back in from their records on next access.
+        if let Some(segment) = self.checkpoint_store.segment_path() {
+            let segment = segment.to_string_lossy().into_owned();
+            let mut per_node = self.extents_by_owner();
+            for (node, s) in self.alive_senders() {
                 let _ = s.send(Msg::SpillGroups {
-                    dir: dir.clone(),
-                    groups: groups.clone(),
+                    segment: segment.clone(),
+                    extents: per_node.remove(&node).unwrap_or_default(),
                 });
             }
         }
@@ -3075,8 +3105,8 @@ impl Runtime {
     /// buffers and period counters, then install the checkpointed *hot*
     /// states at their current routing targets (the shared migration
     /// install path). Spilled groups are not shipped — the Rollback
-    /// message carries their ids and the spill directory instead, and
-    /// workers fault them in lazily from their files, which is what keeps
+    /// message carries their extents and the spill segment instead, and
+    /// workers fault them in lazily from their records, which is what keeps
     /// rollback cost proportional to the hot set rather than total
     /// state. Returns `false` if a worker dies mid-rollback.
     fn rollback_to_checkpoint(&mut self) -> bool {
@@ -3093,24 +3123,32 @@ impl Runtime {
                 .or_default()
                 .push((g, bytes));
         }
-        let spill_dir = self
+        let segment = self
             .checkpoint_store
-            .spill_dir()
+            .segment_path()
             .map(|d| d.to_string_lossy().into_owned());
-        let mut per_node_spilled: HashMap<NodeId, Vec<u32>> = HashMap::new();
-        for g in self.checkpoint_store.spilled_ids() {
-            per_node_spilled
-                .entry(routing.node_of(KeyGroupId::new(g)))
-                .or_default()
-                .push(g);
-        }
+        let mut per_node_spilled = self.extents_by_owner();
         self.fan_out(|node, ack| Msg::Rollback {
             states: per_node.remove(&node).unwrap_or_default(),
             spilled: per_node_spilled.remove(&node).unwrap_or_default(),
-            spill_dir: spill_dir.clone(),
+            segment: segment.clone(),
             ack,
         })
         .1
+    }
+
+    /// The store's spilled extents, split by the node that currently
+    /// owns each group.
+    fn extents_by_owner(&self) -> HashMap<NodeId, Vec<SpillExtent>> {
+        let routing = self.routing.read();
+        let mut per_node: HashMap<NodeId, Vec<SpillExtent>> = HashMap::new();
+        for ext in self.checkpoint_store.spilled_extents() {
+            per_node
+                .entry(routing.node_of(KeyGroupId::new(ext.group)))
+                .or_default()
+                .push(ext);
+        }
+        per_node
     }
 
     /// Re-inject the logged post-checkpoint delta in arrival order,
@@ -3170,10 +3208,14 @@ impl Runtime {
     /// costs survive, exactly as at a real period boundary); dropping the
     /// replies erases the re-measured work of replayed prior periods.
     fn discard_period_stats(&self) {
-        let _ = self.fan_out(|_, reply| Msg::CollectStats {
+        let (replies, _) = self.fan_out(|_, reply| Msg::CollectStats {
             capture: None,
             reply,
         });
+        // Spill reads that failed during the replay are not measurement:
+        // they are kept for the period record.
+        let failures: u64 = replies.iter().map(|r| r.4).sum();
+        self.spill_failures.fetch_add(failures, Ordering::Relaxed);
         // The inject-edge drop counter also belongs to the discarded
         // re-measurement window.
         self.inject_dropped.store(0, Ordering::Relaxed);
@@ -4486,7 +4528,7 @@ mod tests {
         let (sock, _peer) = UnixStream::pair().unwrap();
         run_lone_worker(msgs, Some(WireOut::new(Conn::Uds(sock), false)));
 
-        let (from, stats, queue, _) = reply_rx.recv().unwrap();
+        let (from, stats, queue, _, _) = reply_rx.recv().unwrap();
         assert_eq!(from, NodeId::new(0));
         assert_eq!(stats.ingested, 5.0, "the whole backlog was dequeued");
         let sample = queue.expect("a daemon ships its gauge");
@@ -4498,7 +4540,7 @@ mod tests {
                 overflow: 0
             }
         );
-        let (_, _, again, _) = reply_rx.recv().unwrap();
+        let (_, _, again, _, _) = reply_rx.recv().unwrap();
         assert_eq!(
             again,
             Some(QueueSample::default()),
@@ -4534,7 +4576,7 @@ mod tests {
             assert!(s.send(Msg::CollectStats { capture, reply }).is_ok());
         }
         for _ in 0..2 {
-            let (_, _, queue, _) = rx.recv().unwrap();
+            let (_, _, queue, _, _) = rx.recv().unwrap();
             assert_eq!(queue, None);
         }
         rt.shutdown();

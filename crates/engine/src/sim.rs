@@ -276,6 +276,7 @@ impl<W: WorkloadModel> SimEngine<W> {
             checkpoint_bytes,
             delta_bytes: self.delta_bytes,
             spilled_groups: self.spilled.len(),
+            spill_failures: 0,
         });
         self.last_stats = Some(stats.clone());
         stats

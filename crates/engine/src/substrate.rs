@@ -72,6 +72,12 @@ pub struct PeriodRecord {
     /// Key groups whose checkpoint image lives on the spill tier (cold
     /// state on disk) after this period's boundary.
     pub spilled_groups: usize,
+    /// Spill records that failed this period: a worker read that came
+    /// up short or failed its header check (the group continued from
+    /// fresh state), a store write that kept its group resident, or a
+    /// segment rewrite that could not complete. Always 0 on the
+    /// simulator and in healthy runs.
+    pub spill_failures: u64,
 }
 
 /// What an engine runs around the migrations of a plan.

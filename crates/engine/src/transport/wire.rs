@@ -28,7 +28,7 @@ use albic_types::{KeyGroupId, NodeId, OperatorId};
 use super::lz4;
 use super::net::Conn;
 use super::session::{ReconnectPolicy, RecvSequencer, SendSequencer, SeqVerdict, SEND_QUEUE_LIMIT};
-use crate::checkpoint::CheckpointMode;
+use crate::checkpoint::{CheckpointMode, SpillExtent};
 use crate::chunk::StreamChunk;
 use crate::codec::{DecodeError, Found, Reader, Writer};
 use crate::runtime::{
@@ -36,15 +36,17 @@ use crate::runtime::{
 };
 use crate::stats::StatsCollector;
 
-/// Handshake magic ("ALBIC_W5"): rejects a stray client that is not an
+/// Handshake magic ("ALBIC_W6"): rejects a stray client that is not an
 /// albic worker speaking this protocol revision (revision 2 added
 /// sessions, join tokens, and compressed state blobs; revision 3 dropped
 /// the row-batch message and the `INIT` data-plane field; revision 4
 /// added the daemon's inbox gauge to the statistics reply; revision 5
 /// made barrier and window-flush acks carry the worker's activity
 /// counter and folded the checkpoint capture into the statistics
-/// collection, retiring message tag 12).
-pub(crate) const WIRE_MAGIC: u64 = 0x414c_4249_435f_5735;
+/// collection, retiring message tag 12; revision 6 made rollback and
+/// spill messages carry segment extents instead of group ids, and the
+/// statistics reply the worker's spill read failures).
+pub(crate) const WIRE_MAGIC: u64 = 0x414c_4249_435f_5736;
 
 /// Worker → controller: identity announcement + join token, first frame
 /// on a fresh connection.
@@ -630,6 +632,7 @@ impl ReplyPayload for StatsReply {
                 encode_states(states, w, compress);
             }
         }
+        w.put_u64(self.4);
     }
     fn decode_payload(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let node = NodeId::new(r.get_u64()? as u32);
@@ -646,7 +649,7 @@ impl ReplyPayload for StatsReply {
             false => None,
             true => Some(decode_states(r)?),
         };
-        Ok((node, stats, queue, states))
+        Ok((node, stats, queue, states, r.get_u64()?))
     }
 }
 
@@ -961,6 +964,31 @@ fn decode_stats(r: &mut Reader<'_>) -> Result<StatsCollector, DecodeError> {
     Ok(c)
 }
 
+/// Spill extents as `[count]` then `[group][offset][length]` each.
+fn put_extents(w: &mut Writer, extents: &[SpillExtent]) {
+    w.put_u64(extents.len() as u64);
+    for ext in extents {
+        w.put_u64(ext.group as u64);
+        w.put_u64(ext.off);
+        w.put_u64(ext.len as u64);
+    }
+}
+
+fn get_extents(r: &mut Reader<'_>) -> Result<Vec<SpillExtent>, DecodeError> {
+    let n = r.get_u64()?;
+    let mut extents = Vec::new();
+    for _ in 0..n {
+        let group = r.get_u64()? as u32;
+        let off = r.get_u64()?;
+        let at = r.offset();
+        let len = r.get_u64()?;
+        let len = u32::try_from(len)
+            .map_err(|_| DecodeError::new(at, "extent length below 4 GiB", Found::Length(len)))?;
+        extents.push(SpillExtent { group, off, len });
+    }
+    Ok(extents)
+}
+
 fn reply_id<T>(
     reply: &ReplyTo<T>,
     reg: &mut dyn FnMut(Pending) -> u64,
@@ -1070,19 +1098,16 @@ pub(crate) fn encode_msg(
         Msg::Rollback {
             states,
             spilled,
-            spill_dir,
+            segment,
             ack,
         } => {
             w.put_u64(13);
             encode_states(states, w, compress);
-            w.put_u64(spilled.len() as u64);
-            for g in spilled {
-                w.put_u64(*g as u64);
-            }
-            match spill_dir {
-                Some(dir) => {
+            put_extents(w, spilled);
+            match segment {
+                Some(path) => {
                     w.put_u64(1);
-                    w.put_str(dir);
+                    w.put_str(path);
                 }
                 None => w.put_u64(0),
             }
@@ -1101,13 +1126,10 @@ pub(crate) fn encode_msg(
                 w.put_u64(n.raw() as u64);
             }
         }
-        Msg::SpillGroups { dir, groups } => {
+        Msg::SpillGroups { segment, extents } => {
             w.put_u64(17);
-            w.put_str(dir);
-            w.put_u64(groups.len() as u64);
-            for g in groups {
-                w.put_u64(*g as u64);
-            }
+            w.put_str(segment);
+            put_extents(w, extents);
         }
     }
 }
@@ -1192,19 +1214,15 @@ pub(crate) fn decode_msg(r: &mut Reader<'_>, out: Option<&WireOut>) -> Result<Ms
         },
         13 => {
             let states = decode_states(r)?;
-            let n = r.get_u64()?;
-            let mut spilled = Vec::new();
-            for _ in 0..n {
-                spilled.push(r.get_u64()? as u32);
-            }
-            let spill_dir = match r.get_u64()? {
-                0 => None,
-                _ => Some(r.get_str()?),
+            let spilled = get_extents(r)?;
+            let segment = match get_option_tag(r)? {
+                false => None,
+                true => Some(r.get_str()?),
             };
             Msg::Rollback {
                 states,
                 spilled,
-                spill_dir,
+                segment,
                 ack: wire_reply(r, out)?,
             }
         }
@@ -1222,15 +1240,10 @@ pub(crate) fn decode_msg(r: &mut Reader<'_>, out: Option<&WireOut>) -> Result<Ms
                 assignment,
             }
         }
-        17 => {
-            let dir = r.get_str()?;
-            let n = r.get_u64()?;
-            let mut groups = Vec::new();
-            for _ in 0..n {
-                groups.push(r.get_u64()? as u32);
-            }
-            Msg::SpillGroups { dir, groups }
-        }
+        17 => Msg::SpillGroups {
+            segment: r.get_str()?,
+            extents: get_extents(r)?,
+        },
         tag => {
             return Err(DecodeError::new(
                 at,
@@ -1564,8 +1577,9 @@ mod tests {
         assert_eq!(back.reconnect, init.reconnect);
     }
 
-    /// The statistics reply round-trips its collector and, when present,
-    /// the daemon's inbox gauge; an absent gauge stays absent.
+    /// The statistics reply round-trips its collector, the worker's spill
+    /// read failures and, when present, the daemon's inbox gauge; an
+    /// absent gauge stays absent.
     #[test]
     fn stats_reply_round_trips_the_daemon_gauge() {
         let mut stats = StatsCollector::new();
@@ -1580,14 +1594,14 @@ mod tests {
             overflow: 2,
         };
         for queue in [Some(gauge), None] {
-            let reply: StatsReply = (NodeId::new(2), stats.clone(), queue, None);
+            let reply: StatsReply = (NodeId::new(2), stats.clone(), queue, None, 3);
             let mut w = Writer::new();
             reply.encode_payload(&mut w, false);
             let bytes = w.into_bytes();
             let mut r = Reader::new(&bytes);
-            let (node, back, back_queue, states) =
+            let (node, back, back_queue, states, failures) =
                 StatsReply::decode_payload(&mut r).expect("decode");
-            assert_eq!(states, None);
+            assert_eq!((states, failures), (None, 3));
             assert!(r.is_done(), "{} trailing bytes", r.remaining());
             assert_eq!(node, NodeId::new(2));
             assert_eq!(back_queue, queue);
@@ -1608,8 +1622,13 @@ mod tests {
         let big = (0..200u8).map(|i| i % 4).collect::<Vec<u8>>();
         for states in [None, Some(vec![]), Some(vec![(3, vec![1, 2]), (9, big)])] {
             for compress in [false, true] {
-                let reply: StatsReply =
-                    (NodeId::new(1), StatsCollector::new(), None, states.clone());
+                let reply: StatsReply = (
+                    NodeId::new(1),
+                    StatsCollector::new(),
+                    None,
+                    states.clone(),
+                    0,
+                );
                 let mut w = Writer::new();
                 reply.encode_payload(&mut w, compress);
                 let bytes = w.into_bytes();
@@ -1619,11 +1638,13 @@ mod tests {
                 assert_eq!((back.0, back.3), (NodeId::new(1), states.clone()));
             }
         }
-        // A presence tag other than 0 or 1 fails closed.
+        // A presence tag other than 0 or 1 fails closed (the states tag
+        // is the word before the trailing failure count).
         let mut w = Writer::new();
-        (NodeId::new(1), StatsCollector::new(), None, None).encode_payload(&mut w, false);
+        (NodeId::new(1), StatsCollector::new(), None, None, 0).encode_payload(&mut w, false);
         let mut bytes = w.into_bytes();
-        *bytes.last_mut().unwrap() = 7;
+        let tag = bytes.len() - 16;
+        bytes[tag] = 7;
         let err = StatsReply::decode_payload(&mut Reader::new(&bytes)).unwrap_err();
         assert_eq!(err.expected, "option tag 0..=1");
     }
@@ -1703,26 +1724,107 @@ mod tests {
         assert_eq!(err.expected, "capture tag 0..=2");
     }
 
-    /// A worker of the previous protocol revision (`ALBIC_W4`) is turned
-    /// away at `HELLO` and at `RESUME`: its barrier acks and statistics
-    /// replies have a different layout.
+    /// Spill extents survive a message round trip exactly (large
+    /// offsets included).
+    fn extents() -> Vec<SpillExtent> {
+        vec![
+            SpillExtent {
+                group: 3,
+                off: 0,
+                len: 4096,
+            },
+            SpillExtent {
+                group: 17,
+                off: (5 << 32) + 4112,
+                len: u32::MAX,
+            },
+        ]
+    }
+
+    /// Tag 13: a rollback carries the hot states, the extents of the
+    /// spilled groups and the segment they point into — or neither.
     #[test]
-    fn an_albic_w4_handshake_is_rejected() {
-        let w4 = u64::from_be_bytes(*b"ALBIC_W4");
-        assert_eq!(WIRE_MAGIC, u64::from_be_bytes(*b"ALBIC_W5"));
-        let mut hello = encode_hello(NodeId::new(1), "token");
-        hello[..8].copy_from_slice(&w4.to_le_bytes());
-        let err = decode_hello(&mut Reader::new(&hello)).unwrap_err();
-        assert_eq!(err.expected, "wire magic");
-        assert!(matches!(err.found, Found::Length(m) if m == w4), "{err}");
-        let mut resume = encode_resume(&ResumeMsg {
-            node: NodeId::new(1),
-            token: "token".into(),
-            delivered: 0,
-            routing_version: 0,
-        });
-        resume[..8].copy_from_slice(&w4.to_le_bytes());
-        assert!(decode_resume(&mut Reader::new(&resume)).is_err());
+    fn rollback_round_trips_spill_extents_and_segment() {
+        let correlator = Correlator::new();
+        let (tx, _rx) = crossbeam::channel::unbounded();
+        for (spilled, segment) in [
+            (extents(), Some("/tmp/spill/spill-3.seg".to_string())),
+            (vec![], None),
+        ] {
+            let msg = Msg::Rollback {
+                states: vec![(1, vec![9; 40])],
+                spilled: spilled.clone(),
+                segment: segment.clone(),
+                ack: ReplyTo::Chan(tx.clone()),
+            };
+            match over_the_wire(&msg, &correlator) {
+                Msg::Rollback {
+                    states,
+                    spilled: back,
+                    segment: back_segment,
+                    ..
+                } => {
+                    assert_eq!(states, vec![(1, vec![9; 40])]);
+                    assert_eq!((back, back_segment), (spilled, segment));
+                }
+                _ => panic!("not a rollback"),
+            }
+        }
+    }
+
+    /// Tag 17: a spill message carries the segment path and the extents;
+    /// an extent length beyond a record header's `u32` fails closed.
+    #[test]
+    fn spill_groups_round_trip_extents_and_reject_oversized_lengths() {
+        let msg = Msg::SpillGroups {
+            segment: "/tmp/spill/spill-0.seg".into(),
+            extents: extents(),
+        };
+        match over_the_wire(&msg, &Correlator::new()) {
+            Msg::SpillGroups {
+                segment,
+                extents: back,
+            } => {
+                assert_eq!(segment, "/tmp/spill/spill-0.seg");
+                assert_eq!(back, extents());
+            }
+            _ => panic!("not a spill message"),
+        }
+        let mut w = Writer::new();
+        w.put_u64(17);
+        w.put_str("s");
+        w.put_u64(1);
+        for word in [3, 0, 1 << 32] {
+            w.put_u64(word);
+        }
+        let Err(err) = decode_msg(&mut Reader::new(&w.into_bytes()), None) else {
+            panic!("a 4 GiB extent decoded");
+        };
+        assert_eq!(err.expected, "extent length below 4 GiB");
+    }
+
+    /// Workers of earlier protocol revisions (`ALBIC_W4`, `ALBIC_W5`) are
+    /// turned away at `HELLO` and at `RESUME`: their barrier acks,
+    /// statistics replies and spill messages have a different layout.
+    #[test]
+    fn an_earlier_revision_handshake_is_rejected() {
+        assert_eq!(WIRE_MAGIC, u64::from_be_bytes(*b"ALBIC_W6"));
+        for old in [*b"ALBIC_W4", *b"ALBIC_W5"] {
+            let old = u64::from_be_bytes(old);
+            let mut hello = encode_hello(NodeId::new(1), "token");
+            hello[..8].copy_from_slice(&old.to_le_bytes());
+            let err = decode_hello(&mut Reader::new(&hello)).unwrap_err();
+            assert_eq!(err.expected, "wire magic");
+            assert!(matches!(err.found, Found::Length(m) if m == old), "{err}");
+            let mut resume = encode_resume(&ResumeMsg {
+                node: NodeId::new(1),
+                token: "token".into(),
+                delivered: 0,
+                routing_version: 0,
+            });
+            resume[..8].copy_from_slice(&old.to_le_bytes());
+            assert!(decode_resume(&mut Reader::new(&resume)).is_err());
+        }
         let current = encode_hello(NodeId::new(1), "token");
         assert_eq!(
             decode_hello(&mut Reader::new(&current)).unwrap(),

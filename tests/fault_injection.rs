@@ -51,6 +51,22 @@ fn run_cfg(
     tuples: impl Fn(u64, u64) -> u64,
     configure: impl FnOnce(JobBuilder) -> JobBuilder,
 ) -> (Vec<u64>, Vec<PeriodRecord>) {
+    let (counts, job) = drive(plan, periods, tuples, configure, |_| {});
+    let history = job.history().to_vec();
+    job.shutdown();
+    (counts, history)
+}
+
+/// The body of [`run_cfg`], calling `before_period(p)` ahead of each
+/// period's faults and input, and handing back the still-running job
+/// with the final counts.
+fn drive(
+    plan: FaultPlan,
+    periods: u64,
+    tuples: impl Fn(u64, u64) -> u64,
+    configure: impl FnOnce(JobBuilder) -> JobBuilder,
+    mut before_period: impl FnMut(u64),
+) -> (Vec<u64>, Job<Runtime>) {
     let base = Job::builder()
         .source("events", 8, Identity)
         .operator("count", 8, Counting)
@@ -62,6 +78,7 @@ fn run_cfg(
     let mut job = configure(base).build_threaded().expect("valid job spec");
     let mut faults = FaultInjector::new(plan);
     for p in 0..periods {
+        before_period(p);
         let killed = faults.advance(job.engine_mut());
         for v in &killed {
             assert!(job.cluster().get(*v).is_some(), "victim existed pre-step");
@@ -83,9 +100,7 @@ fn run_cfg(
     }
     job.settle();
     let counts = final_counts(job.engine());
-    let history = job.history().to_vec();
-    job.shutdown();
-    (counts, history)
+    (counts, job)
 }
 
 /// [`run_cfg`] with the default schedule and configuration.
@@ -549,4 +564,88 @@ fn kill_with_spilled_groups_faults_cold_state_back_in() {
         "no group ever went cold before the kill"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The spill segments in `dir`, oldest generation first.
+fn segments(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+    let mut segs: Vec<(u64, std::path::PathBuf)> = std::fs::read_dir(dir)
+        .map(|d| d.flatten().map(|e| e.path()).collect::<Vec<_>>())
+        .unwrap_or_default()
+        .into_iter()
+        .filter_map(|p| {
+            let name = p.file_name()?.to_str()?;
+            let gen = name
+                .strip_prefix("spill-")?
+                .strip_suffix(".seg")?
+                .parse()
+                .ok()?;
+            Some((gen, p))
+        })
+        .collect();
+    segs.sort();
+    segs.into_iter().map(|(_, p)| p).collect()
+}
+
+#[test]
+fn a_damaged_spill_segment_is_exact_or_reported_never_silent() {
+    // The spilled-groups scenario above, with the newest spill segment
+    // damaged at the start of period 4 — one flipped byte, or the file
+    // cut to half its length — while cold groups live only there, and a
+    // kill at step 5 forcing recovery to restore them from it. The run
+    // must either still match the fault-free oracle or count the damage
+    // in `spill_failures`: a silent mismatch is state loss.
+    let skew = |k: u64, p: u64| {
+        if p == 0 || k < 4 {
+            tuples_of(k, p)
+        } else {
+            0
+        }
+    };
+    let (oracle, _) = run_cfg(FaultPlan::new(), 6, skew, |b| b);
+    let mut reported = 0;
+    for flip in [true, false] {
+        let dir = spill_tmp(if flip { "flip" } else { "truncate" });
+        let _ = std::fs::remove_dir_all(&dir);
+        let damage = |p: u64| {
+            if p != 4 {
+                return;
+            }
+            let seg = segments(&dir)
+                .pop()
+                .expect("groups spilled before period 4");
+            let mut bytes = std::fs::read(&seg).unwrap();
+            assert!(!bytes.is_empty());
+            if flip {
+                let mid = bytes.len() / 2;
+                bytes[mid] ^= 0x5a;
+                std::fs::write(&seg, &bytes).unwrap();
+            } else {
+                let f = std::fs::OpenOptions::new().write(true).open(&seg).unwrap();
+                f.set_len(bytes.len() as u64 / 2).unwrap();
+            }
+        };
+        let (counts, mut job) = drive(
+            FaultPlan::new().kill(5, NodeId::new(1)),
+            6,
+            skew,
+            |b| {
+                b.checkpoint_mode(CheckpointMode::Incremental)
+                    .spill_dir(dir.clone())
+                    .cold_after(2)
+            },
+            damage,
+        );
+        // One more boundary collects what the final probes ran into.
+        let _ = job.step();
+        let failures: u64 = job.history().iter().map(|r| r.spill_failures).sum();
+        job.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(
+            counts == oracle || failures > 0,
+            "flip={flip}: counts diverge from the oracle with no spill failure reported\n  \
+             got    {counts:?}\n  oracle {oracle:?}"
+        );
+        reported += failures;
+    }
+    assert!(reported > 0, "neither kind of damage reached a live record");
 }

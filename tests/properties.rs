@@ -474,7 +474,7 @@ proptest! {
             let mut oracle: Vec<(u32, Vec<u8>)> =
                 live.iter().map(|(&g, b)| (g, b.clone())).collect();
             oracle.sort_unstable_by_key(|(g, _)| *g);
-            let restored = store.full_states().expect("spill files readable");
+            let restored = store.full_states().expect("spill segment readable");
             prop_assert_eq!(&restored, &oracle,
                 "restore diverged at period {} (full={})", period, full);
         }

@@ -214,6 +214,73 @@ fn probe_counts(job: Job<Runtime>) -> Vec<(KeyGroupId, u64)> {
     probed
 }
 
+/// The spill tier over worker daemons: `PaddedCounting` groups (16 KiB
+/// images) go cold for a period, spill to the coordinator's segment and
+/// are faulted back in by the daemons with positioned reads of the
+/// extents the coordinator sent them — before a SIGKILL, and on the
+/// survivor after recovery hands it the dead worker's extents. The
+/// counters must match the in-process run of the same schedule.
+#[cfg(unix)]
+#[test]
+fn uds_daemons_fault_spilled_groups_back_in_by_extent_across_a_kill() {
+    let run = |networked: bool| {
+        let dir = std::env::temp_dir().join(format!(
+            "albic-transport-spill-{}-{networked}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut builder = Job::builder()
+            .source("events", 4, Identity)
+            .operator("count", 4, PaddedCounting)
+            .edge("events", "count")
+            .nodes(2)
+            .policy(Policy::noop())
+            .checkpoint_interval(1)
+            .checkpoint_mode(albic::engine::CheckpointMode::Incremental)
+            .spill_dir(dir.clone())
+            .cold_after(1);
+        if networked {
+            builder = builder.transport(net(SocketKind::Uds));
+        }
+        let mut job = builder.build_threaded().expect("job starts");
+        let mut faults = FaultInjector::new(FaultPlan::new().kill(5, NodeId::new(1)));
+        for p in 0..8u64 {
+            let killed = faults.advance(job.engine_mut());
+            assert_eq!(killed.len(), usize::from(p == 5), "kill lands at period 5");
+            // Each counter group is fed every third period, so it idles
+            // long enough to spill and then faults back in.
+            for k in (0..12u64).filter(|k| (hash_key(k) % 4 + p) % 3 == 0) {
+                let n = 10 + (k * 3 + p) % 7;
+                job.inject(
+                    "events",
+                    (0..n).map(|i| Tuple::keyed(&k, Value::Int(i as i64), p)),
+                );
+            }
+            let report = job.step();
+            assert_eq!(report.recovery.failed.len(), usize::from(p == 5));
+            assert_eq!(report.stats.dropped_tuples, 0.0, "period {p}: no drops");
+        }
+        let history = job.history().to_vec();
+        let counts = probe_counts(job);
+        let _ = std::fs::remove_dir_all(&dir);
+        (counts, history)
+    };
+    let (oracle, _) = run(false);
+    let (counts, history) = run(true);
+    assert_eq!(
+        counts, oracle,
+        "networked spill tier diverges from in-process"
+    );
+    assert!(oracle.iter().any(|&(_, n)| n > 0), "counters actually ran");
+    for (range, when) in [(1..5, "before"), (6..8, "after")] {
+        assert!(
+            history[range].iter().any(|r| r.spilled_groups > 0),
+            "no group spilled {when} the kill"
+        );
+    }
+    assert!(history.iter().all(|r| r.spill_failures == 0), "{history:?}");
+}
+
 /// A stub writer is two threads' worth of session: cut the socket while
 /// the writer is in the middle of a burst larger than the socket buffer
 /// (well over 1 MiB of chunks, injected in one call) and the session
