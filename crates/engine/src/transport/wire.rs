@@ -1831,4 +1831,431 @@ mod tests {
             (NodeId::new(1), "token".to_string())
         );
     }
+
+    // ---- Golden corpus and round trips ----------------------------------
+
+    /// One encoded `ALBIC_W6` body per message tag, reply payload type and
+    /// handshake frame, as `name hex` lines. Regenerate it (with
+    /// `write_golden_corpus`) only together with a magic bump.
+    const GOLDEN: &str = include_str!("../../testdata/wire_w6.golden");
+
+    /// Where the test values' ids, words, blobs and list lengths come
+    /// from.
+    trait Source {
+        /// An id or group number: a word decoded through a checked `u32`.
+        fn id(&mut self) -> u32;
+        /// Any other word.
+        fn num(&mut self) -> u64;
+        fn len(&mut self) -> usize;
+        fn bytes(&mut self) -> Vec<u8>;
+    }
+
+    /// The golden values. Every id is a distinct sentinel, so an id's
+    /// position can be found in the corpus; other words are small.
+    #[derive(Default)]
+    struct Fixed(u32);
+
+    const SENTINEL: u32 = 0x5A5A_0000;
+
+    impl Source for Fixed {
+        fn id(&mut self) -> u32 {
+            self.0 += 1;
+            SENTINEL + self.0
+        }
+        fn num(&mut self) -> u64 {
+            self.0 += 1;
+            self.0 as u64
+        }
+        fn len(&mut self) -> usize {
+            2
+        }
+        /// A blob LZ4 shrinks, or one too short to compress.
+        fn bytes(&mut self) -> Vec<u8> {
+            self.0 += 1;
+            match self.0 % 2 {
+                0 => (0..200u8).map(|i| i % 4).collect(),
+                _ => vec![self.0 as u8; 3],
+            }
+        }
+    }
+
+    fn list<T>(s: &mut dyn Source, mut item: impl FnMut(&mut dyn Source) -> T) -> Vec<T> {
+        (0..s.len()).map(|_| item(s)).collect()
+    }
+    fn node(s: &mut dyn Source) -> NodeId {
+        NodeId::new(s.id())
+    }
+    fn group(s: &mut dyn Source) -> KeyGroupId {
+        KeyGroupId::new(s.id())
+    }
+    fn text(s: &mut dyn Source) -> String {
+        format!("/spill/{}", s.num())
+    }
+    fn rid<T>(s: &mut dyn Source) -> ReplyTo<T> {
+        ReplyTo::Wire {
+            id: s.num(),
+            out: None,
+        }
+    }
+    fn states(s: &mut dyn Source) -> Vec<(u32, Vec<u8>)> {
+        list(s, |s| (s.id(), s.bytes()))
+    }
+    fn spill_extents(s: &mut dyn Source) -> Vec<SpillExtent> {
+        list(s, |s| SpillExtent {
+            group: s.id(),
+            off: s.num() << 32,
+            len: s.id(),
+        })
+    }
+    fn stats(s: &mut dyn Source) -> StatsCollector {
+        let mut c = StatsCollector::new();
+        for m in [
+            &mut c.tuples_in,
+            &mut c.cross_in,
+            &mut c.cross_out,
+            &mut c.state_bytes,
+            &mut c.group_cost,
+        ] {
+            m.insert(s.id(), f64::from_bits(s.num()));
+        }
+        c.out_matrix
+            .insert((s.id(), s.id()), f64::from_bits(s.num()));
+        (c.ingested, c.emitted) = (s.num() as f64, s.num() as f64);
+        c.dropped = f64::from_bits(s.num());
+        c
+    }
+
+    /// Decodes a body, requiring all of it, and encodes the value again.
+    type Reencode = Box<dyn Fn(&[u8]) -> Result<Vec<u8>, DecodeError>>;
+
+    const CAPTURES: [Option<CheckpointMode>; 3] = [
+        None,
+        Some(CheckpointMode::Full),
+        Some(CheckpointMode::Incremental),
+    ];
+
+    /// The revision-6 codec behind each case's value type.
+    trait Codec: Sized {
+        fn enc(&self) -> Vec<u8>;
+        fn dec(r: &mut Reader<'_>) -> Result<Self, DecodeError>;
+    }
+    impl<T: ReplyPayload> Codec for T {
+        fn enc(&self) -> Vec<u8> {
+            let mut w = Writer::new();
+            self.encode_payload(&mut w, true);
+            w.into_bytes()
+        }
+        fn dec(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+            T::decode_payload(r)
+        }
+    }
+    impl Codec for Msg {
+        fn enc(&self) -> Vec<u8> {
+            let mut w = Writer::new();
+            encode_msg(self, &mut w, true, &mut |_| unreachable!("wire ids only"));
+            w.into_bytes()
+        }
+        fn dec(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+            decode_msg(r, None)
+        }
+    }
+    impl Codec for (NodeId, Msg) {
+        fn enc(&self) -> Vec<u8> {
+            [(self.0.raw() as u64).to_le_bytes().to_vec(), self.1.enc()].concat()
+        }
+        fn dec(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+            Ok((NodeId::new(r.get_u64()? as u32), decode_msg(r, None)?))
+        }
+    }
+    impl Codec for (NodeId, String) {
+        fn enc(&self) -> Vec<u8> {
+            encode_hello(self.0, &self.1)
+        }
+        fn dec(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+            decode_hello(r)
+        }
+    }
+    impl Codec for InitMsg {
+        fn enc(&self) -> Vec<u8> {
+            let mut w = Writer::new();
+            encode_init(self, &mut w);
+            w.into_bytes()
+        }
+        fn dec(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+            decode_init(r)
+        }
+    }
+    impl Codec for ResumeMsg {
+        fn enc(&self) -> Vec<u8> {
+            encode_resume(self)
+        }
+        fn dec(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+            decode_resume(r)
+        }
+    }
+    impl Codec for u64 {
+        fn enc(&self) -> Vec<u8> {
+            self.to_le_bytes().to_vec()
+        }
+        fn dec(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+            r.get_u64()
+        }
+    }
+    impl Codec for (u64, Vec<NodeId>) {
+        fn enc(&self) -> Vec<u8> {
+            encode_routing(self.0, &self.1)
+        }
+        fn dec(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+            decode_routing(r)
+        }
+    }
+
+    /// One case: its name, its value's encoding, and the decoder its
+    /// receiver runs. Encoded as a compressing link does: a blob that is
+    /// short or does not shrink still goes raw.
+    fn case<T: Codec + 'static>(name: &'static str, v: &T) -> (&'static str, Vec<u8>, Reencode) {
+        let reencode = move |bytes: &[u8]| {
+            let mut r = Reader::new(bytes);
+            let v = T::dec(&mut r)?;
+            assert!(r.is_done(), "{name}: {} trailing bytes", r.remaining());
+            Ok(v.enc())
+        };
+        (name, v.enc(), Box::new(reencode))
+    }
+
+    /// Every message tag (a rollback with and without a segment), every
+    /// reply payload type (both install arms, statistics with and without
+    /// the gauge and states, a probe with and without state) and every
+    /// frame body, with values drawn from `s`.
+    fn cases(s: &mut dyn Source) -> Vec<(&'static str, Vec<u8>, Reencode)> {
+        let mut chunk = StreamChunk::new();
+        let values = [
+            Value::Int(s.num() as i64),
+            Value::Str(text(s)),
+            Value::Float(f64::from_bits(s.num())),
+            Value::List(vec![Value::Null, Value::Int(s.num() as i64)]),
+        ];
+        for (i, value) in values.into_iter().enumerate() {
+            let (key, ts) = (s.num(), s.num());
+            chunk.push(key, value, ts);
+            chunk.set_group(i, s.num() as u32);
+        }
+        let installed = InstallReply::Installed {
+            state_bytes: s.num() as usize,
+            wire_bytes: s.num() as usize,
+        };
+        let gauge = QueueSample {
+            depth: s.num() as usize,
+            peak: s.num() as usize,
+            overflow: s.num(),
+        };
+        let full: StatsReply = (node(s), stats(s), Some(gauge), Some(states(s)), s.num());
+        let bare: StatsReply = (node(s), stats(s), None, None, s.num());
+        let init = InitMsg {
+            cfg: RuntimeConfig {
+                batch_size: s.num() as usize,
+                channel_capacity: s.num() as usize,
+                flush_interval: Duration::from_nanos(s.num()),
+                barrier_interval: s.num() as usize,
+            },
+            ops: list(s, |s| InitOp {
+                name: text(s),
+                logic: text(s),
+                key_groups: s.id(),
+                is_source: s.num() % 2 == 1,
+            }),
+            edges: list(s, |s| (s.id(), s.id())),
+            routing_version: s.num(),
+            assignment: list(s, node),
+            compression: s.num() % 2 == 1,
+            reconnect: ReconnectPolicy {
+                attempts: s.num() as u32,
+                base_backoff: Duration::from_nanos(s.num()),
+                max_backoff: Duration::from_nanos(s.num()),
+                jitter: (s.num() % 1000) as f64 / 1000.0,
+            },
+        };
+        let capture = CAPTURES[s.num() as usize % 3];
+        vec![
+            case("msg_data_chunk", &Msg::DataChunk(chunk)),
+            case(
+                "msg_prepare_receive",
+                &Msg::PrepareReceive {
+                    kg: group(s),
+                    ack: rid(s),
+                },
+            ),
+            case("msg_cancel_receive", &Msg::CancelReceive { kg: group(s) }),
+            case(
+                "msg_install",
+                &Msg::Install {
+                    kg: group(s),
+                    op: OperatorId::new(s.id()),
+                    bytes: s.bytes(),
+                    wire_bytes: 0,
+                    done: rid(s),
+                },
+            ),
+            case(
+                "msg_epoch_barrier",
+                &Msg::EpochBarrier {
+                    epoch: s.num(),
+                    moves: Arc::new(list(s, |s| (group(s), node(s), node(s)))),
+                    participants: Arc::new(list(s, node)),
+                    install_done: rid(s),
+                    done: rid(s),
+                },
+            ),
+            case(
+                "msg_peer_barrier",
+                &Msg::PeerBarrier {
+                    epoch: s.num(),
+                    from: node(s),
+                },
+            ),
+            case("msg_barrier", &Msg::Barrier(rid(s))),
+            case("msg_flush_windows", &Msg::FlushWindows { ack: rid(s) }),
+            case(
+                "msg_collect_stats",
+                &Msg::CollectStats {
+                    capture,
+                    reply: rid(s),
+                },
+            ),
+            case(
+                "msg_probe_state",
+                &Msg::ProbeState {
+                    kg: group(s),
+                    reply: rid(s),
+                },
+            ),
+            case(
+                "msg_rollback_with_segment",
+                &Msg::Rollback {
+                    states: states(s),
+                    spilled: spill_extents(s),
+                    segment: Some(text(s)),
+                    ack: rid(s),
+                },
+            ),
+            case(
+                "msg_rollback_without_segment",
+                &Msg::Rollback {
+                    states: states(s),
+                    spilled: spill_extents(s),
+                    segment: None,
+                    ack: rid(s),
+                },
+            ),
+            case("msg_crash", &Msg::Crash),
+            case("msg_shutdown", &Msg::Shutdown),
+            case(
+                "msg_routing_update",
+                &Msg::RoutingUpdate {
+                    version: s.num(),
+                    assignment: list(s, node),
+                },
+            ),
+            case(
+                "msg_spill_groups",
+                &Msg::SpillGroups {
+                    segment: text(s),
+                    extents: spill_extents(s),
+                },
+            ),
+            case("reply_unit", &()),
+            case("reply_activity", &(node(s), s.num())),
+            case("reply_node", &node(s)),
+            case("reply_install_installed", &(group(s), installed)),
+            case(
+                "reply_install_gone",
+                &(group(s), InstallReply::DestinationGone),
+            ),
+            case("reply_stats_full", &full),
+            case("reply_stats_bare", &bare),
+            case("reply_probe_some", &Some(s.bytes())),
+            case("reply_probe_none", &None::<Vec<u8>>),
+            case("hello", &(node(s), text(s))),
+            case("init", &init),
+            case(
+                "resume",
+                &ResumeMsg {
+                    node: node(s),
+                    token: text(s),
+                    delivered: s.num(),
+                    routing_version: s.num(),
+                },
+            ),
+            case("resumed", &s.num()),
+            case("ack", &s.num()),
+            case("routing", &(s.num(), list(s, node))),
+            case(
+                "forward",
+                &(
+                    node(s),
+                    Msg::PeerBarrier {
+                        epoch: s.num(),
+                        from: node(s),
+                    },
+                ),
+            ),
+        ]
+    }
+
+    fn to_hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn golden_corpus() -> Vec<(String, Vec<u8>)> {
+        GOLDEN
+            .lines()
+            .filter(|l| !l.is_empty() && !l.starts_with('#'))
+            .map(|l| {
+                let (name, hex) = l.split_once(' ').expect("`name hex` line");
+                let bytes = (0..hex.len())
+                    .step_by(2)
+                    .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex"))
+                    .collect();
+                (name.to_string(), bytes)
+            })
+            .collect()
+    }
+
+    /// Every golden case encodes to the committed `ALBIC_W6` bytes
+    /// exactly, and every committed body decodes to a value that encodes
+    /// back to the same bytes — since the encoding is injective, that is
+    /// the value the case was made from.
+    #[test]
+    fn the_golden_corpus_reproduces_byte_for_byte() {
+        assert_eq!(WIRE_MAGIC, u64::from_be_bytes(*b"ALBIC_W6"));
+        let corpus = golden_corpus();
+        let cases = cases(&mut Fixed::default());
+        let corpus_names: Vec<&str> = corpus.iter().map(|c| c.0.as_str()).collect();
+        let case_names: Vec<&str> = cases.iter().map(|c| c.0).collect();
+        assert_eq!(corpus_names, case_names, "corpus cases");
+        for ((name, golden), (_, encoded, reencode)) in corpus.iter().zip(&cases) {
+            assert_eq!(to_hex(encoded), to_hex(golden), "{name}: encoding changed");
+            let back = reencode(golden).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(
+                to_hex(&back),
+                to_hex(golden),
+                "{name}: decode is not the inverse"
+            );
+        }
+    }
+
+    /// Rewrites the corpus from the golden values. Run only with a magic
+    /// bump: `cargo test -p albic-engine --lib write_golden_corpus -- --ignored`.
+    #[test]
+    #[ignore]
+    fn write_golden_corpus() {
+        let mut text = String::from(
+            "# ALBIC_W6 wire bodies: `case hex`, from transport::wire's golden cases.\n",
+        );
+        for (name, bytes, _) in cases(&mut Fixed::default()) {
+            text.push_str(&format!("{name} {}\n", to_hex(&bytes)));
+        }
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/testdata/wire_w6.golden");
+        std::fs::write(path, text).expect("write corpus");
+    }
 }
