@@ -11,11 +11,27 @@ use albic_core::Controller;
 use albic_engine::checkpoint::{CheckpointMode, CheckpointStore, SpillConfig};
 use albic_engine::operator::{Counting, Identity};
 use albic_engine::reconfig::NoopPolicy;
-use albic_engine::topology::TopologyBuilder;
+use albic_engine::runtime::{Runtime, RuntimeConfig};
+use albic_engine::topology::{Topology, TopologyBuilder};
+use albic_engine::transport::TransportOptions;
 use albic_engine::tuple::{Tuple, Value};
 use albic_engine::{Cluster, CostModel, RoutingTable, SimEngine};
 use albic_types::NodeId;
 use albic_workloads::{SyntheticConfig, SyntheticWorkload};
+
+/// In-process worker threads with the default data-plane tuning.
+fn start_in_process(topology: Topology, cluster: Cluster, routing: RoutingTable) -> Runtime {
+    let (cfg, options) = (RuntimeConfig::default(), TransportOptions::InProcess);
+    Runtime::start_with_options(
+        topology,
+        cluster,
+        routing,
+        CostModel::default(),
+        cfg,
+        options,
+    )
+    .expect("in-process workers start without I/O")
+}
 
 fn bench_sim_tick(c: &mut Criterion) {
     let mut group = c.benchmark_group("sim_tick");
@@ -48,8 +64,7 @@ fn bench_runtime_throughput(c: &mut Criterion) {
         let cluster = Cluster::homogeneous(4);
         let ids: Vec<NodeId> = cluster.nodes().iter().map(|n| n.id).collect();
         let routing = RoutingTable::round_robin(topology.num_key_groups(), &ids);
-        let mut rt =
-            albic_engine::runtime::Runtime::start(topology, cluster, routing, CostModel::default());
+        let mut rt = start_in_process(topology, cluster, routing);
         let tuples: Vec<Tuple> = (0..10_000)
             .map(|i| Tuple::keyed(&(i % 64), Value::Int(i), i as u64))
             .collect();
@@ -76,8 +91,7 @@ fn bench_runtime_noop_round(c: &mut Criterion) {
         let cluster = Cluster::homogeneous(2);
         let ids: Vec<NodeId> = cluster.nodes().iter().map(|n| n.id).collect();
         let routing = RoutingTable::round_robin(topology.num_key_groups(), &ids);
-        let mut rt =
-            albic_engine::runtime::Runtime::start(topology, cluster, routing, CostModel::default());
+        let mut rt = start_in_process(topology, cluster, routing);
         rt.inject(
             src,
             (0..1000).map(|i| Tuple::keyed(&(i % 64), Value::Int(i), i as u64)),

@@ -8,7 +8,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use albic_engine::migration::Migration;
 use albic_engine::operator::{Counting, Identity};
+use albic_engine::runtime::RuntimeConfig;
 use albic_engine::topology::TopologyBuilder;
+use albic_engine::transport::TransportOptions;
 use albic_engine::tuple::{hash_key, Tuple, Value};
 use albic_engine::{Cluster, CostModel, RoutingTable};
 use albic_types::NodeId;
@@ -23,8 +25,15 @@ fn bench_migration_roundtrip(c: &mut Criterion) {
         let cluster = Cluster::homogeneous(2);
         let ids: Vec<NodeId> = cluster.nodes().iter().map(|n| n.id).collect();
         let routing = RoutingTable::round_robin(topology.num_key_groups(), &ids);
-        let mut rt =
-            albic_engine::runtime::Runtime::start(topology, cluster, routing, CostModel::default());
+        let mut rt = albic_engine::runtime::Runtime::start_with_options(
+            topology,
+            cluster,
+            routing,
+            CostModel::default(),
+            RuntimeConfig::default(),
+            TransportOptions::InProcess,
+        )
+        .expect("in-process workers start without I/O");
 
         // Build up some state.
         rt.inject(

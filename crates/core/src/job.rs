@@ -33,7 +33,7 @@
 //! Validation happens at `build_*` time behind [`JobError`] — empty
 //! topologies, dangling edges, zero-node clusters and routing/key-group
 //! mismatches are errors, not panics. The pre-existing constructors
-//! (`Runtime::start`, `SimEngine::new`, [`Controller::new`]) remain
+//! (`Runtime::start_with_options`, `SimEngine::new`, [`Controller::new`]) remain
 //! available for advanced wiring.
 
 use std::collections::HashSet;

@@ -249,7 +249,7 @@ impl WorkerHandle {
 use crate::tuple::Tuple;
 
 /// Data-plane tuning of the threaded runtime. Thread through
-/// `Job::builder().runtime_config(..)` or [`Runtime::start_with_config`].
+/// `Job::builder().runtime_config(..)` or [`Runtime::start_with_options`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeConfig {
     /// Maximum rows per data chunk. `1` degenerates to the per-tuple
@@ -514,7 +514,7 @@ pub(crate) type StatsReply = (
     NodeId,
     StatsCollector,
     Option<QueueSample>,
-    Option<Vec<(u32, Vec<u8>)>>,
+    Option<Vec<(u32, StateBlob)>>,
     u64,
 );
 
@@ -759,11 +759,28 @@ pub(crate) enum InstallReply {
     DestinationGone,
 }
 
+/// One serialized key-group state as a message carries it: the bytes,
+/// and how many bytes they occupied on the wire (fewer when the link
+/// compressed them; `bytes.len()` in-process).
+pub(crate) struct StateBlob {
+    pub(crate) bytes: Vec<u8>,
+    pub(crate) wire_len: usize,
+}
+
+impl StateBlob {
+    pub(crate) fn new(bytes: Vec<u8>) -> Self {
+        StateBlob {
+            wire_len: bytes.len(),
+            bytes,
+        }
+    }
+}
+
 /// Where a protocol reply goes: an in-process channel, or a correlation
 /// id answered over a worker socket. Control messages carry these instead
 /// of raw `Sender`s so the same [`Msg`] enum crosses both substrates; see
 /// [`crate::transport::wire`] for the wire side (including `send`, which
-/// is implemented there next to the payload codecs).
+/// is implemented there next to the reply table).
 pub(crate) enum ReplyTo<T> {
     /// In-process: the original crossbeam channel.
     Chan(Sender<T>),
@@ -815,12 +832,9 @@ pub(crate) enum Msg {
     Install {
         kg: KeyGroupId,
         op: OperatorId,
-        bytes: Vec<u8>,
-        /// How many bytes the state blob occupied on the wire (equal to
-        /// `bytes.len()` in-process or with compression off; smaller when
-        /// the transport compressed it). Decoded from the frame, echoed
-        /// into the [`InstallReply`] for migration cost accounting.
-        wire_bytes: usize,
+        /// The state; its wire length is echoed into the [`InstallReply`]
+        /// for migration cost accounting.
+        state: StateBlob,
         done: ReplyTo<(KeyGroupId, InstallReply)>,
     },
     /// An epoch barrier from the coordinator (or a no-op wave from the
@@ -869,7 +883,7 @@ pub(crate) enum Msg {
     /// sublinear in total state. The inject-side log replays the
     /// discarded delta afterwards.
     Rollback {
-        states: Vec<(u32, Vec<u8>)>,
+        states: Vec<(u32, StateBlob)>,
         spilled: Vec<SpillExtent>,
         segment: Option<String>,
         ack: ReplyTo<()>,
@@ -1144,19 +1158,18 @@ impl WorkerCtx {
             Msg::Install {
                 kg,
                 op,
-                bytes,
-                wire_bytes,
+                state,
                 done,
             } => {
-                self.install_state(kg, op, &bytes);
+                self.install_state(kg, op, &state.bytes);
                 if let Some(buffered) = self.buffers.remove(&kg.raw()) {
                     self.on_chunk(buffered);
                 }
                 let _ = done.send((
                     kg,
                     InstallReply::Installed {
-                        state_bytes: bytes.len(),
-                        wire_bytes,
+                        state_bytes: state.bytes.len(),
+                        wire_bytes: state.wire_len,
                     },
                 ));
             }
@@ -1232,10 +1245,10 @@ impl WorkerCtx {
                 self.epochs.clear();
                 self.routing_version = self.routing.version();
                 self.routing_cache = self.routing.snapshot();
-                for (raw, bytes) in states {
+                for (raw, state) in states {
                     let kg = KeyGroupId::new(raw);
                     let op = self.topology.operator_of_group(kg);
-                    self.install_state(kg, op, &bytes);
+                    self.install_state(kg, op, &state.bytes);
                 }
                 // Cold groups are not installed eagerly: the worker only
                 // remembers where they live on the spill tier and faults
@@ -1358,8 +1371,7 @@ impl WorkerCtx {
         let msg = Msg::Install {
             kg,
             op,
-            wire_bytes: bytes.len(),
-            bytes,
+            state: StateBlob::new(bytes),
             done,
         };
         if let Err(Msg::Install { done, .. }) = self.send_control(dest, msg) {
@@ -1474,7 +1486,7 @@ impl WorkerCtx {
     /// that fails its read is counted and left out, and the store keeps
     /// its entry). Both variants drain the dirty set: the store now
     /// covers those writes.
-    fn snapshot_states(&mut self, mode: CheckpointMode) -> Vec<(u32, Vec<u8>)> {
+    fn snapshot_states(&mut self, mode: CheckpointMode) -> Vec<(u32, StateBlob)> {
         let delta_only = mode == CheckpointMode::Incremental;
         let mut ids: Vec<u32> = if delta_only {
             self.dirty
@@ -1492,7 +1504,7 @@ impl WorkerCtx {
             let op = self.topology.operator_of_group(kg);
             let logic = Arc::clone(&self.topology.operator(op).logic);
             if let Some(state) = self.states.get(&g) {
-                snap.push((g, logic.serialize_state(state)));
+                snap.push((g, StateBlob::new(logic.serialize_state(state))));
             }
         }
         if !delta_only && !self.spilled.is_empty() {
@@ -1505,7 +1517,7 @@ impl WorkerCtx {
             cold.sort_unstable_by_key(|ext| ext.group);
             for ext in cold {
                 if let Some(bytes) = self.read_spilled(ext) {
-                    snap.push((ext.group, bytes));
+                    snap.push((ext.group, StateBlob::new(bytes)));
                 }
             }
             snap.sort_unstable_by_key(|(g, _)| *g);
@@ -2047,39 +2059,10 @@ pub struct Runtime {
 }
 
 impl Runtime {
-    /// Spawn one worker per cluster node with the given initial routing
-    /// and the default [`RuntimeConfig`].
-    pub fn start(
-        topology: Topology,
-        cluster: Cluster,
-        routing: RoutingTable,
-        cost: CostModel,
-    ) -> Runtime {
-        Runtime::start_with_config(topology, cluster, routing, cost, RuntimeConfig::default())
-    }
-
-    /// [`Runtime::start`] with explicit data-plane tuning (in-process
-    /// workers).
-    pub fn start_with_config(
-        topology: Topology,
-        cluster: Cluster,
-        routing: RoutingTable,
-        cost: CostModel,
-        cfg: RuntimeConfig,
-    ) -> Runtime {
-        Runtime::start_with_transport(
-            topology,
-            cluster,
-            routing,
-            cost,
-            cfg,
-            Box::new(InProcessTransport),
-        )
-    }
-
-    /// [`Runtime::start_with_config`] with the worker substrate chosen by
-    /// [`TransportOptions`]. Fails only in networked mode, where binding
-    /// the listener or launching worker processes can hit I/O errors.
+    /// Spawn one worker per cluster node with the given initial routing,
+    /// data-plane tuning and worker substrate. Fails only in networked
+    /// mode, where binding the listener or launching worker processes can
+    /// hit I/O errors.
     pub fn start_with_options(
         topology: Topology,
         cluster: Cluster,
@@ -2111,8 +2094,8 @@ impl Runtime {
         ))
     }
 
-    /// [`Runtime::start`] with an explicit [`Transport`] backend — the
-    /// root constructor every other `start_*` delegates to.
+    /// [`Runtime::start_with_options`] with an explicit [`Transport`]
+    /// backend — the root constructor it delegates to.
     pub fn start_with_transport(
         topology: Topology,
         cluster: Cluster,
@@ -2158,15 +2141,6 @@ impl Runtime {
             rt.spawn_worker_thread(node);
         }
         rt
-    }
-
-    /// [`Runtime::start`] with round-robin initial routing over the
-    /// cluster's current nodes — the default allocation a job gets at
-    /// submission, mirroring [`crate::sim::SimEngine::with_round_robin`].
-    pub fn with_round_robin(topology: Topology, cluster: Cluster, cost: CostModel) -> Runtime {
-        let nodes: Vec<NodeId> = cluster.nodes().iter().map(|n| n.id).collect();
-        let routing = RoutingTable::round_robin(topology.num_key_groups(), &nodes);
-        Runtime::start(topology, cluster, routing, cost)
     }
 
     /// Register a channel for `node` and spawn its worker thread. The
@@ -2544,7 +2518,7 @@ impl Runtime {
             }
             pressure.insert(node, p);
             merged.merge(&c);
-            states.extend(snap.into_iter().flatten());
+            states.extend(snap.into_iter().flatten().map(|(g, s)| (g, s.bytes)));
         }
         for (node, gauge) in self.gauges.read().iter() {
             gauge.collect().add_to(pressure.entry(*node).or_default());
@@ -3116,12 +3090,12 @@ impl Runtime {
         // the Rollback handler; the inject-edge counter is cleared here).
         self.inject_dropped.store(0, Ordering::Relaxed);
         let routing = self.routing.snapshot();
-        let mut per_node: HashMap<NodeId, Vec<(u32, Vec<u8>)>> = HashMap::new();
+        let mut per_node: HashMap<NodeId, Vec<(u32, StateBlob)>> = HashMap::new();
         for (g, bytes) in self.checkpoint_store.hot_states() {
             per_node
                 .entry(routing.node_of(KeyGroupId::new(g)))
                 .or_default()
-                .push((g, bytes));
+                .push((g, StateBlob::new(bytes)));
         }
         let segment = self
             .checkpoint_store
@@ -3323,6 +3297,18 @@ mod tests {
         (b.build().unwrap(), src, cnt)
     }
 
+    /// In-process workers with the default cost model.
+    fn start_in_process(
+        topology: Topology,
+        cluster: Cluster,
+        routing: RoutingTable,
+        cfg: RuntimeConfig,
+    ) -> Runtime {
+        let (cost, options) = (CostModel::default(), TransportOptions::InProcess);
+        Runtime::start_with_options(topology, cluster, routing, cost, cfg, options)
+            .expect("in-process workers start without I/O")
+    }
+
     fn two_op_runtime(nodes: usize) -> (Runtime, OperatorId, OperatorId) {
         two_op_runtime_config(nodes, RuntimeConfig::default())
     }
@@ -3335,7 +3321,7 @@ mod tests {
         let cluster = Cluster::homogeneous(nodes);
         let nodes: Vec<NodeId> = cluster.nodes().iter().map(|n| n.id).collect();
         let routing = RoutingTable::round_robin(topology.num_key_groups(), &nodes);
-        let rt = Runtime::start_with_config(topology, cluster, routing, CostModel::default(), cfg);
+        let rt = start_in_process(topology, cluster, routing, cfg);
         (rt, src, cnt)
     }
 
@@ -4082,7 +4068,7 @@ mod tests {
         let topology = b.build().unwrap();
         let cluster = Cluster::homogeneous(2);
         let routing = RoutingTable::all_on(topology.num_key_groups(), NodeId::new(0));
-        let mut rt = Runtime::start(topology, cluster, routing, CostModel::default());
+        let mut rt = start_in_process(topology, cluster, routing, RuntimeConfig::default());
 
         let key = 1i32;
         rt.inject(op, (0..5).map(|i| Tuple::keyed(&key, Value::Int(i), 0)));
@@ -4633,7 +4619,7 @@ mod tests {
             .collect();
         let routing = RoutingTable::from_assignment(assignment);
         let cluster = Cluster::homogeneous(nodes);
-        let rt = Runtime::start(topology, cluster, routing, CostModel::default());
+        let rt = start_in_process(topology, cluster, routing, RuntimeConfig::default());
         (rt, ids)
     }
 

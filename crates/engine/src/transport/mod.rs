@@ -270,41 +270,47 @@ pub fn fuzz_decode(bytes: &[u8]) {
     let mut fb = wire::FrameBuffer::new();
     fb.extend(bytes);
     while let Ok(Some((kind, body))) = fb.next_frame() {
-        let mut r = Reader::new(body);
-        let _ = match kind {
-            wire::FRAME_HELLO => wire::decode_hello(&mut r).map(|_| ()),
-            wire::FRAME_INIT => wire::decode_init(&mut r).map(|_| ()),
-            wire::FRAME_RESUME => wire::decode_resume(&mut r).map(|_| ()),
-            wire::FRAME_RESUMED => wire::decode_resumed(&mut r).map(|_| ()),
-            wire::FRAME_ACK => wire::decode_ack(&mut r).map(|_| ()),
+        match kind {
             // Session-bearing kinds: split the (seq, ack) header, then
             // decode the payload as the stub/daemon would.
-            wire::FRAME_MSG => wire::split_session(body)
-                .and_then(|(_, _, p)| wire::decode_msg(&mut Reader::new(p), None))
-                .map(|_| ()),
-            wire::FRAME_FORWARD => wire::split_session(body).and_then(|(_, _, p)| {
-                let mut pr = Reader::new(p);
-                pr.get_u64()
-                    .and_then(|_| wire::decode_msg(&mut pr, None))
-                    .map(|_| ())
-            }),
-            wire::FRAME_ROUTING => wire::split_session(body)
-                .and_then(|(_, _, p)| wire::decode_routing(&mut Reader::new(p)))
-                .map(|_| ()),
-            _ => Ok(()),
-        };
+            wire::FRAME_MSG | wire::FRAME_FORWARD | wire::FRAME_REPLY | wire::FRAME_ROUTING => {
+                if let Ok((_, _, payload)) = wire::split_session(body) {
+                    decode_payload(kind, payload);
+                }
+            }
+            _ => decode_payload(kind, body),
+        }
     }
     // And each body decoder on the raw bytes, bypassing framing.
-    let _ = wire::decode_msg(&mut Reader::new(bytes), None);
-    let _ = wire::decode_init(&mut Reader::new(bytes));
-    let _ = wire::decode_hello(&mut Reader::new(bytes));
-    let _ = wire::decode_resume(&mut Reader::new(bytes));
-    let _ = wire::decode_resumed(&mut Reader::new(bytes));
-    let _ = wire::decode_ack(&mut Reader::new(bytes));
-    let _ = wire::decode_routing(&mut Reader::new(bytes));
+    for kind in wire::FRAME_HELLO..=wire::FRAME_ACK {
+        decode_payload(kind, bytes);
+    }
+    wire::decode_every_reply(bytes);
     let _ = wire::split_session(bytes);
     // The LZ4 decompressor also faces the network (inside state blobs).
     let _ = lz4::decompress(bytes, 4096);
     let _ = crate::chunk::StreamChunk::decode(&mut Reader::new(bytes));
     let _ = Reader::new(bytes).get_value();
+}
+
+/// Decode one frame payload the way its receiver does and drop the
+/// result. `payload` is a session-bearing frame's body after its `(seq,
+/// ack)` header, any other frame's whole body; a `REPLY` is tried as
+/// every reply payload type after its id.
+fn decode_payload(kind: u8, payload: &[u8]) {
+    use wire::{decode, Hello, InitMsg, ResumeMsg, Routing};
+    let _ = match kind {
+        wire::FRAME_HELLO => decode::<Hello>(payload, None).map(drop),
+        wire::FRAME_INIT => decode::<InitMsg>(payload, None).map(drop),
+        wire::FRAME_MSG => decode::<Msg>(payload, None).map(drop),
+        wire::FRAME_FORWARD => decode::<(NodeId, Msg)>(payload, None).map(drop),
+        wire::FRAME_REPLY => {
+            wire::decode_every_reply(payload.get(8..).unwrap_or_default());
+            Ok(())
+        }
+        wire::FRAME_ROUTING => decode::<Routing>(payload, None).map(drop),
+        wire::FRAME_RESUME => decode::<ResumeMsg>(payload, None).map(drop),
+        wire::FRAME_RESUMED | wire::FRAME_ACK => decode::<u64>(payload, None).map(drop),
+        _ => Ok(()),
+    };
 }

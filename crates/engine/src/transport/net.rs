@@ -54,7 +54,6 @@ use crossbeam::channel::Receiver;
 
 use albic_types::NodeId;
 
-use crate::codec::{Reader, Writer};
 use crate::runtime::{
     coalesce, send_gated, GaugeMap, Msg, RoutingShared, RuntimeConfig, SenderMap, WorkerGauge,
     WORKER_SEND_PATIENCE,
@@ -696,10 +695,9 @@ fn admit(mut conn: Conn, shared: &NetShared) {
     if let Conn::Tcp(s) = &conn {
         let _ = s.set_nodelay(true);
     }
-    let mut r = Reader::new(body);
     match kind {
         wire::FRAME_HELLO => {
-            let Ok((node, token)) = wire::decode_hello(&mut r) else {
+            let Ok(wire::Hello { node, token }) = wire::decode(body, None) else {
                 return;
             };
             if token != shared.token {
@@ -718,7 +716,7 @@ fn admit(mut conn: Conn, shared: &NetShared) {
             }
         }
         wire::FRAME_RESUME => {
-            let Ok(resume) = wire::decode_resume(&mut r) else {
+            let Ok(resume) = wire::decode::<wire::ResumeMsg>(body, None) else {
                 return;
             };
             if resume.token != shared.token {
@@ -827,9 +825,7 @@ fn stub_main(spawn: WorkerSpawn, ctx: StubCtx) -> Receiver<Msg> {
             compression: ctx.compress,
             reconnect: ctx.policy,
         };
-        let mut w = Writer::new();
-        wire::encode_init(&init, &mut w);
-        conn.write_all(&wire::frame_bytes(wire::FRAME_INIT, &w.into_bytes()))?;
+        conn.write_all(&wire::frame_bytes(wire::FRAME_INIT, &wire::encode(&init)))?;
         Ok(WireOut::new(conn.try_clone()?, ctx.compress))
     })();
     let Ok(out) = init_sent else {
@@ -919,17 +915,11 @@ fn stub_writer(
                 Msg::RoutingUpdate {
                     version,
                     assignment,
-                } => (
-                    wire::FRAME_ROUTING,
-                    wire::encode_routing(version, &assignment),
+                } => (wire::FRAME_ROUTING, wire::encode(&(version, assignment))),
+                msg => (
+                    wire::FRAME_MSG,
+                    wire::encode_with(&msg, out.compress(), Some(correlator)),
                 ),
-                msg => {
-                    let mut w = Writer::new();
-                    wire::encode_msg(&msg, &mut w, out.compress(), &mut |p| {
-                        correlator.register(p)
-                    });
-                    (wire::FRAME_MSG, w.into_bytes())
-                }
             };
             bytes += frame.1.len();
             burst.push(frame);
@@ -1053,7 +1043,7 @@ impl StubReader {
             );
             return false;
         }
-        let resumed = wire::encode_resumed(self.out.delivered());
+        let resumed = wire::encode(&self.out.delivered());
         let resumed = wire::frame_bytes(wire::FRAME_RESUMED, &resumed);
         let write_half = conn.try_clone();
         let Ok(write_half) = write_half.and_then(|mut w| w.write_all(&resumed).map(|()| w)) else {
@@ -1065,7 +1055,7 @@ impl StubReader {
         let top_up = (routing_version < self.routing.version()).then(|| {
             let version = self.routing.version(); // before the table: see INIT
             let table = self.routing.read().assignment().to_vec();
-            (wire::FRAME_ROUTING, wire::encode_routing(version, &table))
+            (wire::FRAME_ROUTING, wire::encode(&(version, table)))
         });
         // Replay on a helper thread so this one goes back to reading at
         // once: the worker replays its own suffix before it reads again,
@@ -1099,18 +1089,14 @@ impl StubReader {
     }
 
     fn relay(&self, kind: u8, payload: &[u8]) -> Result<(), crate::codec::DecodeError> {
-        let mut r = Reader::new(payload);
         match kind {
-            wire::FRAME_REPLY => {
-                let id = r.get_u64()?;
-                self.ctx.correlator.fire(id, &mut r)?;
-            }
+            wire::FRAME_REPLY => self.ctx.correlator.fire(payload)?,
             wire::FRAME_FORWARD => {
-                let dest = NodeId::new(r.get_u64()? as u32);
                 // Decoded without an uplink: any reply handle inside is a
                 // passthrough that survives the destination stub's
                 // re-encode with its correlation id intact.
-                match wire::decode_msg(&mut r, None)? {
+                let (dest, msg) = wire::decode::<(NodeId, Msg)>(payload, None)?;
+                match msg {
                     Msg::DataChunk(chunk) => {
                         let n = chunk.visible_len() as u64;
                         // The same gated hand-off a worker thread uses,
@@ -1219,7 +1205,7 @@ mod tests {
                 assert_eq!(kind, wire::FRAME_MSG);
                 let (seq, _, payload) = wire::split_session(body).expect("session frame");
                 assert_eq!(seq, got.len() as u64 + 1, "frames arrive in sequence");
-                got.push(match wire::decode_msg(&mut Reader::new(payload), None) {
+                got.push(match wire::decode::<Msg>(payload, None) {
                     Ok(Msg::DataChunk(chunk)) => chunk.ts_at(0),
                     Ok(Msg::Shutdown) => u64::MAX,
                     _ => panic!("frame {seq} is neither a chunk nor the shutdown"),
@@ -1284,7 +1270,7 @@ mod tests {
                     frames.push(vec![u64::MAX - 1]);
                     continue;
                 }
-                match wire::decode_msg(&mut Reader::new(payload), None) {
+                match wire::decode::<Msg>(payload, None) {
                     Ok(Msg::DataChunk(c)) => {
                         frames.push((0..c.len()).map(|i| c.ts_at(i)).collect())
                     }

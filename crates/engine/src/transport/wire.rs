@@ -13,14 +13,27 @@
 //! becomes a correlation id registered in the controller-side
 //! [`Correlator`], and the daemon answers with a `REPLY` frame carrying
 //! the id plus the encoded payload.
+//!
+//! Each layout is declared once. A field type implements [`Wire`]: its
+//! `put` and `get` sit side by side. Messages, replies and frame bodies
+//! are built from those impls. [`Msg`]'s encoder, decoder, unknown-tag
+//! error and [`MSG_TAGS`] come from the message table (`messages!`), and
+//! every reply payload type is one entry of the reply table (`replies!`).
+//! To add a message, add the variant to [`Msg`] and one table line
+//! `tag => Variant { fields in wire order }`; `docs/TRANSPORT.md`'s tag
+//! table is checked against it. Whenever the bytes a peer must understand
+//! change (a new tag, a new field, another layout), also bump
+//! [`WIRE_MAGIC`] and commit a golden corpus for the new revision next to
+//! `testdata/wire_w6.golden`, which pins every layout byte for byte.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::io::{self, Read, Write};
 use std::net::Shutdown;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
+use std::time::Duration;
 
-use crossbeam::channel::Sender;
 use parking_lot::Mutex;
 
 use albic_types::{KeyGroupId, NodeId, OperatorId};
@@ -32,9 +45,9 @@ use crate::checkpoint::{CheckpointMode, SpillExtent};
 use crate::chunk::StreamChunk;
 use crate::codec::{DecodeError, Found, Reader, Writer};
 use crate::runtime::{
-    Activity, InstallReply, Msg, QueueSample, ReplyTo, RuntimeConfig, StatsReply,
+    Activity, InstallReply, Msg, QueueSample, ReplyTo, RuntimeConfig, StateBlob, StatsReply,
 };
-use crate::stats::StatsCollector;
+use crate::stats::{FastMap, StatsCollector};
 
 /// Handshake magic ("ALBIC_W6"): rejects a stray client that is not an
 /// albic worker speaking this protocol revision (revision 2 added
@@ -496,7 +509,7 @@ impl WireOut {
                 Err(_) => return LinkEvent::Cut,
             };
             let event = match kind {
-                FRAME_ACK => match decode_ack(&mut Reader::new(body)) {
+                FRAME_ACK => match decode::<u64>(body, None) {
                     Ok(upto) => {
                         self.on_inbound(upto, None);
                         LinkEvent::Keep
@@ -532,176 +545,490 @@ impl WireOut {
     /// on the daemon side, where every [`ReplyTo`] inside `msg` is
     /// already a wire id.
     pub(crate) fn forward(&self, dest: NodeId, msg: &Msg) -> io::Result<()> {
-        let mut w = Writer::new();
-        w.put_u64(dest.raw() as u64);
-        encode_msg(msg, &mut w, self.inner.compress, &mut |_| {
-            unreachable!("daemon-side reply handles are always wire ids")
+        let mut e = Enc::new(self.inner.compress, None);
+        dest.put(&mut e);
+        msg.put(&mut e);
+        self.send_frame(FRAME_FORWARD, &e.w.into_bytes())
+    }
+}
+
+// ---- Field codecs ------------------------------------------------------
+
+/// A value with one wire layout, written once for both directions.
+/// Messages, replies and frame bodies are built from their fields' impls
+/// (see the message and reply tables below), so an encoder and its
+/// decoder cannot disagree about a field.
+pub(crate) trait Wire: Sized {
+    fn put(&self, e: &mut Enc<'_>);
+    fn get(d: &mut Dec<'_>) -> Result<Self, DecodeError>;
+}
+
+/// The encoding side: the output, whether state blobs are LZ4-compressed,
+/// and (controller side only) the [`Correlator`] that parks in-process
+/// reply channels.
+pub(crate) struct Enc<'a> {
+    w: Writer,
+    compress: bool,
+    correlator: Option<&'a Correlator>,
+}
+
+impl<'a> Enc<'a> {
+    fn new(compress: bool, correlator: Option<&'a Correlator>) -> Self {
+        Enc {
+            w: Writer::new(),
+            compress,
+            correlator,
+        }
+    }
+}
+
+/// The decoding side: the input, and (daemon side only) the uplink that
+/// every decoded reply handle answers on. Without it (controller relay)
+/// reply handles are inert passthroughs that only survive re-encoding.
+pub(crate) struct Dec<'a> {
+    r: Reader<'a>,
+    out: Option<&'a WireOut>,
+}
+
+impl<'a> Dec<'a> {
+    fn new(bytes: &'a [u8], out: Option<&'a WireOut>) -> Self {
+        Dec {
+            r: Reader::new(bytes),
+            out,
+        }
+    }
+
+    fn get<T: Wire>(&mut self) -> Result<T, DecodeError> {
+        T::get(self)
+    }
+
+    /// A `u64` word that must be at most `max`; anything larger fails
+    /// closed with `expected`.
+    fn word(&mut self, max: u64, expected: &'static str) -> Result<u64, DecodeError> {
+        let at = self.r.offset();
+        let v = self.r.get_u64()?;
+        if v > max {
+            return Err(DecodeError::new(at, expected, Found::Length(v)));
+        }
+        Ok(v)
+    }
+}
+
+/// Encode `v`. `compress` applies LZ4 to its state blobs; `correlator`
+/// parks its in-process reply channels and puts their wire ids in their
+/// place. Without one, every reply handle in `v` must already be a wire
+/// id (daemon side) — an id passes through unchanged, which is how the
+/// controller relays a worker-to-worker `Install`.
+pub(crate) fn encode_with<T: Wire>(
+    v: &T,
+    compress: bool,
+    correlator: Option<&Correlator>,
+) -> Vec<u8> {
+    let mut e = Enc::new(compress, correlator);
+    v.put(&mut e);
+    e.w.into_bytes()
+}
+
+/// Encode a value that carries no state blobs and no reply channels.
+pub(crate) fn encode<T: Wire>(v: &T) -> Vec<u8> {
+    encode_with(v, false, None)
+}
+
+/// Decode a `T` from the front of `bytes`; `out` as in [`Dec`].
+pub(crate) fn decode<T: Wire>(bytes: &[u8], out: Option<&WireOut>) -> Result<T, DecodeError> {
+    Dec::new(bytes, out).get()
+}
+
+/// `Wire` impls written as one `put` and one `get` expression each.
+macro_rules! wire_layouts {
+    ($($(#[$doc:meta])* $ty:ty => |$v:ident, $e:ident| $put:expr, |$d:ident| $get:expr;)*) => {$(
+        $(#[$doc])*
+        impl Wire for $ty {
+            fn put(&self, $e: &mut Enc<'_>) {
+                let $v = self;
+                $put;
+            }
+            fn get($d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+                $get
+            }
+        }
+    )*};
+}
+
+wire_layouts! {
+    () => |_v, _e| {}, |_d| Ok(());
+    u64 => |v, e| e.w.put_u64(*v), |d| d.r.get_u64();
+    usize => |v, e| e.w.put_u64(*v as u64), |d| Ok(d.r.get_u64()? as usize);
+    /// Ids and group numbers travel as `u64` words; a word beyond `u32`
+    /// fails closed instead of being truncated onto another id.
+    u32 => |v, e| e.w.put_u64(*v as u64),
+        |d| Ok(d.word(u32::MAX as u64, "a value below 2^32")? as u32);
+    NodeId => |v, e| v.raw().put(e), |d| Ok(NodeId::new(d.get()?));
+    KeyGroupId => |v, e| v.raw().put(e), |d| Ok(KeyGroupId::new(d.get()?));
+    OperatorId => |v, e| v.raw().put(e), |d| Ok(OperatorId::new(d.get()?));
+    bool => |v, e| e.w.put_u64(*v as u64), |d| Ok(d.word(1, "bool 0..=1")? == 1);
+    f64 => |v, e| e.w.put_f64(*v), |d| d.r.get_f64();
+    String => |v, e| e.w.put_str(v), |d| d.r.get_str();
+    Duration => |v, e| (v.as_nanos() as u64).put(e), |d| Ok(Duration::from_nanos(d.get()?));
+    StreamChunk => |v, e| v.encode(&mut e.w), |d| StreamChunk::decode(&mut d.r);
+    /// A peer speaking another protocol revision fails here, before any
+    /// other field.
+    Magic => |_v, e| WIRE_MAGIC.put(e),
+        |d| match (d.r.offset(), d.r.get_u64()?) {
+            (_, WIRE_MAGIC) => Ok(Magic),
+            (at, magic) => Err(DecodeError::new(at, "wire magic", Found::Length(magic))),
+        };
+    /// A plain length-prefixed byte blob (state blobs are [`StateBlob`]).
+    Vec<u8> => |v, e| {
+            v.len().put(e);
+            e.w.put_bytes(v)
+        },
+        |d| {
+            let n = d.get()?;
+            Ok(d.r.get_bytes(n)?.to_vec())
+        };
+    /// `[group][offset][length]`; a length of 4 GiB or more cannot be a
+    /// record's and fails closed.
+    SpillExtent => |v, e| (v.group, v.off, v.len).put(e),
+        |d| Ok(SpillExtent {
+            group: d.get()?,
+            off: d.get()?,
+            len: d.word(u32::MAX as u64, "extent length below 4 GiB")? as u32,
         });
-        self.send_frame(FRAME_FORWARD, &w.into_bytes())
-    }
+    /// A collection's capture request, as its index in [`CAPTURES`].
+    Option<CheckpointMode> => |v, e| {
+            let tag = CAPTURES.iter().position(|c| c == v);
+            tag.expect("every capture request has a tag").put(e)
+        },
+        |d| Ok(CAPTURES[d.word(2, "capture tag 0..=2")? as usize]);
+    /// `[u64 0][state bytes][wire bytes]`, or `[u64 1]` for a gone
+    /// destination.
+    InstallReply => |v, e| match *v {
+            InstallReply::Installed { state_bytes, wire_bytes } => (0u64, state_bytes, wire_bytes).put(e),
+            InstallReply::DestinationGone => 1u64.put(e),
+        },
+        |d| Ok(match d.word(1, "install-reply tag 0..=1")? {
+            0 => InstallReply::Installed { state_bytes: d.get()?, wire_bytes: d.get()? },
+            _ => InstallReply::DestinationGone,
+        });
+    /// The attempt count saturates and the jitter is clamped to `0..=1`.
+    ReconnectPolicy => |v, e| (v.attempts, v.base_backoff, v.max_backoff, v.jitter).put(e),
+        |d| Ok(ReconnectPolicy {
+            attempts: d.get::<u64>()?.min(u32::MAX as u64) as u32,
+            base_backoff: d.get()?,
+            max_backoff: d.get()?,
+            jitter: d.get::<f64>()?.clamp(0.0, 1.0),
+        });
 }
 
-// ---- Reply payloads ----------------------------------------------------
+/// The capture requests of [`Msg::CollectStats`], by wire tag.
+const CAPTURES: [Option<CheckpointMode>; 3] = [
+    None,
+    Some(CheckpointMode::Full),
+    Some(CheckpointMode::Incremental),
+];
 
-/// A protocol reply payload that can cross the wire — one impl per reply
-/// channel type the [`Msg`] enum carries. `compress` governs state-blob
-/// payloads (checkpoint snapshots); scalar payloads ignore it.
-pub(crate) trait ReplyPayload: Sized {
-    fn encode_payload(&self, w: &mut Writer, compress: bool);
-    fn decode_payload(r: &mut Reader<'_>) -> Result<Self, DecodeError>;
-}
-
-impl ReplyPayload for () {
-    fn encode_payload(&self, _w: &mut Writer, _compress: bool) {}
-    fn decode_payload(_r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(())
-    }
-}
-
-impl ReplyPayload for Activity {
-    fn encode_payload(&self, w: &mut Writer, _compress: bool) {
-        w.put_u64(self.0.raw() as u64);
-        w.put_u64(self.1);
-    }
-    fn decode_payload(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok((NodeId::new(r.get_u64()? as u32), r.get_u64()?))
-    }
-}
-
-impl ReplyPayload for NodeId {
-    fn encode_payload(&self, w: &mut Writer, _compress: bool) {
-        w.put_u64(self.raw() as u64);
-    }
-    fn decode_payload(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(NodeId::new(r.get_u64()? as u32))
-    }
-}
-
-impl ReplyPayload for (KeyGroupId, InstallReply) {
-    fn encode_payload(&self, w: &mut Writer, _compress: bool) {
-        w.put_u64(self.0.raw() as u64);
-        match &self.1 {
-            InstallReply::Installed {
-                state_bytes,
-                wire_bytes,
-            } => {
-                w.put_u64(0);
-                w.put_u64(*state_bytes as u64);
-                w.put_u64(*wire_bytes as u64);
-            }
-            InstallReply::DestinationGone => w.put_u64(1),
+/// `[u64 n]` then `n` items. Decoding grows the vector item by item, so
+/// a hostile count runs out of input before it can reserve memory.
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, e: &mut Enc<'_>) {
+        self.len().put(e);
+        for item in self {
+            item.put(e);
         }
     }
-    fn decode_payload(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let kg = KeyGroupId::new(r.get_u64()? as u32);
-        let reply = match r.get_u64()? {
-            0 => InstallReply::Installed {
-                state_bytes: r.get_u64()? as usize,
-                wire_bytes: r.get_u64()? as usize,
-            },
-            1 => InstallReply::DestinationGone,
-            tag => {
-                return Err(DecodeError::new(
-                    r.offset(),
-                    "install-reply tag 0..=1",
-                    Found::Length(tag),
-                ))
-            }
-        };
-        Ok((kg, reply))
-    }
-}
-
-impl ReplyPayload for StatsReply {
-    fn encode_payload(&self, w: &mut Writer, compress: bool) {
-        w.put_u64(self.0.raw() as u64);
-        encode_stats(&self.1, w);
-        match self.2 {
-            None => w.put_u64(0),
-            Some(q) => {
-                w.put_u64(1);
-                w.put_u64(q.depth as u64);
-                w.put_u64(q.peak as u64);
-                w.put_u64(q.overflow);
-            }
+    fn get(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        let n: u64 = d.get()?;
+        let mut items = Vec::new();
+        for _ in 0..n {
+            items.push(d.get()?);
         }
-        match &self.3 {
-            None => w.put_u64(0),
-            Some(states) => {
-                w.put_u64(1);
-                encode_states(states, w, compress);
-            }
-        }
-        w.put_u64(self.4);
-    }
-    fn decode_payload(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let node = NodeId::new(r.get_u64()? as u32);
-        let stats = decode_stats(r)?;
-        let queue = match get_option_tag(r)? {
-            false => None,
-            true => Some(QueueSample {
-                depth: r.get_u64()? as usize,
-                peak: r.get_u64()? as usize,
-                overflow: r.get_u64()?,
-            }),
-        };
-        let states = match get_option_tag(r)? {
-            false => None,
-            true => Some(decode_states(r)?),
-        };
-        Ok((node, stats, queue, states, r.get_u64()?))
+        Ok(items)
     }
 }
 
-/// An `Option` presence tag: 0 or 1, anything else fails closed.
-fn get_option_tag(r: &mut Reader<'_>) -> Result<bool, DecodeError> {
-    match r.get_u64()? {
-        0 => Ok(false),
-        1 => Ok(true),
-        tag => Err(DecodeError::new(
-            r.offset(),
-            "option tag 0..=1",
-            Found::Length(tag),
-        )),
-    }
-}
-
-impl ReplyPayload for Option<Vec<u8>> {
-    fn encode_payload(&self, w: &mut Writer, _compress: bool) {
+/// `[u64 0]`, or `[u64 1]` and the value.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, e: &mut Enc<'_>) {
         match self {
-            None => w.put_u64(0),
-            Some(bytes) => {
-                w.put_u64(1);
-                put_byte_vec(w, bytes);
+            None => 0u64.put(e),
+            Some(v) => {
+                1u64.put(e);
+                v.put(e);
             }
         }
     }
-    fn decode_payload(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(match get_option_tag(r)? {
-            false => None,
-            true => Some(get_byte_vec(r)?),
+    fn get(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        match d.word(1, "option tag 0..=1")? {
+            0 => Ok(None),
+            _ => Ok(Some(d.get()?)),
+        }
+    }
+}
+
+impl<T: Wire> Wire for Arc<T> {
+    fn put(&self, e: &mut Enc<'_>) {
+        (**self).put(e);
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        Ok(Arc::new(d.get()?))
+    }
+}
+
+macro_rules! wire_tuples {
+    ($(($($t:ident $i:tt),+))*) => {$(
+        impl<$($t: Wire),+> Wire for ($($t,)+) {
+            fn put(&self, e: &mut Enc<'_>) {
+                $(self.$i.put(e);)+
+            }
+            fn get(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+                Ok(($(d.get::<$t>()?,)+))
+            }
+        }
+    )*};
+}
+
+wire_tuples! { (A 0, B 1) (A 0, B 1, C 2) (A 0, B 1, C 2, D 3) (A 0, B 1, C 2, D 3, E 4) }
+
+/// A struct's fields in the listed order, after an optional leading
+/// marker value.
+macro_rules! wire_structs {
+    ($($ty:ident $(after $lead:ident)? { $($f:ident),* })*) => {$(
+        impl Wire for $ty {
+            fn put(&self, e: &mut Enc<'_>) {
+                $($lead.put(e);)?
+                $(self.$f.put(e);)*
+            }
+            fn get(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+                $($lead::get(d)?;)?
+                Ok($ty { $($f: d.get()?),* })
+            }
+        }
+    )*};
+}
+
+wire_structs! {
+    Hello after Magic { node, token }
+    ResumeMsg after Magic { node, token, delivered, routing_version }
+    InitOp { name, logic, key_groups, is_source }
+    InitMsg { cfg, ops, edges, routing_version, assignment, compression, reconnect }
+    RuntimeConfig { batch_size, channel_capacity, flush_interval, barrier_interval }
+    QueueSample { depth, peak, overflow }
+    StatsCollector {
+        tuples_in, cross_in, cross_out, state_bytes, group_cost, out_matrix, ingested, emitted,
+        dropped
+    }
+}
+
+/// `[u64 0]`, or `[u64 1]` with compression on and the blob at least 64
+/// bytes and shrinking: `[u64 raw_len]`, then the LZ4 block as a plain
+/// blob. Self-describing, so decode never consults config; the claimed
+/// raw length is bounded by [`MAX_FRAME_LEN`] before any allocation, and
+/// decompression is strictly checked.
+impl Wire for StateBlob {
+    fn put(&self, e: &mut Enc<'_>) {
+        if e.compress && self.bytes.len() >= 64 {
+            let packed = lz4::compress(&self.bytes);
+            if packed.len() < self.bytes.len() {
+                (1u64, self.bytes.len(), packed).put(e);
+                return;
+            }
+        }
+        0u64.put(e);
+        self.bytes.put(e);
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        if d.word(1, "state-blob codec tag 0..=1")? == 0 {
+            return Ok(StateBlob::new(d.get()?));
+        }
+        let raw_len = d.word(MAX_FRAME_LEN as u64, "raw length within 64MiB")? as usize;
+        let packed: Vec<u8> = d.get()?;
+        Ok(StateBlob {
+            bytes: lz4::decompress(&packed, raw_len)?,
+            wire_len: packed.len(),
         })
     }
 }
 
-impl<T: ReplyPayload> ReplyTo<T> {
+/// `[u64 n]` then `n` `(key, value)` pairs in key order, so a loopback
+/// run's collected bytes are bit-stable.
+impl<K: Wire + Copy + Ord + Hash> Wire for FastMap<K, f64> {
+    fn put(&self, e: &mut Enc<'_>) {
+        let mut entries: Vec<(K, f64)> = self.iter().map(|(k, v)| (*k, *v)).collect();
+        entries.sort_unstable_by_key(|&(k, _)| k);
+        entries.put(e);
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        let n: u64 = d.get()?;
+        let mut map = FastMap::default();
+        for _ in 0..n {
+            let (k, v) = d.get()?;
+            map.insert(k, v);
+        }
+        Ok(map)
+    }
+}
+
+// ---- The message table -------------------------------------------------
+
+/// Generates [`Msg`]'s [`Wire`] impl and [`MSG_TAGS`] from one line per
+/// message: `tag => Variant { fields in wire order }` (or `(fields)`, or
+/// nothing). A variant's fields must all be listed.
+macro_rules! messages {
+    (@pat $name:ident) => { Msg::$name };
+    (@pat $name:ident { $($f:ident),* }) => { Msg::$name { $($f),* } };
+    (@pat $name:ident ( $($f:ident),* )) => { Msg::$name($($f),*) };
+    (@put $e:ident) => {};
+    (@put $e:ident { $($f:ident),* }) => { $($f.put($e);)* };
+    (@put $e:ident ( $($f:ident),* )) => { $($f.put($e);)* };
+    (@get $d:ident $name:ident) => { Msg::$name };
+    (@get $d:ident $name:ident { $($f:ident),* }) => { Msg::$name { $($f: $d.get()?),* } };
+    (@get $d:ident $name:ident ( $($f:ident),* )) => {
+        Msg::$name($({ let _ = stringify!($f); $d.get()? }),*)
+    };
+    ($($tag:literal => $name:ident $({ $($f:ident),* })? $(( $($t:ident),* ))?,)*) => {
+        /// Every message tag and its [`Msg`] variant, in tag order.
+        const MSG_TAGS: &[(u64, &str)] = &[$(($tag, stringify!($name))),*];
+
+        impl Wire for Msg {
+            fn put(&self, e: &mut Enc<'_>) {
+                match self {
+                    $(messages!(@pat $name $({ $($f),* })? $(( $($t),* ))?) => {
+                        e.w.put_u64($tag);
+                        messages!(@put e $({ $($f),* })? $(( $($t),* ))?);
+                    })*
+                }
+            }
+            fn get(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+                let at = d.r.offset();
+                Ok(match d.r.get_u64()? {
+                    $($tag => messages!(@get d $name $({ $($f),* })? $(( $($t),* ))?),)*
+                    tag => return Err(DecodeError::new(at, unknown_tag(), Found::Length(tag))),
+                })
+            }
+        }
+    };
+}
+
+// Tags 0 (row batches), 4 (per-move `Extract`) and 12 (a separate
+// checkpoint snapshot request) are retired: decoding them fails.
+messages! {
+    1 => DataChunk(chunk),
+    2 => PrepareReceive { kg, ack },
+    3 => CancelReceive { kg },
+    5 => Install { kg, op, state, done },
+    6 => EpochBarrier { epoch, moves, participants, install_done, done },
+    7 => PeerBarrier { epoch, from },
+    8 => Barrier(ack),
+    9 => FlushWindows { ack },
+    10 => CollectStats { capture, reply },
+    11 => ProbeState { kg, reply },
+    13 => Rollback { states, spilled, segment, ack },
+    14 => Crash,
+    15 => Shutdown,
+    16 => RoutingUpdate { version, assignment },
+    17 => SpillGroups { segment, extents },
+}
+
+/// The message tags as runs joined by `to`: `1..=3, 5..=11 or 13..=17`.
+fn tag_runs(to: &str) -> String {
+    let tags: Vec<u64> = MSG_TAGS.iter().map(|&(tag, _)| tag).collect();
+    let runs: Vec<String> = (tags.chunk_by(|a, b| a + 1 == *b))
+        .map(|run| match run {
+            [one] => one.to_string(),
+            _ => format!("{}{to}{}", run[0], run[run.len() - 1]),
+        })
+        .collect();
+    match runs.split_last() {
+        Some((last, rest)) if !rest.is_empty() => format!("{} or {last}", rest.join(", ")),
+        _ => runs.concat(),
+    }
+}
+
+/// What an unknown message tag was expected to be.
+fn unknown_tag() -> &'static str {
+    static TEXT: OnceLock<&'static str> = OnceLock::new();
+    TEXT.get_or_init(|| Box::leak(format!("message tag {}", tag_runs("..=")).into_boxed_str()))
+}
+
+/// A `ROUTING` frame body: the version stamp and the full assignment —
+/// the fields of [`Msg::RoutingUpdate`], so tag 16 minus its tag.
+pub(crate) type Routing = (u64, Vec<NodeId>);
+
+// ---- The reply table ---------------------------------------------------
+
+/// A payload a [`ReplyTo`] can carry across the wire. Only the reply
+/// table implements it, so a message cannot gain a reply type that the
+/// table — and the decode fuzz it drives — does not list.
+pub(crate) trait Reply: Wire + Send + 'static {}
+
+macro_rules! replies {
+    ($($t:ty),* $(,)?) => {
+        $(impl Reply for $t {})*
+
+        /// Decode `bytes` as every reply payload type, dropping the
+        /// results: the fail-closed fuzz reaches the payload decoders the
+        /// controller runs on a daemon's bytes through here.
+        pub(crate) fn decode_every_reply(bytes: &[u8]) {
+            $(let _ = decode::<$t>(bytes, None);)*
+        }
+    };
+}
+
+replies! {
+    (),
+    Activity,
+    NodeId,
+    (KeyGroupId, InstallReply),
+    StatsReply,
+    Option<Vec<u8>>,
+}
+
+/// An in-process channel becomes a wire id parked in the encoder's
+/// correlator (see [`encode_with`]); a wire id passes through. Decoded,
+/// a handle is always a wire id answering on the decoder's uplink.
+impl<T: Reply> Wire for ReplyTo<T> {
+    fn put(&self, e: &mut Enc<'_>) {
+        let id = match self {
+            ReplyTo::Chan(tx) => {
+                let tx = tx.clone();
+                let correlator = e.correlator.expect(
+                    "an in-process reply channel crosses the wire only through a correlator",
+                );
+                correlator.register(Arc::new(move |d: &mut Dec<'_>| {
+                    // A closed receiver is normal: no-op barrier waves
+                    // drop theirs immediately.
+                    let _ = tx.send(d.get()?);
+                    Ok(())
+                }))
+            }
+            ReplyTo::Wire { id, .. } => *id,
+        };
+        id.put(e);
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        Ok(ReplyTo::Wire {
+            id: d.get()?,
+            out: d.out.cloned(),
+        })
+    }
+}
+
+impl<T: Reply> ReplyTo<T> {
     /// Deliver a reply: through the channel in-process, as a `REPLY`
-    /// frame up the daemon's socket, or silently dropped on the
-    /// controller-relay passthrough (`Wire` without an uplink — the
-    /// controller only re-encodes such handles, it never answers them).
-    /// Returns the payload on failure so callers keep their existing
-    /// loss handling.
+    /// frame `[u64 id][payload]` up the daemon's socket, or silently
+    /// dropped on the controller-relay passthrough (`Wire` without an
+    /// uplink — the controller only re-encodes such handles, it never
+    /// answers them). Returns the payload on failure so callers keep
+    /// their existing loss handling.
     pub(crate) fn send(&self, v: T) -> Result<(), T> {
         match self {
             ReplyTo::Chan(tx) => tx.send(v).map_err(|e| e.0),
             ReplyTo::Wire { id, out: Some(o) } => {
-                let mut w = Writer::new();
-                w.put_u64(*id);
-                v.encode_payload(&mut w, o.compress());
-                match o.send_frame(FRAME_REPLY, &w.into_bytes()) {
-                    Ok(()) => Ok(()),
-                    Err(_) => Err(v),
-                }
+                let mut e = Enc::new(o.compress(), None);
+                id.put(&mut e);
+                v.put(&mut e);
+                o.send_frame(FRAME_REPLY, &e.w.into_bytes()).map_err(|_| v)
             }
             ReplyTo::Wire { out: None, .. } => Ok(()),
         }
@@ -711,37 +1038,10 @@ impl<T: ReplyPayload> ReplyTo<T> {
 // ---- Correlator --------------------------------------------------------
 
 /// A reply channel parked on the controller while its wire id is in
-/// flight. Cloned out of the table to fire, so decode + send happen
-/// outside the lock.
-#[derive(Clone)]
-pub(crate) enum Pending {
-    Ack(Sender<()>),
-    Activity(Sender<Activity>),
-    Install(Sender<(KeyGroupId, InstallReply)>),
-    EpochDone(Sender<NodeId>),
-    Stats(Sender<StatsReply>),
-    Probe(Sender<Option<Vec<u8>>>),
-}
-
-impl Pending {
-    /// Decode the reply payload for this registration's type and deliver
-    /// it. A closed receiver is normal (no-op barrier waves drop theirs
-    /// immediately), so channel send errors are ignored.
-    fn fire(&self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
-        fn deliver<T: ReplyPayload>(tx: &Sender<T>, r: &mut Reader<'_>) -> Result<(), DecodeError> {
-            let _ = tx.send(T::decode_payload(r)?);
-            Ok(())
-        }
-        match self {
-            Pending::Ack(tx) => deliver(tx, r),
-            Pending::Activity(tx) => deliver(tx, r),
-            Pending::Install(tx) => deliver(tx, r),
-            Pending::EpochDone(tx) => deliver(tx, r),
-            Pending::Stats(tx) => deliver(tx, r),
-            Pending::Probe(tx) => deliver(tx, r),
-        }
-    }
-}
+/// flight: decodes a `REPLY` payload as the channel's type and delivers
+/// it. Cloned out of the table to fire, so decode and send happen outside
+/// the lock.
+type Pending = Arc<dyn Fn(&mut Dec<'_>) -> Result<(), DecodeError> + Send + Sync>;
 
 /// Controller-side registry mapping wire ids to parked reply channels.
 /// Shared by every per-worker stub thread — essential for migration,
@@ -777,7 +1077,7 @@ impl Correlator {
     }
 
     /// Park a reply channel, returning its wire id.
-    pub(crate) fn register(&self, p: Pending) -> u64 {
+    fn register(&self, p: Pending) -> u64 {
         let id = self.next.fetch_add(1, Ordering::Relaxed);
         let gen = self.gen.load(Ordering::Relaxed);
         let session = self.session.load(Ordering::Relaxed);
@@ -785,13 +1085,16 @@ impl Correlator {
         id
     }
 
-    /// Resolve a `REPLY` frame: decode the payload with the parked
-    /// channel's type and deliver it. An unknown id (pruned generation or
-    /// session, or a duplicate reply racing the GC) is ignored.
-    pub(crate) fn fire(&self, id: u64, r: &mut Reader<'_>) -> Result<(), DecodeError> {
-        let pending = self.entries.lock().get(&id).map(|(_, _, p)| p.clone());
+    /// Resolve a `REPLY` body `[u64 id][payload]`: decode the payload
+    /// with the parked channel's type and deliver it. An unknown id
+    /// (pruned generation or session, or a duplicate reply racing the GC)
+    /// is ignored.
+    pub(crate) fn fire(&self, reply: &[u8]) -> Result<(), DecodeError> {
+        let mut d = Dec::new(reply, None);
+        let id: u64 = d.get()?;
+        let pending = self.entries.lock().get(&id).map(|(_, _, p)| Arc::clone(p));
         match pending {
-            Some(p) => p.fire(r),
+            Some(p) => p(&mut d),
             None => Ok(()),
         }
     }
@@ -817,464 +1120,16 @@ impl Correlator {
     }
 }
 
-// ---- Message codec -----------------------------------------------------
+// ---- Handshake & bootstrap bodies --------------------------------------
 
-/// Length-prefixed byte blob; [`Writer::put_bytes`] itself is raw, so
-/// every blob on the wire goes through this pair.
-fn put_byte_vec(w: &mut Writer, bytes: &[u8]) {
-    w.put_u64(bytes.len() as u64);
-    w.put_bytes(bytes);
-}
+/// The handshake magic `HELLO` and `RESUME` lead with.
+struct Magic;
 
-fn get_byte_vec(r: &mut Reader<'_>) -> Result<Vec<u8>, DecodeError> {
-    let n = r.get_u64()? as usize;
-    Ok(r.get_bytes(n)?.to_vec())
-}
-
-/// Write one state blob, optionally LZ4-compressed:
-/// `[u64 codec tag][if lz4: u64 raw_len][length-prefixed payload]`.
-/// The encoding is self-describing, so decode never consults config.
-/// Compression is skipped for tiny blobs and whenever it fails to
-/// shrink. Returns the number of payload bytes that hit the wire.
-pub(crate) fn put_state_blob(w: &mut Writer, bytes: &[u8], compress: bool) -> usize {
-    if compress && bytes.len() >= 64 {
-        let packed = lz4::compress(bytes);
-        if packed.len() < bytes.len() {
-            w.put_u64(1);
-            w.put_u64(bytes.len() as u64);
-            put_byte_vec(w, &packed);
-            return packed.len();
-        }
-    }
-    w.put_u64(0);
-    put_byte_vec(w, bytes);
-    bytes.len()
-}
-
-/// Read one state blob, returning `(raw bytes, wire payload bytes)`.
-/// Fail-closed: the claimed raw length is bounded by [`MAX_FRAME_LEN`]
-/// before any allocation, and LZ4 decompression is strictly checked.
-pub(crate) fn get_state_blob(r: &mut Reader<'_>) -> Result<(Vec<u8>, usize), DecodeError> {
-    let at = r.offset();
-    match r.get_u64()? {
-        0 => {
-            let bytes = get_byte_vec(r)?;
-            let n = bytes.len();
-            Ok((bytes, n))
-        }
-        1 => {
-            let raw_len = r.get_u64()? as usize;
-            if raw_len > MAX_FRAME_LEN {
-                return Err(DecodeError::new(
-                    at,
-                    "raw length within 64MiB",
-                    Found::Length(raw_len as u64),
-                ));
-            }
-            let packed = get_byte_vec(r)?;
-            let wire = packed.len();
-            Ok((lz4::decompress(&packed, raw_len)?, wire))
-        }
-        tag => Err(DecodeError::new(
-            at,
-            "state-blob codec tag 0..=1",
-            Found::Length(tag),
-        )),
-    }
-}
-
-fn encode_states(states: &[(u32, Vec<u8>)], w: &mut Writer, compress: bool) {
-    w.put_u64(states.len() as u64);
-    for (g, bytes) in states {
-        w.put_u64(*g as u64);
-        put_state_blob(w, bytes, compress);
-    }
-}
-
-fn decode_states(r: &mut Reader<'_>) -> Result<Vec<(u32, Vec<u8>)>, DecodeError> {
-    let n = r.get_u64()?;
-    let mut states = Vec::new();
-    for _ in 0..n {
-        let g = r.get_u64()? as u32;
-        states.push((g, get_state_blob(r)?.0));
-    }
-    Ok(states)
-}
-
-/// Encode a stats collector with deterministic (sorted) map order, so a
-/// loopback run's collected bytes are bit-stable.
-fn encode_stats(c: &StatsCollector, w: &mut Writer) {
-    for m in [
-        &c.tuples_in,
-        &c.cross_in,
-        &c.cross_out,
-        &c.state_bytes,
-        &c.group_cost,
-    ] {
-        let mut keys: Vec<u32> = m.keys().copied().collect();
-        keys.sort_unstable();
-        w.put_u64(keys.len() as u64);
-        for k in keys {
-            w.put_u64(k as u64);
-            w.put_f64(m[&k]);
-        }
-    }
-    let mut cells: Vec<(u32, u32)> = c.out_matrix.keys().copied().collect();
-    cells.sort_unstable();
-    w.put_u64(cells.len() as u64);
-    for (i, j) in cells {
-        w.put_u64(i as u64);
-        w.put_u64(j as u64);
-        w.put_f64(c.out_matrix[&(i, j)]);
-    }
-    w.put_f64(c.ingested);
-    w.put_f64(c.emitted);
-    w.put_f64(c.dropped);
-}
-
-fn decode_stats(r: &mut Reader<'_>) -> Result<StatsCollector, DecodeError> {
-    let mut c = StatsCollector::new();
-    {
-        let maps = [
-            &mut c.tuples_in,
-            &mut c.cross_in,
-            &mut c.cross_out,
-            &mut c.state_bytes,
-            &mut c.group_cost,
-        ];
-        for m in maps {
-            let n = r.get_u64()?;
-            for _ in 0..n {
-                let k = r.get_u64()? as u32;
-                let v = r.get_f64()?;
-                m.insert(k, v);
-            }
-        }
-    }
-    let n = r.get_u64()?;
-    for _ in 0..n {
-        let i = r.get_u64()? as u32;
-        let j = r.get_u64()? as u32;
-        let v = r.get_f64()?;
-        c.out_matrix.insert((i, j), v);
-    }
-    c.ingested = r.get_f64()?;
-    c.emitted = r.get_f64()?;
-    c.dropped = r.get_f64()?;
-    Ok(c)
-}
-
-/// Spill extents as `[count]` then `[group][offset][length]` each.
-fn put_extents(w: &mut Writer, extents: &[SpillExtent]) {
-    w.put_u64(extents.len() as u64);
-    for ext in extents {
-        w.put_u64(ext.group as u64);
-        w.put_u64(ext.off);
-        w.put_u64(ext.len as u64);
-    }
-}
-
-fn get_extents(r: &mut Reader<'_>) -> Result<Vec<SpillExtent>, DecodeError> {
-    let n = r.get_u64()?;
-    let mut extents = Vec::new();
-    for _ in 0..n {
-        let group = r.get_u64()? as u32;
-        let off = r.get_u64()?;
-        let at = r.offset();
-        let len = r.get_u64()?;
-        let len = u32::try_from(len)
-            .map_err(|_| DecodeError::new(at, "extent length below 4 GiB", Found::Length(len)))?;
-        extents.push(SpillExtent { group, off, len });
-    }
-    Ok(extents)
-}
-
-fn reply_id<T>(
-    reply: &ReplyTo<T>,
-    reg: &mut dyn FnMut(Pending) -> u64,
-    wrap: fn(Sender<T>) -> Pending,
-) -> u64 {
-    match reply {
-        ReplyTo::Chan(tx) => reg(wrap(tx.clone())),
-        ReplyTo::Wire { id, .. } => *id,
-    }
-}
-
-fn wire_reply<T>(r: &mut Reader<'_>, out: Option<&WireOut>) -> Result<ReplyTo<T>, DecodeError> {
-    Ok(ReplyTo::Wire {
-        id: r.get_u64()?,
-        out: out.cloned(),
-    })
-}
-
-/// Encode one [`Msg`] body (no frame header). `reg` parks each in-process
-/// reply channel in the correlator and returns its wire id; already-wire
-/// handles pass their id through unchanged (the controller relaying a
-/// worker-to-worker `Install` must preserve the originator's id).
-/// `compress` applies LZ4 to state blobs (`Install` payloads and
-/// `Rollback` checkpoint states).
-pub(crate) fn encode_msg(
-    msg: &Msg,
-    w: &mut Writer,
-    compress: bool,
-    reg: &mut dyn FnMut(Pending) -> u64,
-) {
-    match msg {
-        Msg::DataChunk(chunk) => {
-            w.put_u64(1);
-            chunk.encode(w);
-        }
-        Msg::PrepareReceive { kg, ack } => {
-            w.put_u64(2);
-            w.put_u64(kg.raw() as u64);
-            w.put_u64(reply_id(ack, reg, Pending::Ack));
-        }
-        Msg::CancelReceive { kg } => {
-            w.put_u64(3);
-            w.put_u64(kg.raw() as u64);
-        }
-        Msg::Install {
-            kg,
-            op,
-            bytes,
-            done,
-            ..
-        } => {
-            w.put_u64(5);
-            w.put_u64(kg.raw() as u64);
-            w.put_u64(op.raw() as u64);
-            put_state_blob(w, bytes, compress);
-            w.put_u64(reply_id(done, reg, Pending::Install));
-        }
-        Msg::EpochBarrier {
-            epoch,
-            moves,
-            participants,
-            install_done,
-            done,
-        } => {
-            w.put_u64(6);
-            w.put_u64(*epoch);
-            w.put_u64(moves.len() as u64);
-            for (kg, from, to) in moves.iter() {
-                w.put_u64(kg.raw() as u64);
-                w.put_u64(from.raw() as u64);
-                w.put_u64(to.raw() as u64);
-            }
-            w.put_u64(participants.len() as u64);
-            for p in participants.iter() {
-                w.put_u64(p.raw() as u64);
-            }
-            w.put_u64(reply_id(install_done, reg, Pending::Install));
-            w.put_u64(reply_id(done, reg, Pending::EpochDone));
-        }
-        Msg::PeerBarrier { epoch, from } => {
-            w.put_u64(7);
-            w.put_u64(*epoch);
-            w.put_u64(from.raw() as u64);
-        }
-        Msg::Barrier(ack) => {
-            w.put_u64(8);
-            w.put_u64(reply_id(ack, reg, Pending::Activity));
-        }
-        Msg::FlushWindows { ack } => {
-            w.put_u64(9);
-            w.put_u64(reply_id(ack, reg, Pending::Activity));
-        }
-        Msg::CollectStats { capture, reply } => {
-            w.put_u64(10);
-            w.put_u64(match capture {
-                None => 0,
-                Some(CheckpointMode::Full) => 1,
-                Some(CheckpointMode::Incremental) => 2,
-            });
-            w.put_u64(reply_id(reply, reg, Pending::Stats));
-        }
-        Msg::ProbeState { kg, reply } => {
-            w.put_u64(11);
-            w.put_u64(kg.raw() as u64);
-            w.put_u64(reply_id(reply, reg, Pending::Probe));
-        }
-        Msg::Rollback {
-            states,
-            spilled,
-            segment,
-            ack,
-        } => {
-            w.put_u64(13);
-            encode_states(states, w, compress);
-            put_extents(w, spilled);
-            match segment {
-                Some(path) => {
-                    w.put_u64(1);
-                    w.put_str(path);
-                }
-                None => w.put_u64(0),
-            }
-            w.put_u64(reply_id(ack, reg, Pending::Ack));
-        }
-        Msg::Crash => w.put_u64(14),
-        Msg::Shutdown => w.put_u64(15),
-        Msg::RoutingUpdate {
-            version,
-            assignment,
-        } => {
-            w.put_u64(16);
-            w.put_u64(*version);
-            w.put_u64(assignment.len() as u64);
-            for n in assignment {
-                w.put_u64(n.raw() as u64);
-            }
-        }
-        Msg::SpillGroups { segment, extents } => {
-            w.put_u64(17);
-            w.put_str(segment);
-            put_extents(w, extents);
-        }
-    }
-}
-
-/// Decode one [`Msg`] body. With `out` set (daemon side) every reply
-/// handle becomes a live wire handle answering up that socket; without
-/// it (controller relay) the handles are inert passthroughs that only
-/// survive re-encoding.
-pub(crate) fn decode_msg(r: &mut Reader<'_>, out: Option<&WireOut>) -> Result<Msg, DecodeError> {
-    let at = r.offset();
-    let tag = r.get_u64()?;
-    Ok(match tag {
-        1 => Msg::DataChunk(StreamChunk::decode(r)?),
-        2 => Msg::PrepareReceive {
-            kg: KeyGroupId::new(r.get_u64()? as u32),
-            ack: wire_reply(r, out)?,
-        },
-        3 => Msg::CancelReceive {
-            kg: KeyGroupId::new(r.get_u64()? as u32),
-        },
-        5 => {
-            let kg = KeyGroupId::new(r.get_u64()? as u32);
-            let op = OperatorId::new(r.get_u64()? as u32);
-            let (bytes, wire_bytes) = get_state_blob(r)?;
-            Msg::Install {
-                kg,
-                op,
-                bytes,
-                wire_bytes,
-                done: wire_reply(r, out)?,
-            }
-        }
-        6 => {
-            let epoch = r.get_u64()?;
-            let n = r.get_u64()?;
-            let mut moves = Vec::new();
-            for _ in 0..n {
-                let kg = KeyGroupId::new(r.get_u64()? as u32);
-                let from = NodeId::new(r.get_u64()? as u32);
-                let to = NodeId::new(r.get_u64()? as u32);
-                moves.push((kg, from, to));
-            }
-            let n = r.get_u64()?;
-            let mut participants = Vec::new();
-            for _ in 0..n {
-                participants.push(NodeId::new(r.get_u64()? as u32));
-            }
-            Msg::EpochBarrier {
-                epoch,
-                moves: Arc::new(moves),
-                participants: Arc::new(participants),
-                install_done: wire_reply(r, out)?,
-                done: wire_reply(r, out)?,
-            }
-        }
-        7 => Msg::PeerBarrier {
-            epoch: r.get_u64()?,
-            from: NodeId::new(r.get_u64()? as u32),
-        },
-        8 => Msg::Barrier(wire_reply(r, out)?),
-        9 => Msg::FlushWindows {
-            ack: wire_reply(r, out)?,
-        },
-        10 => Msg::CollectStats {
-            capture: match r.get_u64()? {
-                0 => None,
-                1 => Some(CheckpointMode::Full),
-                2 => Some(CheckpointMode::Incremental),
-                tag => {
-                    return Err(DecodeError::new(
-                        r.offset(),
-                        "capture tag 0..=2",
-                        Found::Length(tag),
-                    ))
-                }
-            },
-            reply: wire_reply(r, out)?,
-        },
-        11 => Msg::ProbeState {
-            kg: KeyGroupId::new(r.get_u64()? as u32),
-            reply: wire_reply(r, out)?,
-        },
-        13 => {
-            let states = decode_states(r)?;
-            let spilled = get_extents(r)?;
-            let segment = match get_option_tag(r)? {
-                false => None,
-                true => Some(r.get_str()?),
-            };
-            Msg::Rollback {
-                states,
-                spilled,
-                segment,
-                ack: wire_reply(r, out)?,
-            }
-        }
-        14 => Msg::Crash,
-        15 => Msg::Shutdown,
-        16 => {
-            let version = r.get_u64()?;
-            let n = r.get_u64()?;
-            let mut assignment = Vec::new();
-            for _ in 0..n {
-                assignment.push(NodeId::new(r.get_u64()? as u32));
-            }
-            Msg::RoutingUpdate {
-                version,
-                assignment,
-            }
-        }
-        17 => Msg::SpillGroups {
-            segment: r.get_str()?,
-            extents: get_extents(r)?,
-        },
-        tag => {
-            return Err(DecodeError::new(
-                at,
-                "message tag 1..=3, 5..=11 or 13..=17",
-                Found::Length(tag),
-            ))
-        }
-    })
-}
-
-// ---- Handshake & bootstrap codecs --------------------------------------
-
-/// `HELLO` body: magic + the node id the worker was launched (or is
-/// joining) for + the shared-secret join token.
-pub(crate) fn encode_hello(node: NodeId, token: &str) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u64(WIRE_MAGIC);
-    w.put_u64(node.raw() as u64);
-    w.put_str(token);
-    w.into_bytes()
-}
-
-pub(crate) fn decode_hello(r: &mut Reader<'_>) -> Result<(NodeId, String), DecodeError> {
-    let at = r.offset();
-    let magic = r.get_u64()?;
-    if magic != WIRE_MAGIC {
-        return Err(DecodeError::new(at, "wire magic", Found::Length(magic)));
-    }
-    let node = NodeId::new(r.get_u64()? as u32);
-    let token = r.get_str()?;
-    Ok((node, token))
+/// `HELLO` body: after the magic, the node id the worker was launched
+/// (or is joining) for and the shared-secret join token.
+pub(crate) struct Hello {
+    pub(crate) node: NodeId,
+    pub(crate) token: String,
 }
 
 /// A worker's `RESUME` request: re-attach to node `node`'s session after
@@ -1288,46 +1143,6 @@ pub(crate) struct ResumeMsg {
     /// The routing version the worker last installed; the controller
     /// tops the resumed stream up with a fresh snapshot if it moved on.
     pub(crate) routing_version: u64,
-}
-
-pub(crate) fn encode_resume(msg: &ResumeMsg) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u64(WIRE_MAGIC);
-    w.put_u64(msg.node.raw() as u64);
-    w.put_str(&msg.token);
-    w.put_u64(msg.delivered);
-    w.put_u64(msg.routing_version);
-    w.into_bytes()
-}
-
-pub(crate) fn decode_resume(r: &mut Reader<'_>) -> Result<ResumeMsg, DecodeError> {
-    let at = r.offset();
-    let magic = r.get_u64()?;
-    if magic != WIRE_MAGIC {
-        return Err(DecodeError::new(at, "wire magic", Found::Length(magic)));
-    }
-    Ok(ResumeMsg {
-        node: NodeId::new(r.get_u64()? as u32),
-        token: r.get_str()?,
-        delivered: r.get_u64()?,
-        routing_version: r.get_u64()?,
-    })
-}
-
-/// `RESUMED` body: the controller's own delivery mark on the session.
-pub(crate) fn encode_resumed(delivered: u64) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u64(delivered);
-    w.into_bytes()
-}
-
-pub(crate) fn decode_resumed(r: &mut Reader<'_>) -> Result<u64, DecodeError> {
-    r.get_u64()
-}
-
-/// `ACK` body: one cumulative ack.
-pub(crate) fn decode_ack(r: &mut Reader<'_>) -> Result<u64, DecodeError> {
-    r.get_u64()
 }
 
 /// One operator of the `INIT` bootstrap: the daemon rebuilds the
@@ -1353,115 +1168,11 @@ pub(crate) struct InitMsg {
     pub(crate) reconnect: ReconnectPolicy,
 }
 
-pub(crate) fn encode_init(init: &InitMsg, w: &mut Writer) {
-    w.put_u64(init.cfg.batch_size as u64);
-    w.put_u64(init.cfg.channel_capacity as u64);
-    w.put_u64(init.cfg.flush_interval.as_nanos() as u64);
-    w.put_u64(init.cfg.barrier_interval as u64);
-    w.put_u64(init.ops.len() as u64);
-    for op in &init.ops {
-        w.put_str(&op.name);
-        w.put_str(&op.logic);
-        w.put_u64(op.key_groups as u64);
-        w.put_u64(op.is_source as u64);
-    }
-    w.put_u64(init.edges.len() as u64);
-    for (from, to) in &init.edges {
-        w.put_u64(*from as u64);
-        w.put_u64(*to as u64);
-    }
-    w.put_u64(init.routing_version);
-    w.put_u64(init.assignment.len() as u64);
-    for n in &init.assignment {
-        w.put_u64(n.raw() as u64);
-    }
-    w.put_u64(init.compression as u64);
-    w.put_u64(init.reconnect.attempts as u64);
-    w.put_u64(init.reconnect.base_backoff.as_nanos() as u64);
-    w.put_u64(init.reconnect.max_backoff.as_nanos() as u64);
-    w.put_f64(init.reconnect.jitter);
-}
-
-pub(crate) fn decode_init(r: &mut Reader<'_>) -> Result<InitMsg, DecodeError> {
-    let batch_size = r.get_u64()? as usize;
-    let channel_capacity = r.get_u64()? as usize;
-    let flush_nanos = r.get_u64()?;
-    let barrier_interval = r.get_u64()? as usize;
-    let cfg = RuntimeConfig {
-        batch_size,
-        channel_capacity,
-        flush_interval: std::time::Duration::from_nanos(flush_nanos),
-        barrier_interval,
-    };
-    let n = r.get_u64()?;
-    let mut ops = Vec::new();
-    for _ in 0..n {
-        let name = r.get_str()?;
-        let logic = r.get_str()?;
-        let key_groups = r.get_u64()? as u32;
-        let is_source = r.get_u64()? != 0;
-        ops.push(InitOp {
-            name,
-            logic,
-            key_groups,
-            is_source,
-        });
-    }
-    let n = r.get_u64()?;
-    let mut edges = Vec::new();
-    for _ in 0..n {
-        edges.push((r.get_u64()? as u32, r.get_u64()? as u32));
-    }
-    let routing_version = r.get_u64()?;
-    let n = r.get_u64()?;
-    let mut assignment = Vec::new();
-    for _ in 0..n {
-        assignment.push(NodeId::new(r.get_u64()? as u32));
-    }
-    let compression = r.get_u64()? != 0;
-    let reconnect = ReconnectPolicy {
-        attempts: r.get_u64()?.min(u32::MAX as u64) as u32,
-        base_backoff: std::time::Duration::from_nanos(r.get_u64()?),
-        max_backoff: std::time::Duration::from_nanos(r.get_u64()?),
-        jitter: r.get_f64()?.clamp(0.0, 1.0),
-    };
-    Ok(InitMsg {
-        cfg,
-        ops,
-        edges,
-        routing_version,
-        assignment,
-        compression,
-        reconnect,
-    })
-}
-
-/// `ROUTING` body: version stamp + full assignment.
-pub(crate) fn encode_routing(version: u64, assignment: &[NodeId]) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u64(version);
-    w.put_u64(assignment.len() as u64);
-    for n in assignment {
-        w.put_u64(n.raw() as u64);
-    }
-    w.into_bytes()
-}
-
-pub(crate) fn decode_routing(r: &mut Reader<'_>) -> Result<(u64, Vec<NodeId>), DecodeError> {
-    let version = r.get_u64()?;
-    let n = r.get_u64()?;
-    let mut assignment = Vec::new();
-    for _ in 0..n {
-        assignment.push(NodeId::new(r.get_u64()? as u32));
-    }
-    Ok((version, assignment))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tuple::Value;
-    use std::time::Duration;
+    use proptest::prelude::*;
 
     /// Message tag 0 once carried row batches, tag 4 a per-move
     /// `Extract` and tag 12 a separate checkpoint snapshot request; none
@@ -1470,32 +1181,19 @@ mod tests {
     /// must fail at the tag with a typed error instead of being parsed.
     #[test]
     fn message_tag_zero_is_rejected_with_a_typed_decode_error() {
+        // Tag, rows, operator, key group, key, value, timestamp.
         let mut row_batch = Writer::new();
-        row_batch.put_u64(0); // tag
-        row_batch.put_u64(1); // rows
-        row_batch.put_u64(0); // operator
-        row_batch.put_u64(0); // key group
-        row_batch.put_u64(7); // key
+        for word in [0, 1, 0, 0, 7] {
+            row_batch.put_u64(word);
+        }
         row_batch.put_value(&Value::Int(1));
-        row_batch.put_u64(0); // timestamp
-        let mut extract = Writer::new();
-        extract.put_u64(4); // tag
-        extract.put_u64(3); // key group
-        extract.put_u64(1); // destination node
-        extract.put_u64(9); // reply id
-        let mut snapshot = Writer::new();
-        snapshot.put_u64(12); // tag
-        snapshot.put_u64(1); // delta only
-        snapshot.put_u64(9); // reply id
-        for (tag, body) in [
-            (0, row_batch.into_bytes()),
-            (4, extract.into_bytes()),
-            (12, snapshot.into_bytes()),
-        ] {
-            let mut forward = Writer::new();
-            forward.put_u64(2); // destination node
-            forward.put_bytes(&body);
-            let forward = forward.into_bytes();
+        row_batch.put_u64(0);
+        // Tag, key group, destination node, reply id.
+        let extract = encode(&(4u64, 3u64, 1u64, 9u64));
+        // Tag, delta only, reply id.
+        let snapshot = encode(&(12u64, 1u64, 9u64));
+        for (tag, body) in [(0, row_batch.into_bytes()), (4, extract), (12, snapshot)] {
+            let forward = [encode(&NodeId::new(2)), body.clone()].concat();
 
             for (kind, payload) in [(FRAME_MSG, &body), (FRAME_FORWARD, &forward)] {
                 let mut bytes = Vec::new();
@@ -1505,112 +1203,17 @@ mod tests {
                 let (got_kind, frame) = frames.next_frame().unwrap().expect("one whole frame");
                 assert_eq!(got_kind, kind);
                 let (_, _, payload) = split_session(frame).unwrap();
-                let mut r = Reader::new(payload);
-                if kind == FRAME_FORWARD {
-                    assert_eq!(r.get_u64().unwrap(), 2);
-                }
-                let at = r.offset();
-                let Err(err) = decode_msg(&mut r, None) else {
+                let (decoded, at) = match kind {
+                    FRAME_FORWARD => (decode::<(NodeId, Msg)>(payload, None).map(drop), 8),
+                    _ => (decode::<Msg>(payload, None).map(drop), 0),
+                };
+                let Err(err) = decoded else {
                     panic!("frame kind {kind}: tag {tag} decoded as a message");
                 };
                 assert_eq!(err.offset, at, "frame kind {kind}, tag {tag}");
                 assert_eq!(err.expected, "message tag 1..=3, 5..=11 or 13..=17");
                 assert!(matches!(err.found, Found::Length(t) if t == tag), "{err}");
             }
-        }
-    }
-
-    /// `INIT` carries exactly the runtime config's four fields (no
-    /// data-plane tag) and round-trips every field of the bootstrap.
-    #[test]
-    fn init_round_trips_with_exactly_four_config_fields() {
-        let init = InitMsg {
-            cfg: RuntimeConfig {
-                batch_size: 7,
-                channel_capacity: 33,
-                flush_interval: Duration::from_micros(150),
-                barrier_interval: 96,
-            },
-            ops: vec![
-                InitOp {
-                    name: "events".into(),
-                    logic: "identity".into(),
-                    key_groups: 8,
-                    is_source: true,
-                },
-                InitOp {
-                    name: "count".into(),
-                    logic: "counting".into(),
-                    key_groups: 4,
-                    is_source: false,
-                },
-            ],
-            edges: vec![(0, 1)],
-            routing_version: 5,
-            assignment: (0..12).map(|g| NodeId::new(g % 3)).collect(),
-            compression: true,
-            reconnect: ReconnectPolicy {
-                attempts: 3,
-                base_backoff: Duration::from_millis(10),
-                max_backoff: Duration::from_millis(80),
-                jitter: 0.25,
-            },
-        };
-        let mut w = Writer::new();
-        encode_init(&init, &mut w);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        let back = decode_init(&mut r).expect("decode INIT");
-        assert!(r.is_done(), "{} trailing bytes", r.remaining());
-        assert_eq!(back.cfg, init.cfg);
-        let ops = |m: &InitMsg| -> Vec<(String, String, u32, bool)> {
-            m.ops
-                .iter()
-                .map(|o| (o.name.clone(), o.logic.clone(), o.key_groups, o.is_source))
-                .collect()
-        };
-        assert_eq!(ops(&back), ops(&init));
-        assert_eq!(back.edges, init.edges);
-        assert_eq!(back.routing_version, init.routing_version);
-        assert_eq!(back.assignment, init.assignment);
-        assert_eq!(back.compression, init.compression);
-        assert_eq!(back.reconnect, init.reconnect);
-    }
-
-    /// The statistics reply round-trips its collector, the worker's spill
-    /// read failures and, when present, the daemon's inbox gauge; an
-    /// absent gauge stays absent.
-    #[test]
-    fn stats_reply_round_trips_the_daemon_gauge() {
-        let mut stats = StatsCollector::new();
-        stats.ingested = 12.0;
-        stats.emitted = 5.0;
-        stats.dropped = 1.0;
-        stats.tuples_in.insert(3, 7.0);
-        stats.out_matrix.insert((3, 9), 4.0);
-        let gauge = QueueSample {
-            depth: 4,
-            peak: 1500,
-            overflow: 2,
-        };
-        for queue in [Some(gauge), None] {
-            let reply: StatsReply = (NodeId::new(2), stats.clone(), queue, None, 3);
-            let mut w = Writer::new();
-            reply.encode_payload(&mut w, false);
-            let bytes = w.into_bytes();
-            let mut r = Reader::new(&bytes);
-            let (node, back, back_queue, states, failures) =
-                StatsReply::decode_payload(&mut r).expect("decode");
-            assert_eq!((states, failures), (None, 3));
-            assert!(r.is_done(), "{} trailing bytes", r.remaining());
-            assert_eq!(node, NodeId::new(2));
-            assert_eq!(back_queue, queue);
-            assert_eq!(
-                (back.ingested, back.emitted, back.dropped),
-                (12.0, 5.0, 1.0)
-            );
-            assert_eq!(back.tuples_in, stats.tuples_in);
-            assert_eq!(back.out_matrix, stats.out_matrix);
         }
     }
 
@@ -1622,51 +1225,37 @@ mod tests {
         let big = (0..200u8).map(|i| i % 4).collect::<Vec<u8>>();
         for states in [None, Some(vec![]), Some(vec![(3, vec![1, 2]), (9, big)])] {
             for compress in [false, true] {
-                let reply: StatsReply = (
-                    NodeId::new(1),
-                    StatsCollector::new(),
-                    None,
-                    states.clone(),
-                    0,
-                );
-                let mut w = Writer::new();
-                reply.encode_payload(&mut w, compress);
-                let bytes = w.into_bytes();
-                let mut r = Reader::new(&bytes);
-                let back = StatsReply::decode_payload(&mut r).expect("decode");
-                assert!(r.is_done(), "{} trailing bytes", r.remaining());
-                assert_eq!((back.0, back.3), (NodeId::new(1), states.clone()));
+                let blobs = (states.clone())
+                    .map(|s: Vec<_>| s.into_iter().map(|(g, b)| (g, StateBlob::new(b))).collect());
+                let reply: StatsReply = (NodeId::new(1), StatsCollector::new(), None, blobs, 0);
+                let back: StatsReply =
+                    decode(&encode_with(&reply, compress, None), None).expect("decode");
+                let back_states = back
+                    .3
+                    .map(|s| s.into_iter().map(|(g, b)| (g, b.bytes)).collect::<Vec<_>>());
+                assert_eq!((back.0, back_states), (NodeId::new(1), states.clone()));
             }
         }
         // A presence tag other than 0 or 1 fails closed (the states tag
         // is the word before the trailing failure count).
-        let mut w = Writer::new();
-        (NodeId::new(1), StatsCollector::new(), None, None, 0).encode_payload(&mut w, false);
-        let mut bytes = w.into_bytes();
+        let bare: StatsReply = (NodeId::new(1), StatsCollector::new(), None, None, 0);
+        let mut bytes = encode(&bare);
         let tag = bytes.len() - 16;
         bytes[tag] = 7;
-        let err = StatsReply::decode_payload(&mut Reader::new(&bytes)).unwrap_err();
+        let Err(err) = decode::<StatsReply>(&bytes, None) else {
+            panic!("states tag 7 decoded");
+        };
         assert_eq!(err.expected, "option tag 0..=1");
     }
 
-    /// Encode `msg` as the controller does (parking its reply channel in
-    /// `correlator`) and decode it as the daemon does.
+    /// Encode `msg` as the controller does (parking its reply channels in
+    /// `correlator`) and decode it as the relaying controller does.
     fn over_the_wire(msg: &Msg, correlator: &Correlator) -> Msg {
-        let mut w = Writer::new();
-        encode_msg(msg, &mut w, false, &mut |p| correlator.register(p));
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        let back = decode_msg(&mut r, None).expect("decode");
-        assert!(r.is_done(), "{} trailing bytes", r.remaining());
+        let bytes = encode_with(msg, false, Some(correlator));
+        let mut d = Dec::new(&bytes, None);
+        let back = d.get().expect("decode");
+        assert!(d.r.is_done(), "{} trailing bytes", d.r.remaining());
         back
-    }
-
-    /// The reply id a decoded message carries.
-    fn wire_id<T>(reply: &ReplyTo<T>) -> u64 {
-        match reply {
-            ReplyTo::Wire { id, .. } => *id,
-            ReplyTo::Chan(_) => panic!("a decoded reply handle is a wire id"),
-        }
     }
 
     /// `Barrier` and `FlushWindows` acks carry `(node, activity)`: the
@@ -1683,15 +1272,15 @@ mod tests {
             },
         ];
         for (i, msg) in msgs.iter().enumerate() {
-            let id = match over_the_wire(msg, &correlator) {
-                Msg::Barrier(ack) | Msg::FlushWindows { ack } => wire_id(&ack),
-                _ => panic!("message {i} changed kind on the wire"),
+            let (Msg::Barrier(ReplyTo::Wire { id, .. })
+            | Msg::FlushWindows {
+                ack: ReplyTo::Wire { id, .. },
+            }) = over_the_wire(msg, &correlator)
+            else {
+                panic!("message {i} changed kind on the wire");
             };
             let ack: Activity = (NodeId::new(3), u64::MAX - i as u64);
-            let mut w = Writer::new();
-            ack.encode_payload(&mut w, false);
-            let bytes = w.into_bytes();
-            correlator.fire(id, &mut Reader::new(&bytes)).expect("fire");
+            correlator.fire(&encode(&(id, ack))).expect("fire");
             assert_eq!(rx.try_recv(), Ok(ack));
         }
     }
@@ -1714,90 +1303,45 @@ mod tests {
                 _ => panic!("not a statistics collection"),
             }
         }
-        let mut w = Writer::new();
-        for word in [10, 3, 1] {
-            w.put_u64(word);
-        }
-        let Err(err) = decode_msg(&mut Reader::new(&w.into_bytes()), None) else {
+        let Err(err) = decode::<Msg>(&encode(&(10u64, 3u64, 1u64)), None) else {
             panic!("capture tag 3 decoded");
         };
         assert_eq!(err.expected, "capture tag 0..=2");
-    }
-
-    /// Spill extents survive a message round trip exactly (large
-    /// offsets included).
-    fn extents() -> Vec<SpillExtent> {
-        vec![
-            SpillExtent {
-                group: 3,
-                off: 0,
-                len: 4096,
-            },
-            SpillExtent {
-                group: 17,
-                off: (5 << 32) + 4112,
-                len: u32::MAX,
-            },
-        ]
-    }
-
-    /// Tag 13: a rollback carries the hot states, the extents of the
-    /// spilled groups and the segment they point into — or neither.
-    #[test]
-    fn rollback_round_trips_spill_extents_and_segment() {
-        let correlator = Correlator::new();
-        let (tx, _rx) = crossbeam::channel::unbounded();
-        for (spilled, segment) in [
-            (extents(), Some("/tmp/spill/spill-3.seg".to_string())),
-            (vec![], None),
-        ] {
-            let msg = Msg::Rollback {
-                states: vec![(1, vec![9; 40])],
-                spilled: spilled.clone(),
-                segment: segment.clone(),
-                ack: ReplyTo::Chan(tx.clone()),
-            };
-            match over_the_wire(&msg, &correlator) {
-                Msg::Rollback {
-                    states,
-                    spilled: back,
-                    segment: back_segment,
-                    ..
-                } => {
-                    assert_eq!(states, vec![(1, vec![9; 40])]);
-                    assert_eq!((back, back_segment), (spilled, segment));
-                }
-                _ => panic!("not a rollback"),
-            }
-        }
     }
 
     /// Tag 17: a spill message carries the segment path and the extents;
     /// an extent length beyond a record header's `u32` fails closed.
     #[test]
     fn spill_groups_round_trip_extents_and_reject_oversized_lengths() {
+        let extents = vec![
+            SpillExtent {
+                group: 3,
+                off: (5 << 32) + 4112,
+                len: u32::MAX,
+            },
+            SpillExtent {
+                group: 17,
+                off: 0,
+                len: 0,
+            },
+        ];
         let msg = Msg::SpillGroups {
             segment: "/tmp/spill/spill-0.seg".into(),
-            extents: extents(),
+            extents: extents.clone(),
         };
         match over_the_wire(&msg, &Correlator::new()) {
             Msg::SpillGroups {
                 segment,
                 extents: back,
-            } => {
-                assert_eq!(segment, "/tmp/spill/spill-0.seg");
-                assert_eq!(back, extents());
-            }
+            } => assert_eq!(
+                (segment.as_str(), back),
+                ("/tmp/spill/spill-0.seg", extents)
+            ),
             _ => panic!("not a spill message"),
         }
-        let mut w = Writer::new();
-        w.put_u64(17);
-        w.put_str("s");
-        w.put_u64(1);
-        for word in [3, 0, 1 << 32] {
-            w.put_u64(word);
-        }
-        let Err(err) = decode_msg(&mut Reader::new(&w.into_bytes()), None) else {
+        let mut bytes = encode(&(17u64, "s".to_string(), 1u64));
+        bytes.extend(encode(&(3u64, 0u64, 1u64 << 32)));
+        let Err(err) = decode::<Msg>(&bytes, None) else {
             panic!("a 4 GiB extent decoded");
         };
         assert_eq!(err.expected, "extent length below 4 GiB");
@@ -1808,28 +1352,68 @@ mod tests {
     /// statistics replies and spill messages have a different layout.
     #[test]
     fn an_earlier_revision_handshake_is_rejected() {
-        assert_eq!(WIRE_MAGIC, u64::from_be_bytes(*b"ALBIC_W6"));
+        let corpus = golden_corpus();
+        let body = |name: &str| {
+            corpus
+                .iter()
+                .find(|c| c.0 == name)
+                .expect("a case")
+                .1
+                .clone()
+        };
+        let (hello, resume) = (body("hello"), body("resume"));
+        assert!(decode::<Hello>(&hello, None).is_ok());
+        assert!(decode::<ResumeMsg>(&resume, None).is_ok());
         for old in [*b"ALBIC_W4", *b"ALBIC_W5"] {
             let old = u64::from_be_bytes(old);
-            let mut hello = encode_hello(NodeId::new(1), "token");
+            let (mut hello, mut resume) = (hello.clone(), resume.clone());
             hello[..8].copy_from_slice(&old.to_le_bytes());
-            let err = decode_hello(&mut Reader::new(&hello)).unwrap_err();
+            resume[..8].copy_from_slice(&old.to_le_bytes());
+            let Err(err) = decode::<Hello>(&hello, None) else {
+                panic!("an earlier revision's HELLO decoded");
+            };
             assert_eq!(err.expected, "wire magic");
             assert!(matches!(err.found, Found::Length(m) if m == old), "{err}");
-            let mut resume = encode_resume(&ResumeMsg {
-                node: NodeId::new(1),
-                token: "token".into(),
-                delivered: 0,
-                routing_version: 0,
-            });
-            resume[..8].copy_from_slice(&old.to_le_bytes());
-            assert!(decode_resume(&mut Reader::new(&resume)).is_err());
+            assert!(decode::<ResumeMsg>(&resume, None).is_err());
         }
-        let current = encode_hello(NodeId::new(1), "token");
-        assert_eq!(
-            decode_hello(&mut Reader::new(&current)).unwrap(),
-            (NodeId::new(1), "token".to_string())
-        );
+    }
+
+    /// A `ROUTING` frame body is tag 16's fields: the same layout.
+    #[test]
+    fn the_routing_frame_is_tag_16_without_its_tag() {
+        let (version, assignment) = (7, vec![NodeId::new(1), NodeId::new(4)]);
+        let msg = encode(&Msg::RoutingUpdate {
+            version,
+            assignment: assignment.clone(),
+        });
+        assert_eq!(msg[..8], 16u64.to_le_bytes());
+        assert_eq!(msg[8..], encode(&(version, assignment))[..]);
+    }
+
+    /// `docs/TRANSPORT.md` lists exactly the declared message tags, in
+    /// its tag table and in the sentence above it.
+    #[test]
+    fn the_transport_doc_lists_exactly_the_declared_tags() {
+        let doc = include_str!("../../../../docs/TRANSPORT.md");
+        let sentence = format!("message tag, {}.", tag_runs("–"));
+        assert!(doc.contains(&sentence), "the doc lacks {sentence:?}");
+        let rows = doc
+            .lines()
+            .skip_while(|l| !l.starts_with("| tag | message |"));
+        let mut listed = Vec::new();
+        for row in rows.skip(2).take_while(|l| l.starts_with('|')) {
+            let cells: Vec<&str> = row.split('|').skip(1).map(str::trim).collect();
+            for pair in cells.chunks(2) {
+                let name = pair
+                    .get(1)
+                    .and_then(|c| c.strip_prefix('`')?.strip_suffix('`'));
+                if let (Ok(tag), Some(name)) = (pair[0].parse::<u64>(), name) {
+                    listed.push((tag, name));
+                }
+            }
+        }
+        listed.sort_unstable();
+        assert_eq!(listed, MSG_TAGS);
     }
 
     // ---- Golden corpus and round trips ----------------------------------
@@ -1840,7 +1424,7 @@ mod tests {
     const GOLDEN: &str = include_str!("../../testdata/wire_w6.golden");
 
     /// Where the test values' ids, words, blobs and list lengths come
-    /// from.
+    /// from: fixed for the golden corpus, arbitrary for the proptest.
     trait Source {
         /// An id or group number: a word decoded through a checked `u32`.
         fn id(&mut self) -> u32;
@@ -1850,8 +1434,8 @@ mod tests {
         fn bytes(&mut self) -> Vec<u8>;
     }
 
-    /// The golden values. Every id is a distinct sentinel, so an id's
-    /// position can be found in the corpus; other words are small.
+    /// The golden values. Every id is a distinct sentinel that the
+    /// out-of-range test finds in the corpus; other words are small.
     #[derive(Default)]
     struct Fixed(u32);
 
@@ -1879,6 +1463,32 @@ mod tests {
         }
     }
 
+    /// Arbitrary values from a splitmix64 stream.
+    struct Random(u64);
+
+    impl Source for Random {
+        fn id(&mut self) -> u32 {
+            self.num() as u32
+        }
+        fn num(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (self.0 ^ (self.0 >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+        fn len(&mut self) -> usize {
+            self.num() as usize % 5
+        }
+        /// Noise, or a repetitive run LZ4 shrinks.
+        fn bytes(&mut self) -> Vec<u8> {
+            let n = self.num() % 300;
+            match self.num() % 2 {
+                0 => (0..n).map(|_| self.num() as u8).collect(),
+                _ => (0..n).map(|i| (i % 3) as u8).collect(),
+            }
+        }
+    }
+
     fn list<T>(s: &mut dyn Source, mut item: impl FnMut(&mut dyn Source) -> T) -> Vec<T> {
         (0..s.len()).map(|_| item(s)).collect()
     }
@@ -1897,10 +1507,10 @@ mod tests {
             out: None,
         }
     }
-    fn states(s: &mut dyn Source) -> Vec<(u32, Vec<u8>)> {
-        list(s, |s| (s.id(), s.bytes()))
+    fn states(s: &mut dyn Source) -> Vec<(u32, StateBlob)> {
+        list(s, |s| (s.id(), StateBlob::new(s.bytes())))
     }
-    fn spill_extents(s: &mut dyn Source) -> Vec<SpillExtent> {
+    fn extents(s: &mut dyn Source) -> Vec<SpillExtent> {
         list(s, |s| SpillExtent {
             group: s.id(),
             off: s.num() << 32,
@@ -1928,99 +1538,17 @@ mod tests {
     /// Decodes a body, requiring all of it, and encodes the value again.
     type Reencode = Box<dyn Fn(&[u8]) -> Result<Vec<u8>, DecodeError>>;
 
-    const CAPTURES: [Option<CheckpointMode>; 3] = [
-        None,
-        Some(CheckpointMode::Full),
-        Some(CheckpointMode::Incremental),
-    ];
-
-    /// The revision-6 codec behind each case's value type.
-    trait Codec: Sized {
-        fn enc(&self) -> Vec<u8>;
-        fn dec(r: &mut Reader<'_>) -> Result<Self, DecodeError>;
-    }
-    impl<T: ReplyPayload> Codec for T {
-        fn enc(&self) -> Vec<u8> {
-            let mut w = Writer::new();
-            self.encode_payload(&mut w, true);
-            w.into_bytes()
-        }
-        fn dec(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-            T::decode_payload(r)
-        }
-    }
-    impl Codec for Msg {
-        fn enc(&self) -> Vec<u8> {
-            let mut w = Writer::new();
-            encode_msg(self, &mut w, true, &mut |_| unreachable!("wire ids only"));
-            w.into_bytes()
-        }
-        fn dec(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-            decode_msg(r, None)
-        }
-    }
-    impl Codec for (NodeId, Msg) {
-        fn enc(&self) -> Vec<u8> {
-            [(self.0.raw() as u64).to_le_bytes().to_vec(), self.1.enc()].concat()
-        }
-        fn dec(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-            Ok((NodeId::new(r.get_u64()? as u32), decode_msg(r, None)?))
-        }
-    }
-    impl Codec for (NodeId, String) {
-        fn enc(&self) -> Vec<u8> {
-            encode_hello(self.0, &self.1)
-        }
-        fn dec(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-            decode_hello(r)
-        }
-    }
-    impl Codec for InitMsg {
-        fn enc(&self) -> Vec<u8> {
-            let mut w = Writer::new();
-            encode_init(self, &mut w);
-            w.into_bytes()
-        }
-        fn dec(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-            decode_init(r)
-        }
-    }
-    impl Codec for ResumeMsg {
-        fn enc(&self) -> Vec<u8> {
-            encode_resume(self)
-        }
-        fn dec(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-            decode_resume(r)
-        }
-    }
-    impl Codec for u64 {
-        fn enc(&self) -> Vec<u8> {
-            self.to_le_bytes().to_vec()
-        }
-        fn dec(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-            r.get_u64()
-        }
-    }
-    impl Codec for (u64, Vec<NodeId>) {
-        fn enc(&self) -> Vec<u8> {
-            encode_routing(self.0, &self.1)
-        }
-        fn dec(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-            decode_routing(r)
-        }
-    }
-
     /// One case: its name, its value's encoding, and the decoder its
     /// receiver runs. Encoded as a compressing link does: a blob that is
     /// short or does not shrink still goes raw.
-    fn case<T: Codec + 'static>(name: &'static str, v: &T) -> (&'static str, Vec<u8>, Reencode) {
+    fn case<T: Wire + 'static>(name: &'static str, v: &T) -> (&'static str, Vec<u8>, Reencode) {
         let reencode = move |bytes: &[u8]| {
-            let mut r = Reader::new(bytes);
-            let v = T::dec(&mut r)?;
-            assert!(r.is_done(), "{name}: {} trailing bytes", r.remaining());
-            Ok(v.enc())
+            let mut d = Dec::new(bytes, None);
+            let v: T = d.get()?;
+            assert!(d.r.is_done(), "{name}: {} trailing bytes", d.r.remaining());
+            Ok(encode_with(&v, true, None))
         };
-        (name, v.enc(), Box::new(reencode))
+        (name, encode_with(v, true, None), Box::new(reencode))
     }
 
     /// Every message tag (a rollback with and without a segment), every
@@ -2091,8 +1619,7 @@ mod tests {
                 &Msg::Install {
                     kg: group(s),
                     op: OperatorId::new(s.id()),
-                    bytes: s.bytes(),
-                    wire_bytes: 0,
+                    state: StateBlob::new(s.bytes()),
                     done: rid(s),
                 },
             ),
@@ -2133,7 +1660,7 @@ mod tests {
                 "msg_rollback_with_segment",
                 &Msg::Rollback {
                     states: states(s),
-                    spilled: spill_extents(s),
+                    spilled: extents(s),
                     segment: Some(text(s)),
                     ack: rid(s),
                 },
@@ -2142,7 +1669,7 @@ mod tests {
                 "msg_rollback_without_segment",
                 &Msg::Rollback {
                     states: states(s),
-                    spilled: spill_extents(s),
+                    spilled: extents(s),
                     segment: None,
                     ack: rid(s),
                 },
@@ -2160,7 +1687,7 @@ mod tests {
                 "msg_spill_groups",
                 &Msg::SpillGroups {
                     segment: text(s),
-                    extents: spill_extents(s),
+                    extents: extents(s),
                 },
             ),
             case("reply_unit", &()),
@@ -2175,7 +1702,13 @@ mod tests {
             case("reply_stats_bare", &bare),
             case("reply_probe_some", &Some(s.bytes())),
             case("reply_probe_none", &None::<Vec<u8>>),
-            case("hello", &(node(s), text(s))),
+            case(
+                "hello",
+                &Hello {
+                    node: node(s),
+                    token: text(s),
+                },
+            ),
             case("init", &init),
             case(
                 "resume",
@@ -2257,5 +1790,61 @@ mod tests {
         }
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/testdata/wire_w6.golden");
         std::fs::write(path, text).expect("write corpus");
+    }
+
+    /// An id word beyond `u32` fails closed at every position that holds
+    /// one, instead of being truncated onto another id (which would, for
+    /// a `FORWARD` destination, relay the message to the wrong worker);
+    /// `INIT`'s flags reject anything but 0 and 1. Each id position is a
+    /// golden sentinel; the flags follow the first operator's key-group
+    /// count and the last assignment entry.
+    #[test]
+    fn out_of_range_ids_and_flags_fail_closed() {
+        let cases = cases(&mut Fixed::default());
+        let mut patched = 0;
+        for ((name, golden), (_, _, reencode)) in golden_corpus().iter().zip(&cases) {
+            let find = |id: u32| {
+                let word = (id as u64).to_le_bytes();
+                let hits: Vec<usize> = (0..golden.len().saturating_sub(7))
+                    .filter(|&at| golden[at..at + 8] == word)
+                    .collect();
+                assert_eq!(hits.len(), 1, "{name}: sentinel {id:#x} is not unique");
+                hits[0]
+            };
+            let mut words: Vec<(usize, u64)> = (SENTINEL + 1..SENTINEL + 1000)
+                .filter(|&id| golden.windows(8).any(|w| w == (id as u64).to_le_bytes()))
+                .map(|id| (find(id), (1 << 32) + 1))
+                .collect();
+            if name == "init" {
+                let init: InitMsg = decode(golden, None).expect("golden INIT");
+                let last = init.assignment.last().expect("an assignment").raw();
+                words.push((find(init.ops[0].key_groups) + 8, 2));
+                words.push((find(last) + 8, 2));
+            }
+            for (at, value) in words {
+                let mut bytes = golden.clone();
+                bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+                assert!(
+                    reencode(&bytes).is_err(),
+                    "{name}: the word at {at} set to {value:#x} decoded"
+                );
+                patched += 1;
+            }
+        }
+        assert!(patched >= 60, "only {patched} positions patched");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Arbitrary values of every case survive encode and decode.
+        #[test]
+        fn every_tag_reply_and_frame_round_trips(seed in any::<u64>()) {
+            for (name, bytes, reencode) in cases(&mut Random(seed)) {
+                let back = reencode(&bytes)
+                    .map_err(|e| proptest::TestCaseError::Fail(format!("{name}: {e}")))?;
+                prop_assert_eq!(to_hex(&back), to_hex(&bytes), "{}", name);
+            }
+        }
     }
 }

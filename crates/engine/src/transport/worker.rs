@@ -42,7 +42,6 @@ use crossbeam::channel::{unbounded, Sender};
 
 use albic_types::{NodeId, OperatorId};
 
-use crate::codec::Reader;
 use crate::operator::{Counting, Identity, Operator, PaddedCounting};
 use crate::routing::RoutingTable;
 use crate::runtime::{Msg, RoutingShared, WorkerCtx, WorkerGauge};
@@ -151,10 +150,11 @@ fn run_worker(registry: &OperatorRegistry) -> io::Result<()> {
             }
         }
     };
-    conn.write_all(&wire::frame_bytes(
-        wire::FRAME_HELLO,
-        &wire::encode_hello(node, &token),
-    ))?;
+    let hello = wire::Hello {
+        node,
+        token: token.clone(),
+    };
+    conn.write_all(&wire::frame_bytes(wire::FRAME_HELLO, &wire::encode(&hello)))?;
     conn.flush()?;
 
     let mut fb = FrameBuffer::new();
@@ -162,7 +162,7 @@ fn run_worker(registry: &OperatorRegistry) -> io::Result<()> {
     if kind != wire::FRAME_INIT {
         return Err(bad_data(format!("expected INIT frame, got kind {kind}")));
     }
-    let init = wire::decode_init(&mut Reader::new(body)).map_err(bad_data)?;
+    let init: wire::InitMsg = wire::decode(body, None).map_err(bad_data)?;
 
     // Rebuild the topology: operator ids are dense and in `INIT` order,
     // so the builder reassigns the same ids the controller has.
@@ -300,7 +300,7 @@ impl ReaderLink {
         };
         conn.write_all(&wire::frame_bytes(
             wire::FRAME_RESUME,
-            &wire::encode_resume(&resume),
+            &wire::encode(&resume),
         ))
         .and_then(|()| conn.flush())
         .ok()?;
@@ -310,7 +310,7 @@ impl ReaderLink {
         if kind != wire::FRAME_RESUMED {
             return None;
         }
-        let peer_delivered = wire::decode_resumed(&mut Reader::new(body)).ok()?;
+        let peer_delivered = wire::decode::<u64>(body, None).ok()?;
         conn.set_read_timeout(None).ok()?;
         let write_half = conn.try_clone().ok()?;
         self.uplink.resume(write_half, peer_delivered, None).ok()?;
@@ -320,9 +320,8 @@ impl ReaderLink {
     /// Apply one deduplicated inbound payload: install a routing update,
     /// or hand a message to the worker's event loop.
     fn dispatch(&self, kind: u8, payload: &[u8]) -> LinkEvent {
-        let mut r = Reader::new(payload);
         if kind == wire::FRAME_ROUTING {
-            return match wire::decode_routing(&mut r) {
+            return match wire::decode::<wire::Routing>(payload, None) {
                 Ok((version, assignment)) => {
                     self.routing.install(version, assignment);
                     LinkEvent::Keep
@@ -333,7 +332,7 @@ impl ReaderLink {
         if kind != wire::FRAME_MSG {
             return LinkEvent::Keep; // controller-bound kinds: not ours
         }
-        match wire::decode_msg(&mut r, Some(&self.uplink)) {
+        match wire::decode::<Msg>(payload, Some(&self.uplink)) {
             Ok(msg) => {
                 if matches!(msg, Msg::DataChunk(_)) {
                     // Meter before the send: the event loop decrements on

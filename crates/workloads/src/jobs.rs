@@ -586,7 +586,8 @@ mod tests {
     use crate::weather::GsodWeatherStream;
     use crate::wikipedia::WikipediaEditStream;
     use albic_engine::routing::RoutingTable;
-    use albic_engine::runtime::Runtime;
+    use albic_engine::runtime::{Runtime, RuntimeConfig};
+    use albic_engine::transport::TransportOptions;
     use albic_engine::{Cluster, CostModel};
     use albic_types::NodeId;
 
@@ -598,7 +599,16 @@ mod tests {
         let cluster = Cluster::homogeneous(nodes);
         let ids: Vec<NodeId> = cluster.nodes().iter().map(|n| n.id).collect();
         let routing = RoutingTable::round_robin(topology.num_key_groups(), &ids);
-        let mut rt = Runtime::start(topology, cluster, routing, CostModel::default());
+        let (cfg, options) = (RuntimeConfig::default(), TransportOptions::InProcess);
+        let mut rt = Runtime::start_with_options(
+            topology,
+            cluster,
+            routing,
+            CostModel::default(),
+            cfg,
+            options,
+        )
+        .expect("in-process workers start without I/O");
         for (op, tuples) in injections {
             rt.inject(op, tuples);
         }
