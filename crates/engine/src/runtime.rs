@@ -468,55 +468,30 @@ impl WorkerGauge {
         self.depth.fetch_sub(1, Ordering::Relaxed);
     }
 
+    pub(crate) fn depth(&self) -> usize {
+        self.depth.load(Ordering::Relaxed)
+    }
+
     fn at_capacity(&self, capacity: usize) -> bool {
-        self.depth.load(Ordering::Relaxed) >= capacity
+        self.depth() >= capacity
     }
 
-    /// Snapshot the period counters, resetting peak/overflow.
-    pub(crate) fn collect(&self) -> QueueSample {
-        let depth = self.depth.load(Ordering::Relaxed);
-        QueueSample {
-            depth,
-            peak: self.peak_depth.swap(0, Ordering::Relaxed).max(depth),
-            overflow: self.overflow.swap(0, Ordering::Relaxed),
-        }
-    }
-}
-
-/// One gauge's period counters, as [`WorkerGauge::collect`] reads them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct QueueSample {
-    pub(crate) depth: usize,
-    pub(crate) peak: usize,
-    pub(crate) overflow: u64,
-}
-
-impl QueueSample {
-    /// Fold this queue into a node's pressure. A networked node has two
-    /// queues in series — its stub's, holding chunks not yet written to
-    /// the socket, and the daemon's inbox — so the folds add up depth and
-    /// overflow; the peak is the larger peak, at least the total depth.
-    fn add_to(self, p: &mut NodePressure) {
-        p.queue_depth += self.depth;
-        p.peak_queue_depth = p.peak_queue_depth.max(self.peak).max(p.queue_depth);
-        p.overflow += self.overflow;
+    /// Copy the period counters into `p`, resetting peak and overflow.
+    fn collect_into(&self, p: &mut NodePressure) {
+        p.queue_depth = self.depth();
+        p.peak_queue_depth = self
+            .peak_depth
+            .swap(0, Ordering::Relaxed)
+            .max(p.queue_depth);
+        p.overflow = self.overflow.swap(0, Ordering::Relaxed);
     }
 }
 
 /// A worker's [`Msg::CollectStats`] answer: its node, its period
-/// collector, from a networked daemon only its own inbox gauge (which
-/// the coordinator cannot read across the socket; an in-process
-/// worker's gauge is the coordinator's own, collected directly), the
-/// key-group states it serialized when the collection carried a
-/// checkpoint capture, and the spill records it failed to read since
-/// its previous answer.
-pub(crate) type StatsReply = (
-    NodeId,
-    StatsCollector,
-    Option<QueueSample>,
-    Option<Vec<(u32, StateBlob)>>,
-    u64,
-);
+/// collector, the key-group states it serialized when the collection
+/// carried a checkpoint capture, and the spill records it failed to read
+/// since its previous answer.
+pub(crate) type StatsReply = (NodeId, StatsCollector, Option<Vec<(u32, StateBlob)>>, u64);
 
 /// A worker's answer to one counting round ([`Msg::Barrier`],
 /// [`Msg::FlushWindows`]): its node and its activity counter — data
@@ -1139,6 +1114,10 @@ impl WorkerCtx {
         match msg {
             Msg::DataChunk(chunk) => {
                 self.gauge.dequeued();
+                // A daemon's dequeue is what reopens its sender's window.
+                if let Some(up) = &self.uplink {
+                    up.ack_if_due();
+                }
                 self.activity += 1;
                 self.stats.record_ingest(chunk.visible_len() as f64);
                 self.on_chunk(chunk);
@@ -1209,12 +1188,9 @@ impl WorkerCtx {
                 }
                 let snapshot = self.stats.clone();
                 self.stats.reset();
-                // A daemon's inbox gauge is its own: ship it, or the
-                // coordinator only ever sees the stub's socket queue.
-                let queue = self.uplink.is_some().then(|| self.gauge.collect());
                 let states = capture.map(|mode| self.snapshot_states(mode));
                 let failures = std::mem::take(&mut self.spill_failures);
-                let _ = reply.send((self.node, snapshot, queue, states, failures));
+                let _ = reply.send((self.node, snapshot, states, failures));
             }
             Msg::ProbeState { kg, reply } => {
                 let op = self.topology.operator_of_group(kg);
@@ -2505,23 +2481,20 @@ impl Runtime {
         let mut merged = StatsCollector::new();
         let mut pressure: HashMap<NodeId, NodePressure> = HashMap::new();
         let mut states: Vec<(u32, Vec<u8>)> = Vec::new();
-        for (node, c, queue, snap, failures) in replies {
+        for (node, c, snap, failures) in replies {
             self.spill_failures.fetch_add(failures, Ordering::Relaxed);
-            let mut p = NodePressure {
+            let p = NodePressure {
                 ingested: c.ingested,
                 emitted: c.emitted,
                 dropped: c.dropped,
                 ..Default::default()
             };
-            if let Some(queue) = queue {
-                queue.add_to(&mut p);
-            }
             pressure.insert(node, p);
             merged.merge(&c);
             states.extend(snap.into_iter().flatten().map(|(g, s)| (g, s.bytes)));
         }
         for (node, gauge) in self.gauges.read().iter() {
-            gauge.collect().add_to(pressure.entry(*node).or_default());
+            gauge.collect_into(pressure.entry(*node).or_default());
         }
         // Losses at the ingestion edge (no worker collector saw them).
         let injected_lost = self.inject_dropped.swap(0, Ordering::Relaxed);
@@ -3188,7 +3161,7 @@ impl Runtime {
         });
         // Spill reads that failed during the replay are not measurement:
         // they are kept for the period record.
-        let failures: u64 = replies.iter().map(|r| r.4).sum();
+        let failures: u64 = replies.iter().map(|r| r.3).sum();
         self.spill_failures.fetch_add(failures, Ordering::Relaxed);
         // The inject-edge drop counter also belongs to the discarded
         // re-measurement window.
@@ -4337,10 +4310,6 @@ mod tests {
         rx
     }
 
-    fn depth(gauge: &WorkerGauge) -> usize {
-        gauge.depth.load(Ordering::Relaxed)
-    }
-
     fn rows_of(msg: Option<Msg>) -> usize {
         match msg {
             Some(Msg::DataChunk(c)) => c.len(),
@@ -4371,7 +4340,7 @@ mod tests {
             matches!(stash, Some(Msg::PeerBarrier { epoch: 7, .. })),
             "the barrier is stashed, to be handled next"
         );
-        assert_eq!(depth(&gauge), 1, "one credit per merged chunk");
+        assert_eq!(gauge.depth(), 1, "one credit per merged chunk");
         // Nothing behind the barrier was touched.
         assert_eq!(rows_of(inbox.try_recv().ok()), 5);
     }
@@ -4388,7 +4357,7 @@ mod tests {
         coalesce(&mut head, &inbox, &gauge, 64, &mut stash);
         assert_eq!(head.len(), 60, "60 + 10 rows would pass the batch size");
         assert_eq!(rows_of(stash), 10, "the chunk that does not fit comes next");
-        assert_eq!(depth(&gauge), 2, "a stashed chunk keeps its credit");
+        assert_eq!(gauge.depth(), 2, "a stashed chunk keeps its credit");
         assert_eq!(rows_of(inbox.try_recv().ok()), 3);
 
         // Fill exactly to the batch size, then stop.
@@ -4405,7 +4374,7 @@ mod tests {
         coalesce(&mut head, &inbox, &gauge, 10, &mut stash);
         assert_eq!(head.len(), 10);
         assert!(stash.is_none(), "a full head reads no further");
-        assert_eq!(depth(&gauge), 2 + 1);
+        assert_eq!(gauge.depth(), 2 + 1);
         assert_eq!(rows_of(inbox.try_recv().ok()), 1);
     }
 
@@ -4423,7 +4392,7 @@ mod tests {
         assert_eq!(head.visible_len(), 3 + 4);
         assert!(head.len() <= 64);
         assert!(stash.is_none());
-        assert_eq!(depth(&gauge), 0);
+        assert_eq!(gauge.depth(), 0);
         // Only the masked rows are gone: the visible rows are the
         // head's, then the next chunk's, in order.
         let keys: Vec<u64> = head.to_tuples().iter().map(|t| t.key).collect();
@@ -4447,7 +4416,7 @@ mod tests {
         coalesce(&mut head, &inbox, &gauge, 1, &mut stash);
         assert_eq!(head.len(), 1);
         assert!(stash.is_none(), "a full head does not even look");
-        assert_eq!(depth(&gauge), 2);
+        assert_eq!(gauge.depth(), 2);
     }
 
     /// Run a one-node worker over `msgs`, all queued before it starts
@@ -4455,14 +4424,25 @@ mod tests {
     /// `Shutdown`. Every group is local and every reply goes through a
     /// channel, so nothing is ever written to `uplink`.
     fn run_lone_worker(mut msgs: Vec<Msg>, uplink: Option<WireOut>) {
-        let (topology, _, _) = two_op_topology();
-        let node = NodeId::new(0);
-        let table = RoutingTable::round_robin(topology.num_key_groups(), &[node]);
         let gauge = Arc::new(WorkerGauge::default());
         msgs.push(Msg::Shutdown);
+        let inbox = inbox_of(&gauge, msgs);
+        lone_worker(two_op_topology().0, inbox, gauge, uplink);
+    }
+
+    /// Run a one-node worker on `topology` over `inbox`, metered on
+    /// `gauge`, until its `Shutdown`.
+    fn lone_worker(
+        topology: Topology,
+        inbox: Receiver<Msg>,
+        gauge: Arc<WorkerGauge>,
+        uplink: Option<WireOut>,
+    ) {
+        let node = NodeId::new(0);
+        let table = RoutingTable::round_robin(topology.num_key_groups(), &[node]);
         let spawn = WorkerSpawn {
             node,
-            inbox: inbox_of(&gauge, msgs),
+            inbox,
             gauge,
             topology: Arc::new(topology),
             routing: Arc::new(RoutingShared::new(table)),
@@ -4493,79 +4473,278 @@ mod tests {
         assert_eq!(ingested, vec![6.0, 2.0]);
     }
 
-    /// A networked daemon's own inbox gauge is invisible to the
-    /// coordinator, which only sees its stub's socket queue: the daemon
-    /// must ship it in its statistics reply, and the coordinator folds it
-    /// into the node's pressure.
+    /// A lone worker daemon on one end of a socket pair and a controller's
+    /// session half on the other. The daemon's reader ([`ReaderLink`])
+    /// feeds its inbox, metering data chunks on the gauge its uplink's
+    /// acks leave out; the controller's reader applies those acks and
+    /// resolves the daemon's replies. The worker loop runs only from
+    /// [`LoneDaemon::start`] on, so a test can fill the window first.
     #[cfg(unix)]
-    #[test]
-    fn a_daemons_inbox_backlog_reaches_its_collected_stats() {
-        use crate::transport::net::Conn;
-        use std::os::unix::net::UnixStream;
-
-        let (reply_tx, reply_rx) = unbounded();
-        let collect = || Msg::CollectStats {
-            capture: None,
-            reply: ReplyTo::Chan(reply_tx.clone()),
-        };
-        // A backlog queued before the daemon's worker runs.
-        let mut msgs: Vec<Msg> = (0..5).map(|_| Msg::DataChunk(chunk_of(1))).collect();
-        msgs.extend([collect(), collect()]);
-        let (sock, _peer) = UnixStream::pair().unwrap();
-        run_lone_worker(msgs, Some(WireOut::new(Conn::Uds(sock), false)));
-
-        let (from, stats, queue, _, _) = reply_rx.recv().unwrap();
-        assert_eq!(from, NodeId::new(0));
-        assert_eq!(stats.ingested, 5.0, "the whole backlog was dequeued");
-        let sample = queue.expect("a daemon ships its gauge");
-        assert_eq!(
-            sample,
-            QueueSample {
-                depth: 0,
-                peak: 5,
-                overflow: 0
-            }
-        );
-        let (_, _, again, _, _) = reply_rx.recv().unwrap();
-        assert_eq!(
-            again,
-            Some(QueueSample::default()),
-            "collection resets the peak"
-        );
-
-        // The coordinator folds it onto the stub's own socket queue.
-        let mut pressure = NodePressure::default();
-        QueueSample {
-            depth: 1,
-            peak: 2,
-            overflow: 1,
-        }
-        .add_to(&mut pressure);
-        sample.add_to(&mut pressure);
-        assert_eq!(pressure.queue_depth, 1);
-        assert_eq!(pressure.peak_queue_depth, 5);
-        assert_eq!(pressure.overflow, 1);
+    struct LoneDaemon {
+        controller: WireOut,
+        /// The controller's socket, for a test to cut.
+        socket: std::os::unix::net::UnixStream,
+        /// The controller's readers, one per socket; each ends at a cut.
+        readers: Vec<std::thread::JoinHandle<crate::transport::wire::LinkEvent>>,
+        correlator: Arc<crate::transport::wire::Correlator>,
+        /// The daemon's reader.
+        link: std::thread::JoinHandle<()>,
+        gauge: Arc<WorkerGauge>,
+        uplink: WireOut,
+        /// Until the worker loop takes it.
+        inbox: Option<Receiver<Msg>>,
     }
 
-    /// An in-process worker's gauge is the coordinator's own: its reply
-    /// carries none, so the coordinator's collection is the only one and
-    /// the peak is not reset behind its back.
+    #[cfg(unix)]
+    impl LoneDaemon {
+        /// `resume_at`: where the daemon re-dials after a cut (a `uds:`
+        /// address), or `None` for a link that ends at its first cut.
+        fn new(resume_at: Option<String>) -> Self {
+            use crate::transport::net::Conn;
+            use crate::transport::session::ReconnectPolicy;
+            use crate::transport::wire::FrameBuffer;
+            use crate::transport::worker::ReaderLink;
+
+            let (ours, theirs) = std::os::unix::net::UnixStream::pair().unwrap();
+            let gauge = Arc::new(WorkerGauge::default());
+            let held = Some(Arc::clone(&gauge));
+            let uplink = WireOut::new(Conn::Uds(theirs.try_clone().unwrap()), false, held);
+            let (tx, inbox) = unbounded();
+            let link = ReaderLink {
+                uplink: uplink.clone(),
+                gauge: Arc::clone(&gauge),
+                routing: Arc::new(RoutingShared::new(RoutingTable::from_assignment(vec![]))),
+                tx,
+                policy: ReconnectPolicy {
+                    attempts: if resume_at.is_some() { 3 } else { 0 },
+                    base_backoff: Duration::from_millis(5),
+                    max_backoff: Duration::from_millis(20),
+                    jitter: 0.0,
+                },
+                addr: resume_at.unwrap_or_default(),
+                node: NodeId::new(0),
+                token: String::new(),
+            };
+            let link = std::thread::spawn(move || link.run(Conn::Uds(theirs), FrameBuffer::new()));
+            let mut daemon = LoneDaemon {
+                controller: WireOut::new(Conn::Uds(ours.try_clone().unwrap()), false, None),
+                socket: ours,
+                readers: Vec::new(),
+                correlator: Arc::new(crate::transport::wire::Correlator::new()),
+                link,
+                gauge,
+                uplink,
+                inbox: Some(inbox),
+            };
+            let conn = Conn::Uds(daemon.socket.try_clone().unwrap());
+            daemon.read(conn, FrameBuffer::new());
+            daemon
+        }
+
+        /// Start a controller reader on `conn`.
+        fn read(
+            &mut self,
+            mut conn: crate::transport::net::Conn,
+            mut fb: crate::transport::wire::FrameBuffer,
+        ) {
+            use crate::transport::wire::{LinkEvent, FRAME_REPLY};
+            let (out, correlator) = (self.controller.clone(), Arc::clone(&self.correlator));
+            self.readers.push(std::thread::spawn(move || {
+                out.pump(&mut conn, &mut fb, |kind, payload| {
+                    if kind == FRAME_REPLY {
+                        correlator.fire(payload).expect("a reply decodes");
+                    }
+                    LinkEvent::Keep
+                })
+            }));
+        }
+
+        /// Send one-row chunks, one frame each, then a statistics
+        /// collection and a `Shutdown`, from a thread that blocks whenever
+        /// the window is full. It returns how long the chunks took to get
+        /// out, and the collected statistics.
+        fn send(&self, chunks: usize) -> std::thread::JoinHandle<(Duration, StatsReply)> {
+            use crate::transport::wire::{encode, encode_with, FRAME_MSG};
+            let (out, correlator) = (self.controller.clone(), Arc::clone(&self.correlator));
+            std::thread::spawn(move || {
+                let t0 = Instant::now();
+                for _ in 0..chunks {
+                    let frame = encode(&Msg::DataChunk(chunk_of(1)));
+                    out.send_frame(FRAME_MSG, &frame)
+                        .expect("the session is up");
+                }
+                let sent = t0.elapsed();
+                let (tx, rx) = unbounded();
+                let collect = Msg::CollectStats {
+                    capture: None,
+                    reply: ReplyTo::Chan(tx),
+                };
+                let frames = [
+                    encode_with(&collect, false, Some(&correlator)),
+                    encode(&Msg::Shutdown),
+                ];
+                for frame in frames {
+                    out.send_frame(FRAME_MSG, &frame)
+                        .expect("the session is up");
+                }
+                (sent, rx.recv().expect("the daemon answers"))
+            })
+        }
+
+        /// Block until the daemon's inbox holds `depth` chunks, then check
+        /// that it holds still: nothing more arrives.
+        fn fill_to(&self, depth: usize) {
+            while self.gauge.depth() < depth {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            std::thread::sleep(Duration::from_millis(50));
+            assert_eq!(self.gauge.depth(), depth, "the window admits no more");
+        }
+
+        /// Start the worker loop on `topology`.
+        fn start(&mut self, topology: Topology) -> std::thread::JoinHandle<()> {
+            let (inbox, gauge) = (self.inbox.take().unwrap(), Arc::clone(&self.gauge));
+            let uplink = self.uplink.clone();
+            std::thread::spawn(move || lone_worker(topology, inbox, gauge, Some(uplink)))
+        }
+
+        fn peak(&self) -> usize {
+            self.gauge.peak_depth.load(Ordering::Relaxed)
+        }
+
+        /// Close the controller's end and join every reader: the
+        /// controller's see their socket shut, then the daemon's sees it
+        /// closed and, finding nobody to resume with, ends too.
+        fn close(self) {
+            let LoneDaemon {
+                controller,
+                socket,
+                readers,
+                link,
+                ..
+            } = self;
+            controller.close();
+            for reader in readers {
+                reader.join().expect("the controller's reader ends");
+            }
+            drop((controller, socket));
+            link.join().expect("the daemon's reader ends");
+        }
+    }
+
+    /// `src` (a [`Sleepy`]) feeding a counter: 200 µs per tuple.
+    fn sleepy_topology() -> Topology {
+        let mut b = TopologyBuilder::new();
+        let src = b.source("src", 4, Arc::new(Sleepy));
+        let cnt = b.operator("count", 4, Arc::new(Counting));
+        b.edge(src, cnt);
+        b.build().unwrap()
+    }
+
+    /// A daemon acks a data chunk only once its worker has dequeued it,
+    /// so a slow daemon holds the controller's sender to one window: its
+    /// inbox never holds more than `SEND_QUEUE_LIMIT` chunks plus the
+    /// one-frame burst being sent, and the sender blocks instead, at
+    /// least as long as the worker takes to work off all but one window.
+    #[cfg(unix)]
     #[test]
-    fn in_process_stats_replies_carry_no_gauge() {
-        let (rt, src, _) = two_op_runtime(2);
-        rt.inject(src, (0..20).map(|i| Tuple::keyed(&i, Value::Int(i), 0)));
-        rt.quiesce();
-        let (tx, rx) = unbounded();
-        for s in rt.senders.read().values() {
-            let reply = ReplyTo::Chan(tx.clone());
-            let capture = None;
-            assert!(s.send(Msg::CollectStats { capture, reply }).is_ok());
-        }
-        for _ in 0..2 {
-            let (_, _, queue, _, _) = rx.recv().unwrap();
-            assert_eq!(queue, None);
-        }
-        rt.shutdown();
+    fn a_slow_daemon_holds_its_sender_to_one_window() {
+        use crate::transport::session::SEND_QUEUE_LIMIT;
+        within(Duration::from_secs(60), || {
+            let chunks = 8 * SEND_QUEUE_LIMIT;
+            let mut daemon = LoneDaemon::new(None);
+            let sender = daemon.send(chunks);
+            let worker = daemon.start(sleepy_topology());
+            let (sent, (_, stats, _, _)) = sender.join().unwrap();
+            worker.join().unwrap();
+            assert_eq!(stats.ingested, chunks as f64, "every chunk, once");
+            assert!(daemon.peak() <= SEND_QUEUE_LIMIT + 1, "{}", daemon.peak());
+            // Chunk i goes out only once chunk i - SEND_QUEUE_LIMIT - 1 is
+            // acked, so dequeued, so the chunk before it fully processed.
+            let floor = Duration::from_micros(200) * (chunks - SEND_QUEUE_LIMIT - 2) as u32;
+            assert!(sent >= floor, "the sender waited {sent:?}, under {floor:?}");
+            daemon.close();
+        });
+    }
+
+    /// The drain rule. With the window full and nothing more arriving,
+    /// only the daemon's worker, acking as it dequeues, can reopen it: the
+    /// sender's last frames (fewer than `ACK_EVERY`) must get out, and
+    /// the worker must see every chunk exactly once.
+    #[cfg(unix)]
+    #[test]
+    fn a_draining_daemon_reopens_a_full_window_with_nothing_else_arriving() {
+        use crate::transport::session::{ACK_EVERY, SEND_QUEUE_LIMIT};
+        within(Duration::from_secs(30), || {
+            let chunks = SEND_QUEUE_LIMIT + ACK_EVERY as usize / 2;
+            let mut daemon = LoneDaemon::new(None);
+            let sender = daemon.send(chunks);
+            daemon.fill_to(SEND_QUEUE_LIMIT);
+            assert!(!sender.is_finished(), "the sender waits for room");
+            let worker = daemon.start(two_op_topology().0);
+            let (_, (_, stats, _, _)) = sender.join().unwrap();
+            worker.join().unwrap();
+            assert_eq!(stats.ingested, chunks as f64);
+            daemon.close();
+        });
+    }
+
+    /// Cut the socket while the sender waits for room. The daemon re-dials
+    /// and resumes; the delivery mark its `RESUME` carries reopens the
+    /// window, the sender gets out, and the worker sees every chunk
+    /// exactly once. The resume credits what the daemon's inbox held at
+    /// the cut, so the inbox reaches two windows, never more.
+    #[cfg(unix)]
+    #[test]
+    fn a_daemon_cut_while_its_sender_waits_for_room_resumes_exactly_once() {
+        use crate::transport::net::Conn;
+        use crate::transport::session::SEND_QUEUE_LIMIT;
+        use crate::transport::wire::{self, FrameBuffer};
+        use std::io::Write;
+        within(Duration::from_secs(60), || {
+            let path = std::env::temp_dir()
+                .join(format!("albic-window-resume-{}.sock", std::process::id()));
+            let _ = std::fs::remove_file(&path);
+            let listener = std::os::unix::net::UnixListener::bind(&path).unwrap();
+            let mut daemon = LoneDaemon::new(Some(format!("uds:{}", path.display())));
+            let chunks = 2 * SEND_QUEUE_LIMIT + 10;
+            let sender = daemon.send(chunks);
+            daemon.fill_to(SEND_QUEUE_LIMIT);
+
+            daemon.socket.shutdown(std::net::Shutdown::Both).unwrap();
+            // The controller's side of the resume, as a stub runs it.
+            let controller = &daemon.controller;
+            let mut conn = Conn::Uds(listener.accept().unwrap().0);
+            let mut fb = FrameBuffer::new();
+            let (kind, body) = fb.read_frame(&mut conn).unwrap();
+            assert_eq!(kind, wire::FRAME_RESUME);
+            let resume: wire::ResumeMsg = wire::decode(body, None).unwrap();
+            assert_eq!(resume.delivered, SEND_QUEUE_LIMIT as u64);
+            assert!(controller.valid_resume_point(resume.delivered));
+            let resumed = wire::encode(&controller.delivered());
+            conn.write_all(&wire::frame_bytes(wire::FRAME_RESUMED, &resumed))
+                .unwrap();
+            controller
+                .resume(conn.try_clone().unwrap(), resume.delivered, None)
+                .unwrap();
+            daemon.read(conn, fb);
+
+            daemon.fill_to(2 * SEND_QUEUE_LIMIT);
+            assert!(!sender.is_finished(), "the sender waits for room again");
+            let worker = daemon.start(two_op_topology().0);
+            let (_, (_, stats, _, _)) = sender.join().unwrap();
+            worker.join().unwrap();
+            assert_eq!(stats.ingested, chunks as f64, "every chunk, once");
+            assert!(
+                daemon.peak() <= 2 * SEND_QUEUE_LIMIT + 1,
+                "{}",
+                daemon.peak()
+            );
+            // With nobody to resume with, the daemon's reader ends.
+            drop(listener);
+            let _ = std::fs::remove_file(&path);
+            daemon.close();
+        });
     }
 
     /// An identity operator that sleeps before forwarding each tuple, so

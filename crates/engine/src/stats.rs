@@ -183,12 +183,12 @@ pub struct NodePressure {
     /// Tuples whose destination worker was unreachable (surfaced drops).
     pub dropped: f64,
     /// Data batches still queued in the worker's inbox at period end.
-    /// For a networked worker: its daemon's inbox plus the chunks its
-    /// controller-side stub has not yet written to the socket.
+    /// A networked worker's queue figures are its controller-side stub's
+    /// gauge: chunks not yet written to the socket, which fills once the
+    /// daemon falls a session window behind.
     pub queue_depth: usize,
-    /// Largest queued-batch count observed during the period (for a
-    /// networked worker, the larger of its two queues' peaks, and at
-    /// least `queue_depth`).
+    /// Largest queued-batch count observed during the period (at least
+    /// `queue_depth`).
     pub peak_queue_depth: usize,
     /// Batches enqueued past `channel_capacity` after the bounded
     /// backpressure wait expired (deadlock-avoidance overshoot).

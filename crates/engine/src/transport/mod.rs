@@ -39,7 +39,7 @@ pub mod session;
 pub(crate) mod wire;
 
 pub(crate) mod net;
-mod worker;
+pub(crate) mod worker;
 
 pub use net::{NetConfig, NetTransport, SocketKind};
 pub use session::{ReconnectPolicy, RecvSequencer, SendSequencer, SeqVerdict};

@@ -22,9 +22,9 @@
 //! A stub is two blocking threads over one [`WireOut`] session half,
 //! the session engine the worker daemon runs at the other end. The
 //! writer (the stub thread proper) blocks on the worker's inbox and sends
-//! whatever is queued as one `write`; while that write blocks it pulls
-//! nothing more, so the worker's credit gauge keeps counting
-//! queued-but-unsent batches exactly as in-process. The reader blocks on
+//! whatever is queued as one `write`; while that write, or a full
+//! session window, blocks it, it pulls nothing more, so the worker's
+//! credit gauge fills and producers block exactly as in-process. The reader blocks on
 //! the socket, applies acks, resolves replies and relays `FORWARD`s.
 //! Neither sleeps on the message path.
 //!
@@ -826,7 +826,7 @@ fn stub_main(spawn: WorkerSpawn, ctx: StubCtx) -> Receiver<Msg> {
             reconnect: ctx.policy,
         };
         conn.write_all(&wire::frame_bytes(wire::FRAME_INIT, &wire::encode(&init)))?;
-        Ok(WireOut::new(conn.try_clone()?, ctx.compress))
+        Ok(WireOut::new(conn.try_clone()?, ctx.compress, None))
     })();
     let Ok(out) = init_sent else {
         eprintln!("albic: worker {node} died during bootstrap");
@@ -906,7 +906,8 @@ fn stub_writer(
         while let Some(mut msg) = next {
             if let Msg::DataChunk(chunk) = &mut msg {
                 // The chunk left the queue for the wire: release its
-                // credit (the daemon meters its own inbox).
+                // credit. The session window holds it from here: the
+                // daemon acks it only once its worker has dequeued it.
                 gauge.dequeued();
                 coalesce(chunk, &inbox, gauge, batch_size, &mut stash);
             }
@@ -1171,9 +1172,118 @@ mod tests {
         assert!(stream.nodelay().expect("read TCP_NODELAY"));
     }
 
+    /// A `HELLO` or `RESUME` body with one byte after its last field is
+    /// dropped at admission, like any other body that does not decode.
+    #[cfg(unix)]
+    #[test]
+    fn admit_rejects_a_handshake_with_a_trailing_byte() {
+        let shared = NetShared {
+            token: String::new(),
+            registry: StdMutex::new(HashMap::new()),
+            parked: StdMutex::new(HashMap::new()),
+            shutdown: AtomicBool::new(false),
+        };
+        let (admit, admissions) = mpsc::channel();
+        let (node, joiner) = (NodeId::new(7), NodeId::new(8));
+        let poisoned = Arc::default();
+        let entry = NodeEntry {
+            admit,
+            conn: None,
+            poisoned,
+        };
+        shared.registry().insert(node, entry);
+        let token = String::new();
+        let hello = wire::encode(&wire::Hello {
+            node: joiner,
+            token: token.clone(),
+        });
+        let resume = wire::encode(&wire::ResumeMsg {
+            node,
+            token,
+            delivered: 0,
+            routing_version: 0,
+        });
+        let offer = |kind, body: &[u8]| {
+            let (ours, mut theirs) = UnixStream::pair().expect("socket pair");
+            theirs
+                .write_all(&wire::frame_bytes(kind, body))
+                .expect("write");
+            super::admit(Conn::Uds(ours), &shared);
+        };
+        for (kind, body) in [(wire::FRAME_HELLO, &hello), (wire::FRAME_RESUME, &resume)] {
+            offer(kind, &[&body[..], &[0]].concat());
+        }
+        assert!(shared.parked().is_empty(), "a long HELLO was parked");
+        assert!(admissions.try_recv().is_err(), "a long RESUME was routed");
+        offer(wire::FRAME_HELLO, &hello);
+        offer(wire::FRAME_RESUME, &resume);
+        assert!(shared.parked().contains_key(&joiner));
+        assert!(matches!(
+            admissions.try_recv(),
+            Ok(Admission::Resume { .. })
+        ));
+    }
+
+    /// A `FORWARD` body with one byte after its message is refused, and
+    /// nothing reaches the destination's inbox.
+    #[cfg(unix)]
+    #[test]
+    fn relay_rejects_a_forward_with_a_trailing_byte() {
+        let (ours, _theirs) = UnixStream::pair().expect("socket pair");
+        let (_admit, admissions) = mpsc::channel();
+        let shared = Arc::new(NetShared {
+            token: String::new(),
+            registry: StdMutex::new(HashMap::new()),
+            parked: StdMutex::new(HashMap::new()),
+            shutdown: AtomicBool::new(false),
+        });
+        let ctx = StubCtx {
+            shared,
+            correlator: Arc::new(Correlator::new()),
+            admissions,
+            poisoned: Arc::default(),
+            child: None,
+            policy: ReconnectPolicy::none(),
+            compress: false,
+            handshake_patience: Duration::ZERO,
+        };
+        let dest = NodeId::new(1);
+        let (tx, inbox) = crossbeam::channel::unbounded();
+        let senders: SenderMap = Arc::default();
+        senders.write().insert(dest, tx);
+        let reader = StubReader {
+            node: NodeId::new(0),
+            out: WireOut::new(Conn::Uds(ours), false, None),
+            ctx,
+            routing: Arc::new(RoutingShared::new(
+                crate::routing::RoutingTable::from_assignment(vec![]),
+            )),
+            senders,
+            gauges: Arc::default(),
+            dropped: Arc::default(),
+            cfg: RuntimeConfig::default(),
+            replay: Default::default(),
+        };
+        let barrier = Msg::PeerBarrier {
+            epoch: 1,
+            from: NodeId::new(0),
+        };
+        let forward = wire::encode(&(dest, barrier));
+        let long = [&forward[..], &[0]].concat();
+        assert!(reader.relay(wire::FRAME_FORWARD, &long).is_err());
+        assert!(inbox.try_recv().is_err(), "a long FORWARD was relayed");
+        assert!(reader.relay(wire::FRAME_FORWARD, &forward).is_ok());
+        assert!(matches!(
+            inbox.try_recv(),
+            Ok(Msg::PeerBarrier { epoch: 1, .. })
+        ));
+    }
+
     /// A `Shutdown` queued behind a burst larger than the socket buffer
     /// goes out last, after every frame queued before it, and the writer
-    /// hands back an empty inbox only then.
+    /// hands back an empty inbox only then. The burst is more than a
+    /// session window, so the peer acks each frame it reads, as a daemon
+    /// does once its worker has dequeued it.
     #[cfg(unix)]
     #[test]
     fn shutdown_queued_behind_a_burst_delivers_the_whole_burst() {
@@ -1185,7 +1295,14 @@ mod tests {
         theirs
             .set_read_timeout(Some(Duration::from_secs(10)))
             .expect("timeout");
-        let out = WireOut::new(Conn::Uds(ours), false);
+        let mut acks = Conn::Uds(ours.try_clone().expect("clone"));
+        let out = WireOut::new(Conn::Uds(ours), false, None);
+        let reader = {
+            let out = out.clone();
+            std::thread::spawn(move || {
+                out.pump(&mut acks, &mut FrameBuffer::new(), |_, _| LinkEvent::Keep)
+            })
+        };
         let (tx, inbox) = crossbeam::channel::unbounded();
         let gauge = WorkerGauge::default();
         const CHUNKS: u64 = 300; // 300 × 256 rows ≈ 2 MiB encoded
@@ -1210,6 +1327,8 @@ mod tests {
                     Ok(Msg::Shutdown) => u64::MAX,
                     _ => panic!("frame {seq} is neither a chunk nor the shutdown"),
                 });
+                let ack = wire::frame_bytes(wire::FRAME_ACK, &seq.to_le_bytes());
+                let _ = theirs.write_all(&ack); // the writer may be gone
             }
             got
         });
@@ -1217,6 +1336,7 @@ mod tests {
         let inbox = stub_writer(inbox, &out, &gauge, &Correlator::new(), batch_size);
         assert!(inbox.try_recv().is_err(), "the inbox comes back drained");
         assert!(out.is_dead(), "a written Shutdown closes the session");
+        assert_eq!(reader.join().expect("the reader ends"), LinkEvent::Cut);
         let got = peer.join().expect("peer reads every frame");
         let mut want: Vec<u64> = (0..CHUNKS).collect();
         want.push(u64::MAX);
@@ -1236,7 +1356,7 @@ mod tests {
         theirs
             .set_read_timeout(Some(Duration::from_secs(10)))
             .expect("timeout");
-        let out = WireOut::new(Conn::Uds(ours), false);
+        let out = WireOut::new(Conn::Uds(ours), false, None);
         let (tx, inbox) = crossbeam::channel::unbounded();
         let gauge = WorkerGauge::default();
         let one_row = |ts: u64| {
@@ -1281,7 +1401,7 @@ mod tests {
         });
         let inbox = stub_writer(inbox, &out, &gauge, &Correlator::new(), 4);
         assert!(inbox.try_recv().is_err(), "the inbox comes back drained");
-        assert_eq!(gauge.collect().depth, 0, "one credit released per chunk");
+        assert_eq!(gauge.depth(), 0, "one credit released per chunk");
         let frames = peer.join().expect("peer reads every frame");
         let want: Vec<Vec<u64>> = vec![
             vec![0, 1, 2, 3],

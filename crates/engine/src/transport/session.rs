@@ -20,14 +20,15 @@
 use std::collections::VecDeque;
 use std::time::Duration;
 
-/// Send an explicit `ACK` frame after this many unacked deliveries, so
-/// a one-directional stream still prunes the peer's resend queue.
+/// Send an explicit `ACK` once this many frames were consumed since the
+/// last ack, so a one-directional stream still reopens the peer's window.
 pub(crate) const ACK_EVERY: u64 = 32;
 
-/// Resend-queue bound, in frames. A peer that stays unreachable long
-/// enough to park this much traffic exerts backpressure on the inbox
-/// instead of growing without bound.
-pub(crate) const SEND_QUEUE_LIMIT: usize = 1024;
+/// Resend-queue bound, in frames: the session window. A daemon acks a
+/// data chunk only once dequeued, so a slow daemon fills the window and
+/// producers block on its stub's gauge. Small beside a channel capacity,
+/// as a frame the daemon has not dequeued is also held here.
+pub(crate) const SEND_QUEUE_LIMIT: usize = 128;
 
 /// How a transport endpoint behaves when its socket dies: how many
 /// re-dial attempts to make, spaced by exponential backoff with
@@ -201,7 +202,8 @@ pub enum SeqVerdict {
 }
 
 /// The receiving half of a session: tracks the contiguous delivery
-/// high-water mark and when an explicit ack is owed.
+/// high-water mark and when an explicit ack is owed. Its ack leaves out
+/// the `held` frames not consumed yet (a daemon's queued data chunks).
 #[derive(Debug, Default)]
 pub struct RecvSequencer {
     delivered: u64,
@@ -233,16 +235,18 @@ impl RecvSequencer {
         self.delivered
     }
 
-    /// Whether enough deliveries have accumulated since the last ack the
-    /// peer saw to owe an explicit `ACK` frame.
-    pub fn ack_due(&self) -> bool {
-        self.delivered - self.acked_mark >= ACK_EVERY
+    /// Whether enough frames were consumed since the last ack the peer saw
+    /// to owe an explicit `ACK` frame.
+    pub fn ack_due(&self, held: u64) -> bool {
+        let consumed = self.delivered.saturating_sub(held);
+        consumed.saturating_sub(self.acked_mark) >= ACK_EVERY
     }
 
-    /// Record that an ack for the current delivery mark reached the wire
-    /// (explicitly or piggybacked on an outbound frame).
-    pub fn mark_acked(&mut self) {
-        self.acked_mark = self.delivered;
+    /// The cumulative ack to put on the wire now (explicitly or
+    /// piggybacked on an outbound frame), recorded as seen by the peer.
+    pub fn take_ack(&mut self, held: u64) -> u64 {
+        self.acked_mark = self.delivered.saturating_sub(held);
+        self.acked_mark
     }
 }
 

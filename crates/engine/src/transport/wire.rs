@@ -23,8 +23,8 @@
 //! `tag => Variant { fields in wire order }`; `docs/TRANSPORT.md`'s tag
 //! table is checked against it. Whenever the bytes a peer must understand
 //! change (a new tag, a new field, another layout), also bump
-//! [`WIRE_MAGIC`] and commit a golden corpus for the new revision next to
-//! `testdata/wire_w6.golden`, which pins every layout byte for byte.
+//! [`WIRE_MAGIC`] and replace `testdata/wire_w7.golden`, which pins every
+//! layout byte for byte, with a corpus for the new revision.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -45,11 +45,11 @@ use crate::checkpoint::{CheckpointMode, SpillExtent};
 use crate::chunk::StreamChunk;
 use crate::codec::{DecodeError, Found, Reader, Writer};
 use crate::runtime::{
-    Activity, InstallReply, Msg, QueueSample, ReplyTo, RuntimeConfig, StateBlob, StatsReply,
+    Activity, InstallReply, Msg, ReplyTo, RuntimeConfig, StateBlob, StatsReply, WorkerGauge,
 };
 use crate::stats::{FastMap, StatsCollector};
 
-/// Handshake magic ("ALBIC_W6"): rejects a stray client that is not an
+/// Handshake magic ("ALBIC_W7"): rejects a stray client that is not an
 /// albic worker speaking this protocol revision (revision 2 added
 /// sessions, join tokens, and compressed state blobs; revision 3 dropped
 /// the row-batch message and the `INIT` data-plane field; revision 4
@@ -58,8 +58,9 @@ use crate::stats::{FastMap, StatsCollector};
 /// counter and folded the checkpoint capture into the statistics
 /// collection, retiring message tag 12; revision 6 made rollback and
 /// spill messages carry segment extents instead of group ids, and the
-/// statistics reply the worker's spill read failures).
-pub(crate) const WIRE_MAGIC: u64 = 0x414c_4249_435f_5736;
+/// statistics reply the worker's spill read failures; revision 7 took
+/// the daemon's inbox gauge back out of the statistics reply).
+pub(crate) const WIRE_MAGIC: u64 = 0x414c_4249_435f_5737;
 
 /// Worker → controller: identity announcement + join token, first frame
 /// on a fresh connection.
@@ -90,8 +91,8 @@ pub(crate) const FRAME_RESUME: u8 = 7;
 /// controller's own delivery high-water mark on this session.
 pub(crate) const FRAME_RESUMED: u8 = 8;
 /// Either direction: an explicit cumulative ack `[u64 ack]`, sent when
-/// one side has delivered [`ACK_EVERY`](super::session::ACK_EVERY) frames without reverse traffic
-/// to piggyback on.
+/// one side has consumed [`ACK_EVERY`](super::session::ACK_EVERY) frames
+/// since the last ack it sent.
 pub(crate) const FRAME_ACK: u8 = 9;
 
 /// Upper bound on one frame. A length prefix beyond this is treated as
@@ -277,6 +278,8 @@ struct LinkInner {
     /// blocked writers wake.
     dead: AtomicBool,
     compress: bool,
+    /// A daemon's inbox gauge: delivered chunks the ack leaves out.
+    held: Option<Arc<WorkerGauge>>,
 }
 
 struct SeqHalf {
@@ -310,7 +313,7 @@ impl SockHalf {
 }
 
 impl WireOut {
-    pub(crate) fn new(conn: Conn, compress: bool) -> Self {
+    pub(crate) fn new(conn: Conn, compress: bool, held: Option<Arc<WorkerGauge>>) -> Self {
         WireOut {
             inner: Arc::new(LinkInner {
                 seq: StdMutex::new(SeqHalf {
@@ -325,12 +328,17 @@ impl WireOut {
                 }),
                 dead: AtomicBool::new(false),
                 compress,
+                held,
             }),
         }
     }
 
     fn seq(&self) -> std::sync::MutexGuard<'_, SeqHalf> {
         self.inner.seq.lock().expect("link sequencer lock")
+    }
+
+    fn held(&self) -> u64 {
+        self.inner.held.as_ref().map_or(0, |g| g.depth() as u64)
     }
 
     /// Whether state blobs on this link are LZ4-compressed.
@@ -367,8 +375,7 @@ impl WireOut {
         }
         let mut sock = self.inner.sock.lock().expect("link socket lock");
         let mut st = self.seq();
-        let ack = st.recv.delivered();
-        st.recv.mark_acked();
+        let ack = st.recv.take_ack(self.held());
         for (kind, body) in frames.drain(..) {
             let seq = st.send.highest() + 1;
             put_session_frame(&mut sock.wbuf, kind, seq, ack, &body);
@@ -414,14 +421,13 @@ impl WireOut {
             };
             let mut st = self.seq();
             // A frame written since the ack fell owed may have carried it.
-            if !std::mem::take(&mut st.ack_owed) || !st.recv.ack_due() {
+            if !std::mem::take(&mut st.ack_owed) || !st.recv.ack_due(self.held()) {
                 return;
             }
-            let delivered = st.recv.delivered();
-            st.recv.mark_acked();
+            let ack = st.recv.take_ack(self.held());
             drop(st);
             sock.wbuf
-                .extend_from_slice(&frame_bytes(FRAME_ACK, &delivered.to_le_bytes()));
+                .extend_from_slice(&frame_bytes(FRAME_ACK, &ack.to_le_bytes()));
             sock.write_out();
         }
     }
@@ -449,8 +455,7 @@ impl WireOut {
         if let Some((kind, body)) = top_up {
             st.send.push(kind, body);
         }
-        let ack = st.recv.delivered();
-        st.recv.mark_acked();
+        let ack = st.recv.take_ack(self.held());
         for (seq, kind, body) in st.send.pending(peer_delivered) {
             put_session_frame(&mut sock.wbuf, kind, seq, ack, body);
         }
@@ -488,11 +493,21 @@ impl WireOut {
         }
     }
 
+    /// Send an explicit `ACK` if one is due: after each delivery, and on a
+    /// daemon after each dequeue, so a draining inbox reopens the window.
+    pub(crate) fn ack_if_due(&self) {
+        let mut st = self.seq();
+        if st.recv.ack_due(self.held()) {
+            st.ack_owed = true;
+            drop(st);
+            self.settle_acks();
+        }
+    }
+
     /// The inbound half, identical at both ends of a link: block on the
     /// socket, apply piggybacked and explicit acks to the resend queue,
     /// drop resend duplicates, hand each fresh payload to `dispatch`, and
-    /// owe the peer an explicit `ACK` every
-    /// [`ACK_EVERY`](super::session::ACK_EVERY) deliveries.
+    /// ack what is due ([`WireOut::ack_if_due`]).
     /// Returns when the socket dies or the stream has a gap
     /// ([`LinkEvent::Cut`]), or when the peer broke framing or `dispatch`
     /// gave up ([`LinkEvent::Fatal`]).
@@ -532,12 +547,7 @@ impl WireOut {
             if event != LinkEvent::Keep {
                 return event;
             }
-            let mut st = self.seq();
-            if st.recv.ack_due() {
-                st.ack_owed = true;
-                drop(st);
-                self.settle_acks();
-            }
+            self.ack_if_due();
         }
     }
 
@@ -602,6 +612,15 @@ impl<'a> Dec<'a> {
         T::get(self)
     }
 
+    /// A `T` that ends the body: a byte after it fails closed.
+    fn last<T: Wire>(&mut self) -> Result<T, DecodeError> {
+        let (v, at) = (T::get(self)?, self.r.offset());
+        match self.r.remaining() {
+            0 => Ok(v),
+            n => Err(DecodeError::new(at, "end of body", Found::Length(n as u64))),
+        }
+    }
+
     /// A `u64` word that must be at most `max`; anything larger fails
     /// closed with `expected`.
     fn word(&mut self, max: u64, expected: &'static str) -> Result<u64, DecodeError> {
@@ -634,9 +653,9 @@ pub(crate) fn encode<T: Wire>(v: &T) -> Vec<u8> {
     encode_with(v, false, None)
 }
 
-/// Decode a `T` from the front of `bytes`; `out` as in [`Dec`].
+/// Decode a `T` from all of `bytes`; `out` as in [`Dec`].
 pub(crate) fn decode<T: Wire>(bytes: &[u8], out: Option<&WireOut>) -> Result<T, DecodeError> {
-    Dec::new(bytes, out).get()
+    Dec::new(bytes, out).last()
 }
 
 /// `Wire` impls written as one `put` and one `get` expression each.
@@ -813,7 +832,6 @@ wire_structs! {
     InitOp { name, logic, key_groups, is_source }
     InitMsg { cfg, ops, edges, routing_version, assignment, compression, reconnect }
     RuntimeConfig { batch_size, channel_capacity, flush_interval, barrier_interval }
-    QueueSample { depth, peak, overflow }
     StatsCollector {
         tuples_in, cross_in, cross_out, state_bytes, group_cost, out_matrix, ingested, emitted,
         dropped
@@ -998,7 +1016,7 @@ impl<T: Reply> Wire for ReplyTo<T> {
                 correlator.register(Arc::new(move |d: &mut Dec<'_>| {
                     // A closed receiver is normal: no-op barrier waves
                     // drop theirs immediately.
-                    let _ = tx.send(d.get()?);
+                    let _ = tx.send(d.last()?);
                     Ok(())
                 }))
             }
@@ -1227,18 +1245,18 @@ mod tests {
             for compress in [false, true] {
                 let blobs = (states.clone())
                     .map(|s: Vec<_>| s.into_iter().map(|(g, b)| (g, StateBlob::new(b))).collect());
-                let reply: StatsReply = (NodeId::new(1), StatsCollector::new(), None, blobs, 0);
+                let reply: StatsReply = (NodeId::new(1), StatsCollector::new(), blobs, 0);
                 let back: StatsReply =
                     decode(&encode_with(&reply, compress, None), None).expect("decode");
                 let back_states = back
-                    .3
+                    .2
                     .map(|s| s.into_iter().map(|(g, b)| (g, b.bytes)).collect::<Vec<_>>());
                 assert_eq!((back.0, back_states), (NodeId::new(1), states.clone()));
             }
         }
         // A presence tag other than 0 or 1 fails closed (the states tag
         // is the word before the trailing failure count).
-        let bare: StatsReply = (NodeId::new(1), StatsCollector::new(), None, None, 0);
+        let bare: StatsReply = (NodeId::new(1), StatsCollector::new(), None, 0);
         let mut bytes = encode(&bare);
         let tag = bytes.len() - 16;
         bytes[tag] = 7;
@@ -1251,11 +1269,7 @@ mod tests {
     /// Encode `msg` as the controller does (parking its reply channels in
     /// `correlator`) and decode it as the relaying controller does.
     fn over_the_wire(msg: &Msg, correlator: &Correlator) -> Msg {
-        let bytes = encode_with(msg, false, Some(correlator));
-        let mut d = Dec::new(&bytes, None);
-        let back = d.get().expect("decode");
-        assert!(d.r.is_done(), "{} trailing bytes", d.r.remaining());
-        back
+        decode(&encode_with(msg, false, Some(correlator)), None).expect("decode")
     }
 
     /// `Barrier` and `FlushWindows` acks carry `(node, activity)`: the
@@ -1283,6 +1297,35 @@ mod tests {
             correlator.fire(&encode(&(id, ack))).expect("fire");
             assert_eq!(rx.try_recv(), Ok(ack));
         }
+    }
+
+    /// A body with one byte after its last field fails closed at that
+    /// byte: a message decodes to nothing, and a `REPLY` resolves nothing.
+    #[test]
+    fn decode_and_fire_reject_a_body_with_a_trailing_byte() {
+        let crash = encode(&Msg::Crash);
+        let err = decode::<Msg>(&[&crash[..], &[0]].concat(), None).err();
+        assert_eq!(
+            err.map(|e| (e.offset, e.expected)),
+            Some((8, "end of body"))
+        );
+
+        let correlator = Correlator::new();
+        let (tx, rx) = crossbeam::channel::unbounded();
+        let Msg::Barrier(ReplyTo::Wire { id, .. }) =
+            over_the_wire(&Msg::Barrier(ReplyTo::Chan(tx)), &correlator)
+        else {
+            panic!("a barrier changed kind on the wire");
+        };
+        let reply = encode(&(id, (NodeId::new(3), 9u64)));
+        let err = correlator.fire(&[&reply[..], &[0]].concat()).err();
+        assert_eq!(
+            err.map(|e| (e.offset, e.expected)),
+            Some((24, "end of body"))
+        );
+        assert!(rx.try_recv().is_err(), "a long reply resolved its channel");
+        correlator.fire(&reply).expect("fire");
+        assert_eq!(rx.try_recv(), Ok((NodeId::new(3), 9)));
     }
 
     /// The checkpoint request rides on `CollectStats`: none, a full or an
@@ -1347,8 +1390,8 @@ mod tests {
         assert_eq!(err.expected, "extent length below 4 GiB");
     }
 
-    /// Workers of earlier protocol revisions (`ALBIC_W4`, `ALBIC_W5`) are
-    /// turned away at `HELLO` and at `RESUME`: their barrier acks,
+    /// Workers of earlier protocol revisions (`ALBIC_W4` to `ALBIC_W6`)
+    /// are turned away at `HELLO` and at `RESUME`: their barrier acks,
     /// statistics replies and spill messages have a different layout.
     #[test]
     fn an_earlier_revision_handshake_is_rejected() {
@@ -1364,7 +1407,7 @@ mod tests {
         let (hello, resume) = (body("hello"), body("resume"));
         assert!(decode::<Hello>(&hello, None).is_ok());
         assert!(decode::<ResumeMsg>(&resume, None).is_ok());
-        for old in [*b"ALBIC_W4", *b"ALBIC_W5"] {
+        for old in [*b"ALBIC_W4", *b"ALBIC_W5", *b"ALBIC_W6"] {
             let old = u64::from_be_bytes(old);
             let (mut hello, mut resume) = (hello.clone(), resume.clone());
             hello[..8].copy_from_slice(&old.to_le_bytes());
@@ -1418,10 +1461,10 @@ mod tests {
 
     // ---- Golden corpus and round trips ----------------------------------
 
-    /// One encoded `ALBIC_W6` body per message tag, reply payload type and
+    /// One encoded `ALBIC_W7` body per message tag, reply payload type and
     /// handshake frame, as `name hex` lines. Regenerate it (with
     /// `write_golden_corpus`) only together with a magic bump.
-    const GOLDEN: &str = include_str!("../../testdata/wire_w6.golden");
+    const GOLDEN: &str = include_str!("../../testdata/wire_w7.golden");
 
     /// Where the test values' ids, words, blobs and list lengths come
     /// from: fixed for the golden corpus, arbitrary for the proptest.
@@ -1535,26 +1578,21 @@ mod tests {
         c
     }
 
-    /// Decodes a body, requiring all of it, and encodes the value again.
+    /// Decodes a body as its receiver does and encodes the value again.
     type Reencode = Box<dyn Fn(&[u8]) -> Result<Vec<u8>, DecodeError>>;
 
     /// One case: its name, its value's encoding, and the decoder its
     /// receiver runs. Encoded as a compressing link does: a blob that is
     /// short or does not shrink still goes raw.
     fn case<T: Wire + 'static>(name: &'static str, v: &T) -> (&'static str, Vec<u8>, Reencode) {
-        let reencode = move |bytes: &[u8]| {
-            let mut d = Dec::new(bytes, None);
-            let v: T = d.get()?;
-            assert!(d.r.is_done(), "{name}: {} trailing bytes", d.r.remaining());
-            Ok(encode_with(&v, true, None))
-        };
+        let reencode = |bytes: &[u8]| Ok(encode_with(&decode::<T>(bytes, None)?, true, None));
         (name, encode_with(v, true, None), Box::new(reencode))
     }
 
     /// Every message tag (a rollback with and without a segment), every
     /// reply payload type (both install arms, statistics with and without
-    /// the gauge and states, a probe with and without state) and every
-    /// frame body, with values drawn from `s`.
+    /// states, a probe with and without state) and every frame body, with
+    /// values drawn from `s`.
     fn cases(s: &mut dyn Source) -> Vec<(&'static str, Vec<u8>, Reencode)> {
         let mut chunk = StreamChunk::new();
         let values = [
@@ -1572,13 +1610,11 @@ mod tests {
             state_bytes: s.num() as usize,
             wire_bytes: s.num() as usize,
         };
-        let gauge = QueueSample {
-            depth: s.num() as usize,
-            peak: s.num() as usize,
-            overflow: s.num(),
-        };
-        let full: StatsReply = (node(s), stats(s), Some(gauge), Some(states(s)), s.num());
-        let bare: StatsReply = (node(s), stats(s), None, None, s.num());
+        // The draws W6's daemon-gauge sample took, so that every other
+        // case keeps its W6 values.
+        let _retired_gauge = (s.num(), s.num(), s.num());
+        let full: StatsReply = (node(s), stats(s), Some(states(s)), s.num());
+        let bare: StatsReply = (node(s), stats(s), None, s.num());
         let init = InitMsg {
             cfg: RuntimeConfig {
                 batch_size: s.num() as usize,
@@ -1754,13 +1790,13 @@ mod tests {
             .collect()
     }
 
-    /// Every golden case encodes to the committed `ALBIC_W6` bytes
+    /// Every golden case encodes to the committed `ALBIC_W7` bytes
     /// exactly, and every committed body decodes to a value that encodes
     /// back to the same bytes — since the encoding is injective, that is
     /// the value the case was made from.
     #[test]
     fn the_golden_corpus_reproduces_byte_for_byte() {
-        assert_eq!(WIRE_MAGIC, u64::from_be_bytes(*b"ALBIC_W6"));
+        assert_eq!(WIRE_MAGIC, u64::from_be_bytes(*b"ALBIC_W7"));
         let corpus = golden_corpus();
         let cases = cases(&mut Fixed::default());
         let corpus_names: Vec<&str> = corpus.iter().map(|c| c.0.as_str()).collect();
@@ -1783,12 +1819,12 @@ mod tests {
     #[ignore]
     fn write_golden_corpus() {
         let mut text = String::from(
-            "# ALBIC_W6 wire bodies: `case hex`, from transport::wire's golden cases.\n",
+            "# ALBIC_W7 wire bodies: `case hex`, from transport::wire's golden cases.\n",
         );
         for (name, bytes, _) in cases(&mut Fixed::default()) {
             text.push_str(&format!("{name} {}\n", to_hex(&bytes)));
         }
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/testdata/wire_w6.golden");
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/testdata/wire_w7.golden");
         std::fs::write(path, text).expect("write corpus");
     }
 

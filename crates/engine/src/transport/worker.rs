@@ -188,9 +188,11 @@ fn run_worker(registry: &OperatorRegistry) -> io::Result<()> {
     )));
     routing.install(init.routing_version, init.assignment);
 
-    let uplink = WireOut::new(conn.try_clone()?, init.compression);
-    let (tx, rx) = unbounded();
+    // The uplink's acks leave out the chunks the inbox gauge holds.
     let gauge = Arc::new(WorkerGauge::default());
+    let held = Some(Arc::clone(&gauge));
+    let uplink = WireOut::new(conn.try_clone()?, init.compression, held);
+    let (tx, rx) = unbounded();
 
     // Reader thread: socket → inbox. It owns the only inbox sender, so
     // when the uplink dies for good (reconnect policy exhausted) the
@@ -244,19 +246,19 @@ fn run_worker(registry: &OperatorRegistry) -> io::Result<()> {
 /// The daemon side of the uplink session: the shared inbound pump (see
 /// [`WireOut::pump`]) plus the reconnect schedule it falls back to when
 /// the socket dies.
-struct ReaderLink {
-    uplink: WireOut,
-    gauge: Arc<WorkerGauge>,
-    routing: Arc<RoutingShared>,
-    tx: Sender<Msg>,
-    addr: String,
-    node: NodeId,
-    token: String,
-    policy: ReconnectPolicy,
+pub(crate) struct ReaderLink {
+    pub(crate) uplink: WireOut,
+    pub(crate) gauge: Arc<WorkerGauge>,
+    pub(crate) routing: Arc<RoutingShared>,
+    pub(crate) tx: Sender<Msg>,
+    pub(crate) addr: String,
+    pub(crate) node: NodeId,
+    pub(crate) token: String,
+    pub(crate) policy: ReconnectPolicy,
 }
 
 impl ReaderLink {
-    fn run(self, mut conn: Conn, mut fb: FrameBuffer) {
+    pub(crate) fn run(self, mut conn: Conn, mut fb: FrameBuffer) {
         loop {
             // Read until the socket dies (then try to resume) or the
             // session itself is declared over.
@@ -336,8 +338,8 @@ impl ReaderLink {
             Ok(msg) => {
                 if matches!(msg, Msg::DataChunk(_)) {
                     // Meter before the send: the event loop decrements on
-                    // dequeue, and the pair is what the controller's
-                    // credit gauge mirrors.
+                    // dequeue, and the uplink's acks leave out the chunks
+                    // in between.
                     self.gauge.enqueued();
                 }
                 if self.tx.send(msg).is_err() {
@@ -347,5 +349,43 @@ impl ReaderLink {
             }
             Err(_) => LinkEvent::Fatal,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A message or routing body with one byte after its last field is
+    /// refused, not half-read: the daemon fails the link closed.
+    #[cfg(unix)]
+    #[test]
+    fn dispatch_rejects_a_body_with_a_trailing_byte() {
+        let (ours, _theirs) = std::os::unix::net::UnixStream::pair().expect("socket pair");
+        let gauge = Arc::new(WorkerGauge::default());
+        let (tx, inbox) = unbounded();
+        let link = ReaderLink {
+            uplink: WireOut::new(Conn::Uds(ours), false, Some(Arc::clone(&gauge))),
+            gauge,
+            routing: Arc::new(RoutingShared::new(RoutingTable::from_assignment(vec![]))),
+            tx,
+            addr: String::new(),
+            node: NodeId::new(0),
+            token: String::new(),
+            policy: ReconnectPolicy::none(),
+        };
+        let msg = wire::encode(&Msg::Shutdown);
+        let routing = wire::encode(&(3u64, vec![NodeId::new(0)]));
+        for (kind, body) in [(wire::FRAME_MSG, msg), (wire::FRAME_ROUTING, routing)] {
+            let long = [&body[..], &[0]].concat();
+            assert_eq!(link.dispatch(kind, &long), LinkEvent::Fatal, "kind {kind}");
+            assert_eq!(link.dispatch(kind, &body), LinkEvent::Keep, "kind {kind}");
+        }
+        assert!(matches!(inbox.try_recv(), Ok(Msg::Shutdown)));
+        assert!(
+            inbox.try_recv().is_err(),
+            "the long message was not delivered"
+        );
+        assert_eq!(link.routing.version(), 3);
     }
 }

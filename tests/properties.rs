@@ -351,26 +351,32 @@ proptest! {
     }
 
     /// A lossy-link model of the session layer: the sender produces
-    /// numbered frames, the link delivers an arbitrary prefix of the
-    /// pending window and then dies, and the peers re-handshake RESUME
-    /// style — the sender learns the receiver's contiguous delivery mark
-    /// and replays from there. Whatever the loss pattern, the receiver
-    /// must end up having delivered every payload exactly once, in order.
+    /// numbered frames while its window has room, the link delivers an
+    /// arbitrary prefix of the pending window and then dies, and the peers
+    /// re-handshake RESUME style — the sender learns the receiver's
+    /// contiguous delivery mark and replays from there. Between cuts the
+    /// receiver consumes an arbitrary number of the frames it holds and
+    /// acks only those, as a worker daemon does. Whatever the loss and
+    /// consumption pattern, the receiver must end up having consumed
+    /// every payload exactly once, in order; it never holds more than a
+    /// window beyond what a resume credited early; and once it has
+    /// consumed everything, its ack reopens the whole window.
     #[test]
     fn session_resume_replays_exactly_once(
-        rounds in proptest::collection::vec((0usize..8, 0usize..10), 1..12),
+        rounds in proptest::collection::vec((0usize..8, 0usize..10, 0usize..8), 1..12),
     ) {
         use albic::engine::transport::{RecvSequencer, SendSequencer, SeqVerdict};
-        let mut send = SendSequencer::new(1024);
+        const WINDOW: usize = 6;
+        let mut send = SendSequencer::new(WINDOW);
         let mut recv = RecvSequencer::new();
-        let mut delivered: Vec<u64> = Vec::new();
+        let mut held: std::collections::VecDeque<u64> = Default::default();
+        let mut consumed: Vec<u64> = Vec::new();
         let mut produced = 0u64;
-        for (produce, lose) in rounds {
-            for _ in 0..produce {
-                send.push(3, produced.to_le_bytes().to_vec());
-                produced += 1;
-            }
-            // The socket delivers the replay suffix minus a lost tail...
+        let deliver = |send: &SendSequencer,
+                           recv: &mut RecvSequencer,
+                           held: &mut std::collections::VecDeque<u64>,
+                           lose: usize|
+         -> Result<(), proptest::TestCaseError> {
             let window: Vec<(u64, Vec<u8>)> = send
                 .pending(recv.delivered())
                 .map(|(seq, _kind, body)| (seq, body.to_vec()))
@@ -381,31 +387,44 @@ proptest! {
                     SeqVerdict::Fresh => {
                         let mut a = [0u8; 8];
                         a.copy_from_slice(&body[..8]);
-                        delivered.push(u64::from_le_bytes(a));
+                        held.push_back(u64::from_le_bytes(a));
                     }
                     SeqVerdict::Duplicate => {}
                     SeqVerdict::Gap => prop_assert!(false, "in-order link cannot gap"),
                 }
             }
-            // ...then dies; the RESUME handshake exchanges the delivery
-            // mark, which must always be a valid resume point.
+            Ok(())
+        };
+        for (produce, lose, consume) in rounds {
+            for _ in 0..produce {
+                if !send.has_room() {
+                    break; // the writer waits for credit
+                }
+                send.push(3, produced.to_le_bytes().to_vec());
+                produced += 1;
+            }
+            // The socket delivers the replay suffix minus a lost tail...
+            deliver(&send, &mut recv, &mut held, lose)?;
+            // ...the consumer takes some frames and acks only those...
+            consumed.extend(held.drain(..consume.min(held.len())));
+            let ack = recv.take_ack(held.len() as u64);
+            prop_assert_eq!(ack, consumed.len() as u64);
+            send.ack(ack);
+            let early = send.acked().saturating_sub(consumed.len() as u64);
+            prop_assert!(held.len() as u64 <= WINDOW as u64 + early, "more than a window held");
+            // ...then the link dies; the RESUME handshake exchanges the
+            // delivery mark, which must always be a valid resume point.
             prop_assert!(send.valid_resume_point(recv.delivered()));
             send.ack(recv.delivered());
         }
-        // A final lossless replay drains whatever the last cut stranded.
-        let tail: Vec<(u64, Vec<u8>)> = send
-            .pending(recv.delivered())
-            .map(|(seq, _kind, body)| (seq, body.to_vec()))
-            .collect();
-        for (seq, body) in tail {
-            if recv.accept(seq) == SeqVerdict::Fresh {
-                let mut a = [0u8; 8];
-                a.copy_from_slice(&body[..8]);
-                delivered.push(u64::from_le_bytes(a));
-            }
-        }
-        prop_assert_eq!(delivered, (0..produced).collect::<Vec<u64>>(),
-            "every frame delivered exactly once, in order");
+        // A final lossless replay drains whatever the last cut stranded,
+        // and the consumer takes everything.
+        deliver(&send, &mut recv, &mut held, 0)?;
+        consumed.extend(held.drain(..));
+        send.ack(recv.take_ack(0));
+        prop_assert_eq!(send.pending(0).count(), 0, "the whole window reopens");
+        prop_assert_eq!(consumed, (0..produced).collect::<Vec<u64>>(),
+            "every frame consumed exactly once, in order");
     }
 }
 

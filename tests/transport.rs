@@ -17,7 +17,7 @@ use albic::engine::fault::{FaultInjector, FaultPlan};
 use albic::engine::operator::{Counting, Identity, PaddedCounting, PADDED_STATE_PAD};
 use albic::engine::transport::{worker_main, OperatorRegistry};
 use albic::engine::tuple::{hash_key, Tuple, Value};
-use albic::engine::Runtime;
+use albic::engine::{Runtime, RuntimeConfig};
 use albic::job::{Job, JobBuilder, Policy};
 use albic::types::{KeyGroupId, NodeId};
 use albic::{NetConfig, ReconnectPolicy, SocketKind, TransportOptions};
@@ -385,13 +385,19 @@ fn deep_chain_worker_daemon() {
 }
 
 /// A launcher script for [`deep_chain_worker_daemon`], usable as a
-/// `NetConfig` worker command.
+/// `NetConfig` worker command. Each call writes its own, so tests running
+/// in parallel never remove one another's.
 #[cfg(unix)]
 fn deep_chain_worker_launcher() -> std::path::PathBuf {
     use std::os::unix::fs::PermissionsExt;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static LAUNCHERS: AtomicU64 = AtomicU64::new(0);
     let exe = std::env::current_exe().expect("test binary path");
-    let script =
-        std::env::temp_dir().join(format!("albic-deep-chain-worker-{}.sh", std::process::id()));
+    let script = std::env::temp_dir().join(format!(
+        "albic-deep-chain-worker-{}-{}.sh",
+        std::process::id(),
+        LAUNCHERS.fetch_add(1, Ordering::Relaxed)
+    ));
     let body = format!(
         "#!/bin/sh\nexec '{}' deep_chain_worker_daemon --exact --test-threads=1 >/dev/null\n",
         exe.display()
@@ -446,6 +452,68 @@ fn uds_deep_window_chain_counts_like_the_in_process_oracle() {
     let _ = std::fs::remove_file(&launcher);
     assert_eq!(networked, oracle);
     assert_eq!(oracle.1.iter().sum::<u64>(), 3 * support::KEYS);
+}
+
+/// Backpressure across the socket. A daemon credits a data chunk back to
+/// its stub only once its worker has dequeued it, so a slow daemon fills
+/// the session window (128 frames), its stub stops writing, the stub's
+/// gauge fills and `inject` blocks — as it would on a slow in-process
+/// worker. Sixteen windows of one-tuple chunks into a `SlowHop` source
+/// (100 µs a tuple): `inject` returns only once the daemon is at most a
+/// window plus a few channel capacities behind, and after the settle
+/// every tuple is counted exactly once.
+#[cfg(unix)]
+fn slow_daemon_blocks_the_producer(net: fn(std::path::PathBuf) -> NetConfig) {
+    const WINDOW: usize = 128;
+    const CAPACITY: usize = 8;
+    const TUPLES: usize = 16 * WINDOW;
+    let launcher = deep_chain_worker_launcher();
+    let mut job = Job::builder()
+        .source("events", 4, support::SlowHop)
+        .operator("count", 4, Counting)
+        .edge("events", "count")
+        .nodes(2)
+        .routing_assignment(vec![0, 0, 0, 0, 1, 1, 1, 1])
+        .policy(Policy::noop())
+        .runtime_config(RuntimeConfig {
+            batch_size: 1,
+            channel_capacity: CAPACITY,
+            ..RuntimeConfig::default()
+        })
+        .transport(TransportOptions::Net(net(launcher.clone())))
+        .build_threaded()
+        .expect("job starts");
+    let t0 = Instant::now();
+    job.inject(
+        "events",
+        (0..TUPLES as u64).map(|k| Tuple::keyed(&k, Value::Int(1), 0)),
+    );
+    let blocked = t0.elapsed();
+    // Behind the returned inject sit at most: the stub's inbox and the
+    // burst its writer holds (a capacity each), the window plus one more
+    // burst, and the chunk being processed. Everything else was
+    // processed, 100 µs a tuple.
+    let floor = Duration::from_micros(100) * (TUPLES - WINDOW - 4 * CAPACITY) as u32;
+    assert!(
+        blocked >= floor,
+        "inject returned after {blocked:?}: the daemon was more than a window behind"
+    );
+    job.settle();
+    let counts = probe_counts(job);
+    let _ = std::fs::remove_file(&launcher);
+    assert_eq!(counts.iter().map(|&(_, n)| n).sum::<u64>(), TUPLES as u64);
+}
+
+#[cfg(unix)]
+#[test]
+fn uds_slow_daemon_blocks_the_producer_at_one_window() {
+    slow_daemon_blocks_the_producer(NetConfig::uds);
+}
+
+#[cfg(unix)]
+#[test]
+fn tcp_slow_daemon_blocks_the_producer_at_one_window() {
+    slow_daemon_blocks_the_producer(NetConfig::tcp);
 }
 
 /// A SIGKILLed daemon whose stub writer sits parked on an *empty* inbox:
