@@ -86,7 +86,8 @@ impl StreamChunk {
         Self::default()
     }
 
-    /// Empty chunk with row capacity reserved in the fixed-width columns.
+    /// Empty chunk with row capacity reserved in the fixed-width columns
+    /// (the `Int` payload column is sized to it at the first `Int` row).
     pub fn with_capacity(rows: usize) -> Self {
         StreamChunk {
             keys: Vec::with_capacity(rows),
@@ -96,6 +97,11 @@ impl StreamChunk {
             offsets: Vec::with_capacity(rows),
             ..Self::default()
         }
+    }
+
+    /// Rows the key column holds without reallocating.
+    pub(crate) fn capacity(&self) -> usize {
+        self.keys.capacity()
     }
 
     /// Number of rows, visible or not.
@@ -142,6 +148,13 @@ impl StreamChunk {
                 self.offsets.push(0);
             }
             Value::Int(i) => {
+                if self.ints.capacity() == 0 {
+                    // The payload column is left unreserved by
+                    // `with_capacity` (a chunk may hold no Int at all);
+                    // size it to the row capacity at its first Int
+                    // instead of regrowing it 4 → 8 → … → `rows`.
+                    self.ints.reserve_exact(self.keys.capacity());
+                }
                 self.tags.push(TAG_INT);
                 self.offsets.push(self.ints.len() as u32);
                 self.ints.push(i);
@@ -485,19 +498,30 @@ impl StreamChunk {
     /// offsets are rebuilt from the tag column (rows are always stored in
     /// push order), and cross-column lengths are validated.
     pub fn decode(r: &mut Reader<'_>) -> Result<StreamChunk, DecodeError> {
+        let mut chunk = StreamChunk::new();
+        chunk.decode_into(r)?;
+        Ok(chunk)
+    }
+
+    /// [`StreamChunk::decode`] into this chunk, replacing its rows and
+    /// reusing its column allocations — how a recycled buffer takes an
+    /// inbound frame. On error the chunk holds an unspecified prefix of
+    /// the input; clear or drop it.
+    pub fn decode_into(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
+        self.clear();
         let len = r.get_u64()? as usize;
-        let keys = r.get_u64_vec(len)?;
-        let ts = r.get_u64_vec(len)?;
-        let groups = r.get_u32_vec(len)?;
-        let tags = r.get_bytes(len)?.to_vec();
+        r.get_u64_into(len, &mut self.keys)?;
+        r.get_u64_into(len, &mut self.ts)?;
+        r.get_u32_into(len, &mut self.groups)?;
+        self.tags.extend_from_slice(r.get_bytes(len)?);
         let n_ints = r.get_u64()? as usize;
-        let ints = r.get_i64_vec(n_ints)?;
+        r.get_i64_into(n_ints, &mut self.ints)?;
         let n_floats = r.get_u64()? as usize;
-        let floats = r.get_f64_vec(n_floats)?;
+        r.get_f64_into(n_floats, &mut self.floats)?;
         let n_strs = r.get_u64()? as usize;
-        let str_ends = r.get_u32_vec(n_strs)?;
+        r.get_u32_into(n_strs, &mut self.str_ends)?;
         let str_len = r.get_u64()? as usize;
-        let str_data = r.get_bytes(str_len)?.to_vec();
+        self.str_data.extend_from_slice(r.get_bytes(str_len)?);
         let n_lists = r.get_u64()? as usize;
         if n_lists > len {
             return Err(DecodeError::new(
@@ -506,7 +530,6 @@ impl StreamChunk {
                 Found::Length(n_lists as u64),
             ));
         }
-        let mut lists = Vec::with_capacity(n_lists);
         for _ in 0..n_lists {
             let n = r.get_u64()? as usize;
             // Don't trust a wire length for allocation: push into an
@@ -515,37 +538,37 @@ impl StreamChunk {
             for _ in 0..n {
                 l.push(r.get_value()?);
             }
-            lists.push(l);
+            self.lists.push(l);
         }
         let n_vis = r.get_u64()? as usize;
-        let vis = r.get_u64_vec(n_vis)?;
-        if !vis.is_empty() && vis.len() != len.div_ceil(64) {
+        r.get_u64_into(n_vis, &mut self.vis)?;
+        if !self.vis.is_empty() && self.vis.len() != len.div_ceil(64) {
             return Err(DecodeError::new(
                 r.offset(),
                 "visibility bitmap sized to row count",
-                Found::Length(vis.len() as u64),
+                Found::Length(self.vis.len() as u64),
             ));
         }
         // Rebuild dense-union offsets and validate variant counts.
-        let mut offsets = Vec::with_capacity(len);
+        self.offsets.reserve(len);
         let (mut ci, mut cf, mut cs, mut cl) = (0u32, 0u32, 0u32, 0u32);
-        for &tag in &tags {
+        for &tag in &self.tags {
             match tag {
-                TAG_NULL => offsets.push(0),
+                TAG_NULL => self.offsets.push(0),
                 TAG_INT => {
-                    offsets.push(ci);
+                    self.offsets.push(ci);
                     ci += 1;
                 }
                 TAG_FLOAT => {
-                    offsets.push(cf);
+                    self.offsets.push(cf);
                     cf += 1;
                 }
                 TAG_STR => {
-                    offsets.push(cs);
+                    self.offsets.push(cs);
                     cs += 1;
                 }
                 TAG_LIST => {
-                    offsets.push(cl);
+                    self.offsets.push(cl);
                     cl += 1;
                 }
                 _ => {
@@ -571,6 +594,7 @@ impl StreamChunk {
                 Found::Length(n_lists as u64),
             ));
         }
+        let str_ends = &self.str_ends;
         if str_ends.last().is_some_and(|&e| e as usize != str_len)
             || (str_ends.is_empty() && str_len != 0)
             || !str_ends.windows(2).all(|w| w[0] <= w[1])
@@ -581,34 +605,20 @@ impl StreamChunk {
                 Found::Length(str_len as u64),
             ));
         }
-        if std::str::from_utf8(&str_data).is_err() {
+        if std::str::from_utf8(&self.str_data).is_err() {
             return Err(DecodeError::new(
                 r.offset(),
                 "UTF-8 string buffer",
                 Found::InvalidUtf8,
             ));
         }
-        let hidden = if vis.is_empty() {
-            0
-        } else {
-            len - (0..len)
-                .filter(|&i| vis[i / 64] & (1 << (i % 64)) != 0)
-                .count()
-        };
-        Ok(StreamChunk {
-            keys,
-            ts,
-            groups,
-            tags,
-            offsets,
-            ints,
-            floats,
-            str_ends,
-            str_data,
-            lists,
-            vis,
-            hidden,
-        })
+        if !self.vis.is_empty() {
+            self.hidden = len
+                - (0..len)
+                    .filter(|&i| self.vis[i / 64] & (1 << (i % 64)) != 0)
+                    .count();
+        }
+        Ok(())
     }
 }
 
@@ -918,6 +928,22 @@ mod tests {
             Tuple::raw(5, Value::List(vec![Value::Int(1), Value::Null]), 104),
             Tuple::raw(1, Value::Str("world".into()), 105),
         ]
+    }
+
+    /// A fresh chunk's `Int` column is sized once, at its first `Int`
+    /// row, to the chunk's row capacity: filling it never regrows it.
+    #[test]
+    fn the_first_int_row_reserves_the_payload_column() {
+        let mut chunk = StreamChunk::with_capacity(64);
+        chunk.push(0, Value::Str("s".into()), 0);
+        assert_eq!(chunk.ints.capacity(), 0, "no Int yet, nothing reserved");
+        chunk.push(1, Value::Int(1), 0);
+        let reserved = chunk.ints.as_ptr();
+        assert!(chunk.ints.capacity() >= 64);
+        for i in 2..64 {
+            chunk.push(i, Value::Int(i as i64), 0);
+        }
+        assert_eq!(chunk.ints.as_ptr(), reserved, "the column never moved");
     }
 
     #[test]

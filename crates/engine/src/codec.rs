@@ -349,57 +349,86 @@ impl<'a> Reader<'a> {
         self.take(n)
     }
 
-    /// Read an `n`-element `u64` column written by
-    /// [`Writer::put_u64_slice`]. Bounds-checked before allocating, so a
-    /// bogus on-wire count cannot trigger a huge reservation.
-    pub fn get_u64_vec(&mut self, n: usize) -> Result<Vec<u64>, DecodeError> {
+    /// Read an `n`-element column of `W`-byte little-endian words into
+    /// `out`, replacing its contents and keeping its allocation.
+    /// Bounds-checked before reserving, so a bogus on-wire count cannot
+    /// trigger a huge reservation.
+    fn column_into<T, const W: usize>(
+        &mut self,
+        n: usize,
+        expected: &'static str,
+        out: &mut Vec<T>,
+        from_le: fn([u8; W]) -> T,
+    ) -> Result<(), DecodeError> {
         let total = n
-            .checked_mul(8)
-            .ok_or_else(|| self.err("u64 column", Found::Length(n as u64)))?;
-        let bytes = self.take_for(total, "u64 column")?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect())
+            .checked_mul(W)
+            .ok_or_else(|| self.err(expected, Found::Length(n as u64)))?;
+        let bytes = self.take_for(total, expected)?;
+        out.clear();
+        // Exact: a reused buffer grows to the column, not past it.
+        out.reserve_exact(n);
+        out.extend(
+            bytes
+                .chunks_exact(W)
+                .map(|c| from_le(c.try_into().unwrap())),
+        );
+        Ok(())
+    }
+
+    /// Read an `n`-element `u64` column written by
+    /// [`Writer::put_u64_slice`] into `out` (replacing its contents).
+    pub(crate) fn get_u64_into(&mut self, n: usize, out: &mut Vec<u64>) -> Result<(), DecodeError> {
+        self.column_into(n, "u64 column", out, u64::from_le_bytes)
+    }
+
+    /// Read an `n`-element `i64` column written by
+    /// [`Writer::put_i64_slice`] into `out` (replacing its contents).
+    pub(crate) fn get_i64_into(&mut self, n: usize, out: &mut Vec<i64>) -> Result<(), DecodeError> {
+        self.column_into(n, "i64 column", out, i64::from_le_bytes)
+    }
+
+    /// Read an `n`-element `f64` column written by
+    /// [`Writer::put_f64_slice`] into `out` (replacing its contents).
+    pub(crate) fn get_f64_into(&mut self, n: usize, out: &mut Vec<f64>) -> Result<(), DecodeError> {
+        self.column_into(n, "f64 column", out, f64::from_le_bytes)
+    }
+
+    /// Read an `n`-element `u32` column written by
+    /// [`Writer::put_u32_slice`] into `out` (replacing its contents).
+    pub(crate) fn get_u32_into(&mut self, n: usize, out: &mut Vec<u32>) -> Result<(), DecodeError> {
+        self.column_into(n, "u32 column", out, u32::from_le_bytes)
+    }
+
+    /// Read an `n`-element `u64` column written by
+    /// [`Writer::put_u64_slice`].
+    pub fn get_u64_vec(&mut self, n: usize) -> Result<Vec<u64>, DecodeError> {
+        let mut v = Vec::new();
+        self.get_u64_into(n, &mut v)?;
+        Ok(v)
     }
 
     /// Read an `n`-element `i64` column written by
     /// [`Writer::put_i64_slice`].
     pub fn get_i64_vec(&mut self, n: usize) -> Result<Vec<i64>, DecodeError> {
-        let total = n
-            .checked_mul(8)
-            .ok_or_else(|| self.err("i64 column", Found::Length(n as u64)))?;
-        let bytes = self.take_for(total, "i64 column")?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| i64::from_le_bytes(c.try_into().unwrap()))
-            .collect())
+        let mut v = Vec::new();
+        self.get_i64_into(n, &mut v)?;
+        Ok(v)
     }
 
     /// Read an `n`-element `f64` column written by
     /// [`Writer::put_f64_slice`].
     pub fn get_f64_vec(&mut self, n: usize) -> Result<Vec<f64>, DecodeError> {
-        let total = n
-            .checked_mul(8)
-            .ok_or_else(|| self.err("f64 column", Found::Length(n as u64)))?;
-        let bytes = self.take_for(total, "f64 column")?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-            .collect())
+        let mut v = Vec::new();
+        self.get_f64_into(n, &mut v)?;
+        Ok(v)
     }
 
     /// Read an `n`-element `u32` column written by
     /// [`Writer::put_u32_slice`].
     pub fn get_u32_vec(&mut self, n: usize) -> Result<Vec<u32>, DecodeError> {
-        let total = n
-            .checked_mul(4)
-            .ok_or_else(|| self.err("u32 column", Found::Length(n as u64)))?;
-        let bytes = self.take_for(total, "u32 column")?;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
+        let mut v = Vec::new();
+        self.get_u32_into(n, &mut v)?;
+        Ok(v)
     }
 
     /// Read a string-keyed `f64` map (per-column layout, see

@@ -864,7 +864,7 @@ fn stub_main(spawn: WorkerSpawn, ctx: StubCtx) -> Receiver<Msg> {
         out.close();
         return inbox;
     };
-    let inbox = stub_writer(inbox, &out, &gauge, &correlator, cfg.batch_size);
+    let inbox = stub_writer(inbox, &out, &gauge, &correlator, &cfg);
     // Both ways out of the writer have already ended the reader's loop:
     // the reader killed the session itself, or the writer closed it.
     let _ = reader.join();
@@ -876,15 +876,17 @@ fn stub_main(spawn: WorkerSpawn, ctx: StubCtx) -> Receiver<Msg> {
 /// [`WRITE_BURST_BYTES`], and send the burst as one `write`. Short data
 /// chunks queued back to back are merged up to `batch_size` rows
 /// ([`coalesce`]) before encoding, so a trickle of them costs one frame,
-/// not one each. Returns the inbox once the session is dead (the reader
-/// ended it and woke this thread through the inbox), or once a
-/// `Shutdown`/`Crash` and everything queued before it are on the wire.
+/// not one each; an encoded chunk's buffer goes back to `gauge`'s spare
+/// list for the next chunk injected for this worker. Returns the inbox
+/// once the session is dead (the reader ended it and woke this thread
+/// through the inbox), or once a `Shutdown`/`Crash` and everything
+/// queued before it are on the wire.
 fn stub_writer(
     inbox: Receiver<Msg>,
     out: &WireOut,
     gauge: &WorkerGauge,
     correlator: &Correlator,
-    batch_size: usize,
+    cfg: &RuntimeConfig,
 ) -> Receiver<Msg> {
     let mut burst = Vec::new();
     // The message `coalesce` stopped at: written before the inbox.
@@ -909,7 +911,7 @@ fn stub_writer(
                 // credit. The session window holds it from here: the
                 // daemon acks it only once its worker has dequeued it.
                 gauge.dequeued();
-                coalesce(chunk, &inbox, gauge, batch_size, &mut stash);
+                coalesce(chunk, &inbox, gauge, cfg, &mut stash);
             }
             closing = matches!(msg, Msg::Shutdown | Msg::Crash);
             let frame = match msg {
@@ -917,10 +919,15 @@ fn stub_writer(
                     version,
                     assignment,
                 } => (wire::FRAME_ROUTING, wire::encode(&(version, assignment))),
-                msg => (
-                    wire::FRAME_MSG,
-                    wire::encode_with(&msg, out.compress(), Some(correlator)),
-                ),
+                msg => {
+                    let body = wire::encode_with(&msg, out.compress(), Some(correlator));
+                    // Encoded: the chunk's buffer goes back to the
+                    // producers of this inbox.
+                    if let Msg::DataChunk(chunk) = msg {
+                        gauge.give_back(chunk, cfg);
+                    }
+                    (wire::FRAME_MSG, body)
+                }
             };
             bytes += frame.1.len();
             burst.push(frame);
@@ -1332,8 +1339,8 @@ mod tests {
             }
             got
         });
-        let batch_size = RuntimeConfig::default().batch_size;
-        let inbox = stub_writer(inbox, &out, &gauge, &Correlator::new(), batch_size);
+        let cfg = RuntimeConfig::default();
+        let inbox = stub_writer(inbox, &out, &gauge, &Correlator::new(), &cfg);
         assert!(inbox.try_recv().is_err(), "the inbox comes back drained");
         assert!(out.is_dead(), "a written Shutdown closes the session");
         assert_eq!(reader.join().expect("the reader ends"), LinkEvent::Cut);
@@ -1399,7 +1406,11 @@ mod tests {
                 }
             }
         });
-        let inbox = stub_writer(inbox, &out, &gauge, &Correlator::new(), 4);
+        let cfg = RuntimeConfig {
+            batch_size: 4,
+            ..RuntimeConfig::default()
+        };
+        let inbox = stub_writer(inbox, &out, &gauge, &Correlator::new(), &cfg);
         assert!(inbox.try_recv().is_err(), "the inbox comes back drained");
         assert_eq!(gauge.depth(), 0, "one credit released per chunk");
         let frames = peer.join().expect("peer reads every frame");

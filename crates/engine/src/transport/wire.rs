@@ -341,6 +341,12 @@ impl WireOut {
         self.inner.held.as_ref().map_or(0, |g| g.depth() as u64)
     }
 
+    /// A chunk buffer the daemon's worker handed back to its inbox, for
+    /// the next inbound chunk to decode into.
+    fn spare_chunk(&self) -> Option<StreamChunk> {
+        self.inner.held.as_ref()?.take_spare()
+    }
+
     /// Whether state blobs on this link are LZ4-compressed.
     pub(crate) fn compress(&self) -> bool {
         self.inner.compress
@@ -689,7 +695,13 @@ wire_layouts! {
     f64 => |v, e| e.w.put_f64(*v), |d| d.r.get_f64();
     String => |v, e| e.w.put_str(v), |d| d.r.get_str();
     Duration => |v, e| (v.as_nanos() as u64).put(e), |d| Ok(Duration::from_nanos(d.get()?));
-    StreamChunk => |v, e| v.encode(&mut e.w), |d| StreamChunk::decode(&mut d.r);
+    /// On a daemon, decoded into a buffer its worker handed back.
+    StreamChunk => |v, e| v.encode(&mut e.w),
+        |d| {
+            let mut chunk = d.out.and_then(WireOut::spare_chunk).unwrap_or_default();
+            chunk.decode_into(&mut d.r)?;
+            Ok(chunk)
+        };
     /// A peer speaking another protocol revision fails here, before any
     /// other field.
     Magic => |_v, e| WIRE_MAGIC.put(e),

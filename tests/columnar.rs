@@ -222,6 +222,29 @@ fn assert_counting_matches_reference(
     assert_eq!(counted, support::total_tuples(schedule.len() as u64));
 }
 
+/// A generated row: key, timestamp, `Value` variant 0..5, and the
+/// payloads the variant draws from.
+type Row = (u64, u64, usize, i64, f64, String);
+
+/// Push `rows` onto `chunk`, then hide its rows `i` with `hide[i]` set.
+fn fill(chunk: &mut StreamChunk, rows: &[Row], hide: &[bool]) {
+    for &(key, ts, variant, i, f, ref s) in rows {
+        let value = match variant {
+            0 => Value::Null,
+            1 => Value::Int(i),
+            2 => Value::Float(f),
+            3 => Value::Str(s.clone()),
+            _ => Value::List(vec![Value::Int(i), Value::Str(s.clone())]),
+        };
+        chunk.push(key, value, ts);
+    }
+    for (i, &h) in hide.iter().enumerate() {
+        if h && i < chunk.len() {
+            chunk.hide(i);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -309,21 +332,7 @@ proptest! {
     ) {
         use albic::engine::codec::{Reader, Writer};
         let mut chunk = StreamChunk::new();
-        for &(key, ts, variant, i, f, ref s) in &rows {
-            let value = match variant {
-                0 => Value::Null,
-                1 => Value::Int(i),
-                2 => Value::Float(f),
-                3 => Value::Str(s.clone()),
-                _ => Value::List(vec![Value::Int(i), Value::Str(s.clone())]),
-            };
-            chunk.push(key, value, ts);
-        }
-        for (i, &h) in hide.iter().enumerate() {
-            if h && i < chunk.len() {
-                chunk.hide(i);
-            }
-        }
+        fill(&mut chunk, &rows, &hide);
         let mut w = Writer::new();
         chunk.encode(&mut w);
         let bytes = w.into_bytes();
@@ -332,6 +341,67 @@ proptest! {
         // And the visible-tuple view agrees (masked rows stay masked).
         prop_assert_eq!(back.to_tuples(), chunk.to_tuples());
         prop_assert_eq!(back.visible_len(), chunk.visible_len());
+    }
+
+    /// A recycled buffer leaks nothing into its next chunk. Rows
+    /// assembled in a buffer that held Str, List, Float and hidden rows —
+    /// pushed, spliced, gathered or decoded — equal and encode
+    /// byte-identically to the same rows assembled in a fresh chunk.
+    #[test]
+    fn a_recycled_chunk_buffer_encodes_like_a_fresh_one(
+        rows in proptest::collection::vec(
+            (0u64..64, 0u64..1000, 0usize..5, any::<i64>(), -1e6f64..1e6, "\\PC{0,12}"),
+            0..80,
+        ),
+        hide in proptest::collection::vec(any::<bool>(), 0..80),
+        old in proptest::collection::vec(
+            (0u64..64, 0u64..1000, 0usize..5, any::<i64>(), -1e6f64..1e6, "\\PC{0,12}"),
+            0..80,
+        ),
+    ) {
+        use albic::engine::codec::{Reader, Writer};
+        let encode = |c: &StreamChunk| {
+            let mut w = Writer::new();
+            c.encode(&mut w);
+            w.into_bytes()
+        };
+        // What the buffer last held: every non-Int variant, hidden rows,
+        // then arbitrary rows.
+        let used = || {
+            let mut c = StreamChunk::new();
+            c.push(1, Value::Str("stale".into()), 1);
+            c.push(2, Value::List(vec![Value::Float(0.5), Value::Null]), 2);
+            c.push(3, Value::Float(2.5), 3);
+            fill(&mut c, &old, &[]);
+            c.hide(0);
+            c.hide(2);
+            c
+        };
+        let mut src = StreamChunk::new();
+        fill(&mut src, &rows, &hide);
+        let bytes = encode(&src);
+        let sel: Vec<u32> = (0..src.len() as u32)
+            .filter(|&i| src.is_visible(i as usize))
+            .collect();
+        let assemblies: [(&str, &dyn Fn(&mut StreamChunk)); 4] = [
+            ("push", &|c| fill(c, &rows, &hide)),
+            ("append_range", &|c| c.append_range(&src, 0, src.len())),
+            ("append_sel", &|c| c.append_sel(&src, &sel)),
+            ("decode_into", &|c| c.decode_into(&mut Reader::new(&bytes)).expect("decode")),
+        ];
+        for (how, assemble) in assemblies {
+            let mut fresh = StreamChunk::new();
+            assemble(&mut fresh);
+            let mut reused = used();
+            // Spare buffers are cleared when handed back; `decode_into`
+            // must clear its own.
+            if how != "decode_into" {
+                reused.clear();
+            }
+            assemble(&mut reused);
+            prop_assert_eq!(&reused, &fresh, "{}", how);
+            prop_assert_eq!(encode(&reused), encode(&fresh), "{}", how);
+        }
     }
 
     /// Stable counting sort: bucketing any chunk by group preserves
