@@ -71,10 +71,12 @@ const WARMUP: usize = 64 * 1024;
 const CAPACITY: usize = 16;
 /// The bound on allocations per 1024 injected tuples. A warm job pays
 /// about 1.2: two vectors per `inject` call, a block per 31 messages in
-/// the channel, and a few fresh chunks where a queue peaks deeper. How the threads happen to be scheduled adds a tail —
-/// buffers handed back while a spare list is full are freed, and
-/// reallocated later — that has reached 3.7 on two CPUs. An engine that
-/// allocates every chunk buffer afresh pays over 100.
+/// the channel, and a few fresh chunks where a queue peaks deeper. How
+/// the threads are scheduled adds more — buffers handed back while a
+/// spare list is full are freed, and reallocated later: up to 3.7 in
+/// release builds on two CPUs, and 3.8–4.4 in a debug build pinned to
+/// one CPU. An engine that allocates every chunk buffer afresh pays
+/// over 100.
 const MAX_PER_KI: f64 = 8.0;
 
 /// A pool of uniform keys (xorshift64), cycled through by the calls.
