@@ -66,36 +66,31 @@
 //! being dominated by per-message channel overhead; `batch_size = 1` is
 //! the per-tuple hand-off baseline.
 //!
-//! The inbound side batches too, without a timer: a worker that dequeues
-//! a data chunk first tops it up with the data chunks already queued
-//! right behind it, up to `batch_size` rows, and processes the result
-//! as one chunk (`coalesce`; a networked stub's writer does the same
-//! before encoding a frame). It stops at the first chunk that does not
-//! fit and at the first control message, which is handled next, so no
-//! control message is ever overtaken by data queued behind it. A paced
-//! source injects a few tuples per call; without this rule every such
-//! sliver would pay its own run dispatch, state lookup and emission at
-//! every hop. An idle inbox adds no wait, and a full chunk is never
-//! copied.
+//! Each worker reads one *inbox* (`runtime::inbox`), a FIFO channel for
+//! data and control messages alike. Its inbound side batches too, without
+//! a timer: it hands out a data chunk topped up with the data chunks
+//! queued right behind it, up to `batch_size` rows, stopping at the first
+//! chunk that does not fit and at the first control message, which it
+//! hands out next — no control message is ever overtaken by data queued
+//! behind it. A paced source injects a few tuples per call; without this
+//! every sliver would pay its own run dispatch, state lookup and emission
+//! at every hop. An idle inbox adds no wait; a full chunk is never copied.
 //!
 //! Chunk buffers circulate rather than being allocated on one thread and
-//! freed on another. Each worker keeps a small local pool for its own
-//! scratch chunks; once that is full, a chunk it has consumed goes back,
-//! cleared, to the *spare list* of its inbox's gauge (`WorkerGauge`), as
-//! does every chunk `coalesce` merged away and every chunk a networked
-//! stub has encoded into a frame. Producers take from the spare list of
-//! the inbox they pack for: the [`Injector`] for the first row of each
-//! chunk it packs, a worker for each new outbound chunk, and a
-//! worker daemon's uplink reader for each chunk it decodes; a worker
-//! whose pool runs dry takes back from its own. A bucket is
-//! delivered the moment it reaches `batch_size` rows, and an outbound
-//! chunk is sent before a run would take it past that, so every buffer
-//! in the loop keeps fitting it. The list fills only from traffic, holds
-//! at most `channel_capacity` buffers and frees any of more than
-//! `batch_size` rows (a window flush, a migration buffer's replay).
+//! freed on another. A worker keeps a small pool for its own scratch
+//! chunks; past that, a chunk it has consumed goes back, cleared, to its
+//! inbox's *spare list*, as does every chunk merged away and every chunk
+//! a networked stub has encoded. Producers (the [`Injector`], a worker for
+//! each outbound chunk, a daemon's uplink reader for each chunk it
+//! decodes) take from the spare list of the inbox they pack for; a worker
+//! whose pool runs dry takes back from its own. No chunk in the loop
+//! outgrows `batch_size` rows, so every buffer keeps fitting. The list
+//! fills only from traffic, holds at most `channel_capacity` buffers and
+//! frees any of more than `batch_size` rows.
 //!
-//! Channels are *bounded* at [`RuntimeConfig::channel_capacity`] data
-//! chunks by a per-worker credit gauge:
+//! An inbox is *bounded* at [`RuntimeConfig::channel_capacity`] data
+//! chunks by its credit, taken when a chunk is sent and returned when it
+//! is handed out; control messages take none:
 //!
 //! * [`Runtime::inject`] (and every [`Injector`]) blocks while the
 //!   destination's queue is at capacity — backpressure propagates to the
@@ -176,8 +171,8 @@
 //! Recovery shares the migration machinery instead of adding a second
 //! state-movement path. With [`Runtime::configure_recovery`] enabled, the
 //! engine captures a **period-aligned checkpoint** (every key group's
-//! serialized state, taken while the data plane is quiesced at an
-//! `end_period` boundary) and keeps a **bounded inject-side replay log**
+//! serialized state, taken at a settled `end_period` boundary with the
+//! producers fenced out) and keeps a **bounded inject-side replay log**
 //! of every tuple injected since. When [`Runtime::recover`] finds a
 //! crashed worker (fault-injected via [`Runtime::inject_fault`], or a
 //! panic), it re-homes the lost key groups onto the survivors through the
@@ -208,7 +203,7 @@
 
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -263,6 +258,9 @@ impl WorkerHandle {
     }
 }
 use crate::tuple::Tuple;
+
+pub(crate) mod inbox;
+use inbox::{Inbox, InboxRx};
 
 /// Data-plane tuning of the threaded runtime. Thread through
 /// `Job::builder().runtime_config(..)` or [`Runtime::start_with_options`].
@@ -478,75 +476,6 @@ struct RecoveryAccounting {
 /// The most chunk buffers a worker keeps in its local pool.
 const CHUNK_POOL_LIMIT: usize = 16;
 
-/// Per-worker inbox gauge: the credit counter that bounds the data plane,
-/// the pressure counters exported at period end, and the spare list that
-/// carries consumed chunk buffers back to the inbox's producers.
-#[derive(Debug, Default)]
-pub(crate) struct WorkerGauge {
-    /// Data chunks currently queued in the worker's inbox.
-    depth: AtomicUsize,
-    /// Largest `depth` observed since the last period collection.
-    peak_depth: AtomicUsize,
-    /// Chunks enqueued past capacity after a bounded wait expired.
-    overflow: AtomicU64,
-    /// Cleared buffers of chunks this inbox's consumer is done with: at
-    /// most `channel_capacity`, each of at most `batch_size` rows. Filled
-    /// only by consumption, so an inbox holds no more spares than chunks
-    /// it once had in flight, and an idle one holds none.
-    spare: Mutex<Vec<StreamChunk>>,
-}
-
-impl WorkerGauge {
-    /// Hand a consumed chunk's buffer back to this inbox's producers, so
-    /// the next chunk packed for it reuses the allocation instead of one
-    /// thread allocating what another frees. A buffer of more than
-    /// `batch_size` rows (a window flush, a migration buffer's replay)
-    /// is freed instead, as is one beyond `channel_capacity` spares.
-    pub(crate) fn give_back(&self, mut chunk: StreamChunk, cfg: &RuntimeConfig) {
-        if chunk.capacity() == 0 || chunk.capacity() > cfg.batch_size {
-            return;
-        }
-        chunk.clear();
-        let mut spare = self.spare.lock();
-        if spare.len() < cfg.channel_capacity {
-            spare.push(chunk);
-        }
-    }
-
-    /// A cleared buffer for the next chunk bound for this inbox, if its
-    /// consumer has handed one back.
-    pub(crate) fn take_spare(&self) -> Option<StreamChunk> {
-        self.spare.lock().pop()
-    }
-
-    pub(crate) fn enqueued(&self) {
-        let d = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.peak_depth.fetch_max(d, Ordering::Relaxed);
-    }
-
-    pub(crate) fn dequeued(&self) {
-        self.depth.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn depth(&self) -> usize {
-        self.depth.load(Ordering::Relaxed)
-    }
-
-    fn at_capacity(&self, capacity: usize) -> bool {
-        self.depth() >= capacity
-    }
-
-    /// Copy the period counters into `p`, resetting peak and overflow.
-    fn collect_into(&self, p: &mut NodePressure) {
-        p.queue_depth = self.depth();
-        p.peak_queue_depth = self
-            .peak_depth
-            .swap(0, Ordering::Relaxed)
-            .max(p.queue_depth);
-        p.overflow = self.overflow.swap(0, Ordering::Relaxed);
-    }
-}
-
 /// A worker's [`Msg::CollectStats`] answer: its node, its period
 /// collector, the key-group states it serialized when the collection
 /// carried a checkpoint capture, and the spill records it failed to read
@@ -558,46 +487,7 @@ pub(crate) type StatsReply = (NodeId, StatsCollector, Option<Vec<(u32, StateBlob
 /// chunks it has dequeued plus data chunks it has sent to peers, ever.
 pub(crate) type Activity = (NodeId, u64);
 
-/// Top a dequeued data chunk up with the data chunks queued right behind
-/// it, so a trickle of small chunks is processed (or encoded) as one.
-/// Takes each next message without waiting and splices it onto `head`
-/// while the result stays within `batch_size` rows. The first message
-/// that is not a data chunk, or a chunk that does not fit, is left in
-/// `stash` for the caller to handle next: no control message is ever
-/// overtaken, so per-sender FIFO — what epoch alignment relies on —
-/// holds. Releases one `gauge` credit per chunk it consumes (the head's
-/// credit stays the caller's) and gives the consumed chunk's buffer back
-/// to the gauge. An idle inbox adds no wait, a full head is never
-/// copied, and `batch_size = 1` merges nothing.
-pub(crate) fn coalesce(
-    head: &mut StreamChunk,
-    inbox: &Receiver<Msg>,
-    gauge: &WorkerGauge,
-    cfg: &RuntimeConfig,
-    stash: &mut Option<Msg>,
-) {
-    debug_assert!(stash.is_none());
-    let batch_size = cfg.batch_size;
-    while head.len() < batch_size {
-        let Ok(msg) = inbox.try_recv() else {
-            return;
-        };
-        match msg {
-            Msg::DataChunk(next) if head.len() + next.visible_len() <= batch_size => {
-                gauge.dequeued();
-                head.append_range(&next, 0, next.len());
-                gauge.give_back(next, cfg);
-            }
-            msg => {
-                *stash = Some(msg);
-                return;
-            }
-        }
-    }
-}
-
-pub(crate) type GaugeMap = Arc<RwLock<HashMap<NodeId, Arc<WorkerGauge>>>>;
-pub(crate) type SenderMap = Arc<RwLock<HashMap<NodeId, Sender<Msg>>>>;
+pub(crate) type InboxMap = Arc<RwLock<HashMap<NodeId, Inbox>>>;
 
 /// One epoch's migration set: `(group, from, to)` per move. Shared by
 /// every worker of the wave through an `Arc`.
@@ -642,53 +532,25 @@ pub(crate) struct RoutingShared {
     version: AtomicU64,
 }
 
-/// The gated hand-off shared by the worker and injector send paths: wait
-/// up to `patience` for queue credit (re-checking that the destination is
-/// still published), overshoot with overflow accounting once patience
-/// expires, send, and return the message if the destination is gone — the
-/// caller picks the loss policy (retry at the ingestion edge, a dropped
-/// counter inside a worker). `msg` must be a [`Msg::DataChunk`]: the
-/// gauge-gated kind, and the only one a caller needs returned on failure.
-// The large `Err` is the point: the undeliverable message comes back by
-// value so the caller can retry or account it, and it is moved, not
-// copied, on every path.
+/// [`Inbox::send_gated`] to `dest`'s published inbox (cloned out of the
+/// map: a wait for credit must not hold its lock), or the message back.
 #[allow(clippy::result_large_err)]
-pub(crate) fn send_gated(
-    senders: &SenderMap,
-    gauges: &GaugeMap,
-    capacity: usize,
-    patience: Duration,
+pub(crate) fn hand_off(
+    senders: &InboxMap,
     dest: NodeId,
+    patience: Duration,
     msg: Msg,
 ) -> Result<(), Msg> {
-    debug_assert!(matches!(msg, Msg::DataChunk(_)));
-    let Some(sender) = senders.read().get(&dest).cloned() else {
-        return Err(msg);
-    };
-    let gauge = gauges.read().get(&dest).cloned();
-    if let Some(g) = &gauge {
-        let mut waited = Duration::ZERO;
-        while g.at_capacity(capacity) && waited < patience {
-            std::thread::sleep(PRESSURE_POLL);
-            waited += PRESSURE_POLL;
-            if !senders.read().contains_key(&dest) {
-                return Err(msg);
-            }
-        }
-        if g.at_capacity(capacity) {
-            g.overflow.fetch_add(1, Ordering::Relaxed);
-        }
-        g.enqueued();
+    let inbox = senders.read().get(&dest).cloned();
+    match inbox {
+        Some(inbox) => inbox.send_gated(patience, msg),
+        None => Err(msg),
     }
-    match sender.send(msg) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            if let Some(g) = &gauge {
-                g.dequeued();
-            }
-            Err(e.0)
-        }
-    }
+}
+
+/// A buffer `node`'s inbox handed back, for the next chunk packed for it.
+fn spare_for(senders: &InboxMap, node: NodeId) -> Option<StreamChunk> {
+    senders.read().get(&node)?.credit.take_spare()
 }
 
 /// Split a routed chunk by the current owner of each row's key group,
@@ -850,8 +712,8 @@ impl<T> Clone for ReplyTo<T> {
 pub(crate) enum Msg {
     /// A columnar batch of data tuples with a routed group column; the
     /// operator of each row is derived from its global group id. The only
-    /// data message, and the only kind gated by the channel-capacity
-    /// gauge. Chunks on the wire are always fully visible: emitters
+    /// data message, and the only kind that takes inbox credit. Chunks
+    /// on the wire are always fully visible: emitters
     /// splice visible rows only.
     DataChunk(StreamChunk),
     /// Start buffering tuples for a key group (migration destination).
@@ -981,12 +843,9 @@ pub(crate) struct WorkerCtx {
     /// shared version moves (see [`RoutingShared`]).
     routing_cache: RoutingTable,
     routing_version: u64,
-    senders: SenderMap,
-    gauges: GaugeMap,
-    /// This worker's own inbox gauge (decremented on batch dequeue).
-    gauge: Arc<WorkerGauge>,
+    senders: InboxMap,
     cfg: RuntimeConfig,
-    inbox: Receiver<Msg>,
+    inbox: InboxRx,
     /// Per-key-group operator state, keyed by global key-group id.
     /// Fast-hashed: looked up once per processed tuple.
     states: FastMap<u32, StateBox>,
@@ -1001,7 +860,7 @@ pub(crate) struct WorkerCtx {
     oldest_pending: Option<Instant>,
     /// Recycled [`StreamChunk`] allocations (sort targets, emission
     /// collectors, local re-dispatch), at most [`CHUNK_POOL_LIMIT`]; the
-    /// rest go back to this worker's inbox gauge for its producers.
+    /// rest go back to this worker's inbox for its producers.
     chunk_pool: Vec<StreamChunk>,
     /// Counting-sort scratch for bucketing inbound chunks by group.
     sorter: ChunkSorter,
@@ -1048,11 +907,9 @@ impl WorkerCtx {
         let WorkerSpawn {
             node,
             inbox,
-            gauge,
             topology,
             routing,
             senders,
-            gauges,
             cfg,
             ..
         } = spawn;
@@ -1069,8 +926,6 @@ impl WorkerCtx {
             routing_cache,
             routing_version,
             senders,
-            gauges,
-            gauge,
             cfg,
             inbox,
             states: FastMap::default(),
@@ -1096,33 +951,24 @@ impl WorkerCtx {
     /// can park it in the graveyard: a sender that cloned this worker's
     /// channel before it was unpublished may complete a send at any
     /// later moment (its bounded backpressure wait can outlive the
-    /// drain below), and a batch that lands after the final `try_recv`
+    /// drain below), and a batch that lands after the final `try_next`
     /// must not be destroyed with the channel — the graveyard is
     /// re-drained at every settle/period boundary instead.
-    pub(crate) fn run(mut self) -> Receiver<Msg> {
-        // The message `coalesce` stopped at: handled before the inbox.
-        let mut stash = None;
+    pub(crate) fn run(mut self) -> InboxRx {
         loop {
             // Drain without blocking; flush the outbox before sleeping so
             // an idle worker never sits on a partial batch.
-            let next = match stash.take() {
-                Some(msg) => Ok(msg),
-                None => self.inbox.try_recv(),
-            };
-            let mut msg = match next {
+            let msg = match self.inbox.try_next() {
                 Ok(msg) => msg,
                 Err(TryRecvError::Empty) => {
                     self.flush_outbox();
-                    match self.inbox.recv() {
-                        Ok(msg) => msg,
-                        Err(_) => break,
+                    match self.inbox.next() {
+                        Some(msg) => msg,
+                        None => break,
                     }
                 }
                 Err(TryRecvError::Disconnected) => break,
             };
-            if let Msg::DataChunk(chunk) = &mut msg {
-                coalesce(chunk, &self.inbox, &self.gauge, &self.cfg, &mut stash);
-            }
             if !self.handle(msg) {
                 break;
             }
@@ -1144,9 +990,8 @@ impl WorkerCtx {
         // must re-enter routing — their groups were drained off this
         // node, so on_chunk forwards them — not be destroyed with the
         // channel.
-        while let Ok(msg) = self.inbox.try_recv() {
+        while let Ok(msg) = self.inbox.try_next() {
             if let Msg::DataChunk(chunk) = msg {
-                self.gauge.dequeued();
                 self.stats.record_ingest(chunk.visible_len() as f64);
                 self.on_chunk(chunk);
             }
@@ -1171,7 +1016,6 @@ impl WorkerCtx {
         }
         match msg {
             Msg::DataChunk(chunk) => {
-                self.gauge.dequeued();
                 // A daemon's dequeue is what reopens its sender's window.
                 if let Some(up) = &self.uplink {
                     up.ack_if_due();
@@ -1423,15 +1267,14 @@ impl WorkerCtx {
     /// Send a control message to peer `dest` — up the socket for the
     /// controller hub to relay when networked, over the peer's channel
     /// in-process — returning it if it cannot be delivered.
-    // The large `Err` is the point, as for `send_gated`.
+    // The large `Err` is the point, as for `Inbox::send_gated`.
     #[allow(clippy::result_large_err)]
     fn send_control(&self, dest: NodeId, msg: Msg) -> Result<(), Msg> {
         if let Some(up) = &self.uplink {
             return up.forward(dest, &msg).map_err(|_| msg);
         }
-        let sender = self.senders.read().get(&dest).cloned();
-        match sender {
-            Some(s) => s.send(msg).map_err(|e| e.0),
+        match self.senders.read().get(&dest) {
+            Some(inbox) => inbox.send(msg),
             None => Err(msg),
         }
     }
@@ -1630,18 +1473,18 @@ impl WorkerCtx {
                 c.clear();
                 c
             }
-            None => self.gauge.take_spare().unwrap_or_default(),
+            None => self.inbox.credit.take_spare().unwrap_or_default(),
         }
     }
 
     /// Return a chunk's allocation to the pool for reuse; once the pool
-    /// is full, to this worker's inbox gauge, whose producers pack their
-    /// next chunks for this worker into it.
+    /// is full, to this worker's inbox, whose producers pack their next
+    /// chunks for this worker into it.
     fn recycle_chunk(&mut self, chunk: StreamChunk) {
         if self.chunk_pool.len() < CHUNK_POOL_LIMIT {
             self.chunk_pool.push(chunk);
         } else {
-            self.gauge.give_back(chunk, &self.cfg);
+            self.inbox.credit.give_back(chunk);
         }
     }
 
@@ -1816,7 +1659,7 @@ impl WorkerCtx {
             }
         }
         if !self.chunk_outbox.contains_key(&dest) {
-            let spare = self.gauges.read().get(&dest).and_then(|g| g.take_spare());
+            let spare = spare_for(&self.senders, dest);
             let chunk = spare.unwrap_or_else(|| self.take_chunk());
             self.chunk_outbox.insert(dest, chunk);
         }
@@ -1851,18 +1694,24 @@ impl WorkerCtx {
             }
             return;
         }
-        match send_gated(
+        match hand_off(
             &self.senders,
-            &self.gauges,
-            self.cfg.channel_capacity,
-            WORKER_SEND_PATIENCE,
             dest,
+            WORKER_SEND_PATIENCE,
             Msg::DataChunk(chunk),
         ) {
             Ok(()) => self.stats.record_emit(n),
             Err(_) => self.stats.record_dropped(n),
         }
     }
+}
+
+thread_local! {
+    /// [`Injector::inject_chunks`]'s bucket and staging vectors, reused by
+    /// the calls on this thread; taken while in use, so a re-entered
+    /// `inject` gets fresh ones.
+    static INJECT_SCRATCH: std::cell::Cell<(Vec<(NodeId, StreamChunk)>, Vec<Tuple>)> =
+        const { std::cell::Cell::new((Vec::new(), Vec::new())) };
 }
 
 /// A cloneable, thread-safe handle for injecting external tuples into a
@@ -1880,8 +1729,7 @@ impl WorkerCtx {
 pub struct Injector {
     topology: Arc<Topology>,
     routing: Arc<RoutingShared>,
-    senders: SenderMap,
-    gauges: GaugeMap,
+    senders: InboxMap,
     dropped: Arc<AtomicU64>,
     log: Arc<ReplayLog>,
     epoch: Arc<EpochShared>,
@@ -1927,19 +1775,14 @@ impl Injector {
             return;
         }
         let epoch = self.epoch.counter.fetch_add(1, Ordering::Relaxed);
-        let senders: Vec<(NodeId, Sender<Msg>)> = self
-            .senders
-            .read()
-            .iter()
-            .map(|(node, s)| (*node, s.clone()))
-            .collect();
-        let mut participants: Vec<NodeId> = senders.iter().map(|(node, _)| *node).collect();
+        let senders = self.senders.read().clone();
+        let mut participants: Vec<NodeId> = senders.keys().copied().collect();
         participants.sort_unstable();
         let participants = Arc::new(participants);
         let moves: EpochMoves = Arc::new(Vec::new());
         let (install_tx, _install_rx) = unbounded();
         let (done_tx, _done_rx) = unbounded();
-        for (_, s) in senders {
+        for s in senders.values() {
             // A worker that dies mid-wave simply never announces; the
             // stalled entry is memory-only and cleared by the next
             // rollback.
@@ -1971,8 +1814,7 @@ impl Injector {
         let log = log && self.log.is_enabled();
         let mut total = 0usize;
         // Few destinations (one per node): linear scan beats hashing.
-        let mut buckets: Vec<(NodeId, StreamChunk)> = Vec::new();
-        let mut staging: Vec<Tuple> = Vec::with_capacity(self.cfg.batch_size);
+        let (mut buckets, mut staging) = INJECT_SCRATCH.take();
         let range = self.topology.groups_of(op);
         let (base, span) = (range.start, (range.end - range.start) as u64);
         let mut iter = tuples.into_iter();
@@ -2027,18 +1869,19 @@ impl Injector {
                 break;
             }
         }
-        for (node, c) in buckets {
+        for (node, c) in buckets.drain(..) {
             if !c.is_empty() {
                 self.deliver_chunk(node, c, INJECT_ATTEMPTS);
             }
         }
+        INJECT_SCRATCH.set((buckets, staging));
         total
     }
 
     /// The buffer for the next chunk packed for `node`: one its inbox
     /// handed back, else a fresh one sized to the batch.
     fn fresh_chunk(&self, node: NodeId) -> StreamChunk {
-        let spare = self.gauges.read().get(&node).and_then(|g| g.take_spare());
+        let spare = spare_for(&self.senders, node);
         spare.unwrap_or_else(|| StreamChunk::with_capacity(self.cfg.batch_size))
     }
 
@@ -2053,14 +1896,9 @@ impl Injector {
     /// quickly; a vanished worker is detected by the aliveness re-check
     /// or, at the latest, by the failing send after the patience window.
     fn deliver_chunk(&self, dest: NodeId, chunk: StreamChunk, attempts: usize) {
-        if let Err(Msg::DataChunk(chunk)) = send_gated(
-            &self.senders,
-            &self.gauges,
-            self.cfg.channel_capacity,
-            INJECT_PATIENCE,
-            dest,
-            Msg::DataChunk(chunk),
-        ) {
+        if let Err(Msg::DataChunk(chunk)) =
+            hand_off(&self.senders, dest, INJECT_PATIENCE, Msg::DataChunk(chunk))
+        {
             self.retry_or_drop_chunk(chunk, attempts);
         }
     }
@@ -2084,8 +1922,7 @@ impl Injector {
 pub struct Runtime {
     topology: Arc<Topology>,
     routing: Arc<RoutingShared>,
-    senders: SenderMap,
-    gauges: GaugeMap,
+    senders: InboxMap,
     handles: Vec<(NodeId, WorkerHandle)>,
     /// The worker boundary: how workers run (threads vs processes) and
     /// how messages reach them (channels vs sockets).
@@ -2104,7 +1941,7 @@ pub struct Runtime {
     /// final drain); keeping the receiver alive means such a batch lands
     /// here instead of being destroyed, and [`Runtime::drain_graveyard`]
     /// re-routes it at the next settle/period boundary.
-    graveyard: Vec<Receiver<Msg>>,
+    graveyard: Vec<InboxRx>,
     /// The most counting rounds one [`Runtime::quiesce`] runs on a plane
     /// that never goes quiet: `2·(depth+1)`, enough for a tuple to
     /// traverse the whole topology with margin.
@@ -2188,7 +2025,6 @@ impl Runtime {
             topology: Arc::new(topology),
             routing: Arc::new(RoutingShared::new(routing)),
             senders: Arc::new(RwLock::new(HashMap::new())),
-            gauges: Arc::new(RwLock::new(HashMap::new())),
             handles: Vec::new(),
             transport,
             cluster,
@@ -2221,22 +2057,18 @@ impl Runtime {
         rt
     }
 
-    /// Register a channel for `node` and spawn its worker thread. The
-    /// sender is published before the thread starts, so other workers can
-    /// route to the new node immediately.
+    /// Build an inbox for `node` and spawn its worker thread. The inbox
+    /// is published before the thread starts, so other workers can route
+    /// to the new node immediately.
     fn spawn_worker_thread(&mut self, node: NodeId) {
-        let (tx, rx) = unbounded();
-        let gauge = Arc::new(WorkerGauge::default());
+        let (tx, rx) = inbox::channel(&self.cfg);
         self.senders.write().insert(node, tx);
-        self.gauges.write().insert(node, Arc::clone(&gauge));
         let spawn = WorkerSpawn {
             node,
             inbox: rx,
-            gauge,
             topology: Arc::clone(&self.topology),
             routing: Arc::clone(&self.routing),
             senders: Arc::clone(&self.senders),
-            gauges: Arc::clone(&self.gauges),
             dropped: Arc::clone(&self.inject_dropped),
             cfg: self.cfg,
         };
@@ -2308,7 +2140,6 @@ impl Runtime {
             topology: Arc::clone(&self.topology),
             routing: Arc::clone(&self.routing),
             senders: Arc::clone(&self.senders),
-            gauges: Arc::clone(&self.gauges),
             dropped: Arc::clone(&self.inject_dropped),
             log: Arc::clone(&self.replay_log),
             epoch: Arc::clone(&self.epoch),
@@ -2335,7 +2166,7 @@ impl Runtime {
 
     /// Enable checkpoint-based recovery: a snapshot of every key group's
     /// state is captured at each `interval`-th period boundary (aligned,
-    /// while the data plane is quiesced — the same boundary the simulator
+    /// with the plane settled and producers fenced — the boundary the simulator
     /// checkpoints at), and every injected tuple since the last
     /// checkpoint is kept in a replay log bounded at `log_capacity`
     /// tuples. [`Runtime::recover`] then restores a crashed worker's
@@ -2384,22 +2215,14 @@ impl Runtime {
     /// sends are still caught next time.
     fn drain_graveyard(&mut self) {
         for i in 0..self.graveyard.len() {
-            while let Ok(msg) = self.graveyard[i].try_recv() {
+            while let Ok(msg) = self.graveyard[i].try_next() {
                 let Msg::DataChunk(chunk) = msg else {
                     continue;
                 };
                 for (node, c) in rebucket(&chunk, &self.routing) {
                     let n = c.visible_len() as u64;
-                    if send_gated(
-                        &self.senders,
-                        &self.gauges,
-                        self.cfg.channel_capacity,
-                        WORKER_SEND_PATIENCE,
-                        node,
-                        Msg::DataChunk(c),
-                    )
-                    .is_err()
-                    {
+                    let chunk = Msg::DataChunk(c);
+                    if hand_off(&self.senders, node, WORKER_SEND_PATIENCE, chunk).is_err() {
                         self.inject_dropped.fetch_add(n, Ordering::Relaxed);
                     }
                 }
@@ -2429,7 +2252,7 @@ impl Runtime {
     /// worker's channel stays open (its receiver lives in the parked
     /// join handle), so sending to it succeeds but is never answered —
     /// every control-plane fan-out must skip corpses or it hangs.
-    fn alive_senders(&self) -> Vec<(NodeId, Sender<Msg>)> {
+    fn alive_senders(&self) -> Vec<(NodeId, Inbox)> {
         let senders = self.senders.read();
         let alive = senders.iter().filter(|(n, _)| self.worker_alive(**n));
         alive.map(|(n, s)| (*n, s.clone())).collect()
@@ -2551,6 +2374,17 @@ impl Runtime {
     /// per-worker pressure signal) together with a period-aligned
     /// checkpoint when one is due, and return the period snapshot.
     pub fn end_period(&mut self) -> PeriodStats {
+        // A replay log at its soft capacity pulls the capture forward to
+        // this boundary regardless of the schedule: overflow forces an
+        // early checkpoint instead of truncating the delta.
+        let period = self.clock.current().index();
+        let due = self.checkpoint_interval > 0
+            && ((period + 1) % self.checkpoint_interval == 0 || self.replay_log.over_capacity());
+        // A due capture holds the injection fence to the end, so the states
+        // captured and the log cleared after them are one cut: no tuple is
+        // logged before the clear yet reaches its worker after the capture.
+        let log = Arc::clone(&self.replay_log);
+        let _fence = due.then(|| log.gate.write());
         // Recover anything a late sender parked in a dead worker's
         // channel before measuring.
         self.drain_graveyard();
@@ -2562,15 +2396,9 @@ impl Runtime {
             self.quiesce();
         }
 
-        // Period-aligned checkpoint: the data plane is quiesced, so the
-        // states captured with the statistics plus a fresh log are a
-        // consistent cut of the stream. A replay log at its soft
-        // capacity pulls the capture forward to this boundary regardless
-        // of the schedule — overflow forces an early checkpoint instead
-        // of truncating the delta.
-        let period = self.clock.current().index();
-        let due = self.checkpoint_interval > 0
-            && ((period + 1) % self.checkpoint_interval == 0 || self.replay_log.over_capacity());
+        // Period-aligned checkpoint: the plane is settled and the fence
+        // keeps producers out, so the states captured with the statistics
+        // plus a fresh log are a consistent cut of the stream.
         let full = self.checkpoint_store.wants_full();
         let capture = due.then_some(if full {
             CheckpointMode::Full
@@ -2595,8 +2423,9 @@ impl Runtime {
             merged.merge(&c);
             states.extend(snap.into_iter().flatten().map(|(g, s)| (g, s.bytes)));
         }
-        for (node, gauge) in self.gauges.read().iter() {
-            gauge.collect_into(pressure.entry(*node).or_default());
+        for (node, inbox) in self.senders.read().iter() {
+            let p = pressure.entry(*node).or_default();
+            inbox.credit.collect_into(p);
         }
         // Losses at the ingestion edge (no worker collector saw them).
         let injected_lost = self.inject_dropped.swap(0, Ordering::Relaxed);
@@ -2675,8 +2504,9 @@ impl Runtime {
         // Tell each worker where the spilled groups it owns now live (the
         // full current set, so a previously missed message heals).
         // Workers keep any group they have re-dirtied since this capture
-        // began — impossible here, as the plane is quiesced — and fault
-        // spilled groups back in from their records on next access.
+        // began — impossible here, as the plane was settled before it and
+        // the caller holds the injection fence — and fault spilled groups
+        // back in from their records on next access.
         if let Some(segment) = self.checkpoint_store.segment_path() {
             let segment = segment.to_string_lossy().into_owned();
             let mut per_node = self.extents_by_owner();
@@ -2974,18 +2804,19 @@ impl Runtime {
         // inbox; quiescing flushes them out to their new owners.
         self.quiesce();
         for &node in &drained {
-            // Unpublish first so no worker can clone the sender afterwards.
-            let sender = self.senders.write().remove(&node);
-            self.gauges.write().remove(&node);
-            if let Some(s) = sender {
-                let _ = s.send(Msg::Shutdown);
+            // Unpublish first so no worker can clone the inbox afterwards,
+            // and retire it, so a sender waiting for its credit gives up.
+            let inbox = self.senders.write().remove(&node);
+            if let Some(inbox) = inbox {
+                inbox.retire();
+                let _ = inbox.send(Msg::Shutdown);
             }
             if let Some(pos) = self.handles.iter().position(|(id, _)| *id == node) {
                 let (_, handle) = self.handles.remove(pos);
                 if let Some(rx) = handle.join() {
                     // Keep the dead worker's channel: a late send from a
                     // pre-unpublish sender clone may still land in it.
-                    self.graveyard.push(rx.0);
+                    self.graveyard.push(*rx.0);
                 }
             }
             self.transport.worker_gone(node);
@@ -3086,8 +2917,9 @@ impl Runtime {
                 // Unpublish, join the corpse, and drop its channel:
                 // everything still queued there is covered by the
                 // rollback + replay below.
-                self.senders.write().remove(&node);
-                self.gauges.write().remove(&node);
+                if let Some(inbox) = self.senders.write().remove(&node) {
+                    inbox.retire();
+                }
                 if let Some(pos) = self.handles.iter().position(|(id, _)| *id == node) {
                     let (_, handle) = self.handles.remove(pos);
                     let _ = handle.join();
@@ -3277,8 +3109,7 @@ impl Runtime {
 
     /// Stop all workers and join their threads.
     pub fn shutdown(mut self) {
-        let senders: Vec<Sender<Msg>> = self.senders.read().values().cloned().collect();
-        for s in senders {
+        for s in self.senders.read().values() {
             let _ = s.send(Msg::Shutdown);
         }
         for (_, h) in self.handles.drain(..) {
@@ -4238,6 +4069,63 @@ mod tests {
         rt.shutdown();
     }
 
+    /// A checkpoint captured while a producer thread injects is a
+    /// consistent cut: every tuple is either in the captured state or in
+    /// the replay log, never lost between the two. One injector sends
+    /// 3 000 tuples of one key, 5 per call, while the coordinator loops
+    /// over settles and period boundaries (a capture at each); then the
+    /// counter's worker is killed and recovered. Returns the longest
+    /// `inject` call seen, which is the longest producer stall a due
+    /// capture caused.
+    fn checkpoint_racing_an_injector(mode: CheckpointMode) -> Duration {
+        within(Duration::from_secs(300), move || {
+            let mut longest = Duration::ZERO;
+            for _ in 0..40 {
+                let (mut rt, src, cnt) = two_op_runtime(2);
+                rt.configure_checkpointing(mode, None).unwrap();
+                rt.configure_recovery(1, DEFAULT_REPLAY_LOG_CAPACITY);
+                let kg = rt.topology().group_for_key(cnt, hash_key(&7u64));
+                let injector = rt.injector();
+                let producer = std::thread::spawn(move || {
+                    let mut longest = Duration::ZERO;
+                    for call in 0..600u64 {
+                        let t0 = Instant::now();
+                        injector.inject(
+                            src,
+                            (0..5).map(|i| Tuple::keyed(&7u64, Value::Int(i), call)),
+                        );
+                        longest = longest.max(t0.elapsed());
+                    }
+                    longest
+                });
+                while !producer.is_finished() {
+                    rt.quiesce();
+                    let _ = rt.end_period();
+                }
+                longest = longest.max(producer.join().unwrap());
+                rt.quiesce();
+                assert!(rt.inject_fault(rt.routing_snapshot().node_of(kg)));
+                let report = rt.recover();
+                rt.quiesce();
+                let replayed = report.tuples_replayed;
+                assert_eq!(count_of(&rt, kg), 3_000, "{replayed} tuples replayed");
+                rt.shutdown();
+            }
+            println!("longest producer stall per due capture ({mode:?}): {longest:?}");
+            longest
+        })
+    }
+
+    #[test]
+    fn a_checkpoint_racing_an_injector_recovers_every_tuple() {
+        checkpoint_racing_an_injector(CheckpointMode::Full);
+    }
+
+    #[test]
+    fn a_checkpoint_racing_an_injector_recovers_every_tuple_incrementally() {
+        checkpoint_racing_an_injector(CheckpointMode::Incremental);
+    }
+
     #[test]
     fn recovery_without_checkpointing_is_availability_only() {
         let (mut rt, src, cnt) = two_op_runtime(2);
@@ -4399,110 +4287,77 @@ mod tests {
         chunk
     }
 
-    /// An inbox holding `msgs` in order, each data chunk metered on
-    /// `gauge` the way every sender meters it.
-    fn inbox_of(gauge: &WorkerGauge, msgs: Vec<Msg>) -> Receiver<Msg> {
-        let (tx, rx) = unbounded();
+    /// Data chunks of `rows` rows each.
+    fn chunks(rows: &[usize]) -> Vec<Msg> {
+        rows.iter().map(|&n| Msg::DataChunk(chunk_of(n))).collect()
+    }
+
+    /// An inbox at `batch_size` holding `msgs` in order, each sent the
+    /// way every producer sends.
+    fn inbox_of(batch_size: usize, msgs: Vec<Msg>) -> InboxRx {
+        let cfg = RuntimeConfig {
+            batch_size,
+            ..RuntimeConfig::default()
+        };
+        let (tx, rx) = inbox::channel(&cfg);
         for msg in msgs {
-            if matches!(msg, Msg::DataChunk(_)) {
-                gauge.enqueued();
-            }
             assert!(tx.send(msg).is_ok());
         }
         rx
     }
 
-    fn rows_of(msg: Option<Msg>) -> usize {
+    fn rows_of(msg: Result<Msg, TryRecvError>) -> usize {
         match msg {
-            Some(Msg::DataChunk(c)) => c.len(),
+            Ok(Msg::DataChunk(c)) => c.len(),
             _ => panic!("expected a data chunk"),
         }
     }
 
-    /// The default configuration at batch size `n`.
-    fn batch(n: usize) -> RuntimeConfig {
-        RuntimeConfig {
-            batch_size: n,
-            ..RuntimeConfig::default()
-        }
-    }
-
-    #[test]
-    fn coalesce_stops_at_a_control_message_and_stashes_it() {
-        let gauge = WorkerGauge::default();
-        let inbox = inbox_of(
-            &gauge,
-            vec![
-                Msg::DataChunk(chunk_of(4)),
-                Msg::DataChunk(chunk_of(2)),
-                Msg::PeerBarrier {
-                    epoch: 7,
-                    from: NodeId::new(1),
-                },
-                Msg::DataChunk(chunk_of(5)),
-            ],
-        );
-        let mut head = chunk_of(3);
-        let mut stash = None;
-        coalesce(&mut head, &inbox, &gauge, &batch(64), &mut stash);
-        assert_eq!(head.len(), 9, "both chunks ahead of the barrier merge");
-        assert!(
-            matches!(stash, Some(Msg::PeerBarrier { epoch: 7, .. })),
-            "the barrier is stashed, to be handled next"
-        );
-        assert_eq!(gauge.depth(), 1, "one credit per merged chunk");
-        // Nothing behind the barrier was touched.
-        assert_eq!(rows_of(inbox.try_recv().ok()), 5);
-    }
+    // The inbox's coalescing, as its consumer sees it; `inbox`'s own
+    // tests pin what only its internals show.
 
     #[test]
     fn coalesce_never_exceeds_batch_size() {
-        let gauge = WorkerGauge::default();
-        let inbox = inbox_of(
-            &gauge,
-            vec![Msg::DataChunk(chunk_of(10)), Msg::DataChunk(chunk_of(3))],
+        let mut inbox = inbox_of(64, chunks(&[60, 10, 3]));
+        assert_eq!(
+            rows_of(inbox.try_next()),
+            60,
+            "60 + 10 rows would pass the batch size"
         );
-        let mut head = chunk_of(60);
-        let mut stash = None;
-        coalesce(&mut head, &inbox, &gauge, &batch(64), &mut stash);
-        assert_eq!(head.len(), 60, "60 + 10 rows would pass the batch size");
-        assert_eq!(rows_of(stash), 10, "the chunk that does not fit comes next");
-        assert_eq!(gauge.depth(), 2, "a stashed chunk keeps its credit");
-        assert_eq!(rows_of(inbox.try_recv().ok()), 3);
+        assert_eq!(
+            inbox.credit.depth(),
+            2,
+            "the chunk left over keeps its credit"
+        );
+        assert_eq!(
+            rows_of(inbox.try_next()),
+            10 + 3,
+            "the chunk that does not fit comes next"
+        );
+        assert_eq!(inbox.credit.depth(), 0);
 
         // Fill exactly to the batch size, then stop.
-        let inbox = inbox_of(
-            &gauge,
-            vec![
-                Msg::DataChunk(chunk_of(4)),
-                Msg::DataChunk(chunk_of(2)),
-                Msg::DataChunk(chunk_of(1)),
-            ],
-        );
-        let mut head = chunk_of(4);
-        let mut stash = None;
-        coalesce(&mut head, &inbox, &gauge, &batch(10), &mut stash);
-        assert_eq!(head.len(), 10);
-        assert!(stash.is_none(), "a full head reads no further");
-        assert_eq!(gauge.depth(), 2 + 1);
-        assert_eq!(rows_of(inbox.try_recv().ok()), 1);
+        let mut inbox = inbox_of(10, chunks(&[4, 4, 2, 1]));
+        assert_eq!(rows_of(inbox.try_next()), 10);
+        assert_eq!(inbox.credit.depth(), 1);
+        assert_eq!(rows_of(inbox.try_next()), 1);
     }
 
     #[test]
     fn coalesce_preserves_the_visible_count_of_masked_chunks() {
-        let gauge = WorkerGauge::default();
+        let mut head = chunk_of(4);
+        head.hide(1);
         let mut next = chunk_of(6);
         next.hide(0);
         next.hide(4);
-        let inbox = inbox_of(&gauge, vec![Msg::DataChunk(next)]);
-        let mut head = chunk_of(4);
-        head.hide(1);
-        let mut stash = None;
-        coalesce(&mut head, &inbox, &gauge, &batch(64), &mut stash);
+        let mut inbox = inbox_of(64, vec![Msg::DataChunk(head), Msg::DataChunk(next)]);
+        let Ok(Msg::DataChunk(head)) = inbox.try_next() else {
+            panic!("expected a data chunk");
+        };
         assert_eq!(head.visible_len(), 3 + 4);
         assert!(head.len() <= 64);
-        assert!(stash.is_none());
-        assert_eq!(gauge.depth(), 0);
+        assert!(inbox.try_next().is_err(), "nothing left over");
+        assert_eq!(inbox.credit.depth(), 0);
         // Only the masked rows are gone: the visible rows are the
         // head's, then the next chunk's, in order.
         let keys: Vec<u64> = head.to_tuples().iter().map(|t| t.key).collect();
@@ -4514,105 +4369,41 @@ mod tests {
         assert_eq!(keys, expect);
     }
 
-    /// An inbox's spare list keeps cleared buffers of at most
-    /// `batch_size` rows, at most `channel_capacity` of them, under any
-    /// sequence of hand-backs and takes.
-    #[test]
-    fn a_gauge_keeps_only_cleared_batch_sized_spares_within_its_capacity() {
-        let cfg = RuntimeConfig {
-            batch_size: 8,
-            channel_capacity: 4,
-            ..RuntimeConfig::default()
-        };
-        let used = |rows: usize| {
-            let mut c = StreamChunk::with_capacity(rows);
-            for i in 0..rows {
-                c.push(i as u64, Value::Str("x".into()), 0);
-            }
-            c.hide(0);
-            c
-        };
-        let gauge = WorkerGauge::default();
-        gauge.give_back(used(9), &cfg);
-        gauge.give_back(StreamChunk::new(), &cfg);
-        assert!(gauge.take_spare().is_none(), "oversized or bufferless");
-        // A seeded walk of hand-backs (sizes 1..=12) and takes.
-        let (mut x, mut held) = (0x2545_f491_4f6c_dd1du64, 0usize);
-        for _ in 0..500 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            if x % 3 == 0 {
-                if let Some(c) = gauge.take_spare() {
-                    assert!(c.is_empty() && c.visible_len() == 0);
-                    assert!((1..=cfg.batch_size).contains(&c.capacity()));
-                    held -= 1;
-                } else {
-                    assert_eq!(held, 0);
-                }
-            } else {
-                let rows = 1 + (x >> 8) as usize % 12;
-                gauge.give_back(used(rows), &cfg);
-                if rows <= cfg.batch_size && held < cfg.channel_capacity {
-                    held += 1;
-                }
-            }
-            assert_eq!(gauge.spare.lock().len(), held);
-        }
-    }
-
     #[test]
     fn coalesce_merges_nothing_at_batch_size_one() {
-        let gauge = WorkerGauge::default();
-        let inbox = inbox_of(
-            &gauge,
-            vec![Msg::DataChunk(chunk_of(1)), Msg::DataChunk(chunk_of(1))],
-        );
-        let mut head = chunk_of(1);
-        let mut stash = None;
-        coalesce(&mut head, &inbox, &gauge, &batch(1), &mut stash);
-        assert_eq!(head.len(), 1);
-        assert!(stash.is_none(), "a full head does not even look");
-        assert_eq!(gauge.depth(), 2);
+        let mut inbox = inbox_of(1, chunks(&[1, 1, 1]));
+        assert_eq!(rows_of(inbox.try_next()), 1);
+        assert_eq!(inbox.credit.depth(), 2);
     }
 
-    /// Run a one-node worker over `msgs`, all queued before it starts
-    /// (data chunks metered as every sender meters them), then a
-    /// `Shutdown`. Every group is local and every reply goes through a
-    /// channel, so nothing is ever written to `uplink`.
+    /// Run a one-node worker over `msgs`, all queued before it starts,
+    /// then a `Shutdown`. Every group is local and every reply goes
+    /// through a channel, so nothing is ever written to `uplink`.
     fn run_lone_worker(mut msgs: Vec<Msg>, uplink: Option<WireOut>) {
-        let gauge = Arc::new(WorkerGauge::default());
         msgs.push(Msg::Shutdown);
-        let inbox = inbox_of(&gauge, msgs);
-        lone_worker(two_op_topology().0, inbox, gauge, uplink);
+        let inbox = inbox_of(RuntimeConfig::default().batch_size, msgs);
+        lone_worker(two_op_topology().0, inbox, uplink);
     }
 
-    /// Run a one-node worker on `topology` over `inbox`, metered on
-    /// `gauge`, until its `Shutdown`.
-    fn lone_worker(
-        topology: Topology,
-        inbox: Receiver<Msg>,
-        gauge: Arc<WorkerGauge>,
-        uplink: Option<WireOut>,
-    ) {
+    /// Run a one-node worker on `topology` over `inbox` until its
+    /// `Shutdown`.
+    fn lone_worker(topology: Topology, inbox: InboxRx, uplink: Option<WireOut>) {
         let node = NodeId::new(0);
         let table = RoutingTable::round_robin(topology.num_key_groups(), &[node]);
         let spawn = WorkerSpawn {
             node,
             inbox,
-            gauge,
             topology: Arc::new(topology),
             routing: Arc::new(RoutingShared::new(table)),
             senders: Arc::default(),
-            gauges: Arc::default(),
             dropped: Arc::default(),
             cfg: RuntimeConfig::default(),
         };
         let _ = WorkerCtx::from_spawn(spawn, uplink).run();
     }
 
-    /// The worker loop handles the message `coalesce` stopped at only
-    /// after the merged chunk: a statistics collection queued between
+    /// The worker loop handles the message its inbox stopped coalescing
+    /// at only after the merged chunk: a statistics collection queued between
     /// short data chunks counts exactly the rows queued ahead of it.
     #[test]
     fn a_control_message_sees_exactly_the_data_queued_ahead_of_it() {
@@ -4632,8 +4423,7 @@ mod tests {
 
     /// A lone worker daemon on one end of a socket pair and a controller's
     /// session half on the other. The daemon's reader ([`ReaderLink`])
-    /// feeds its inbox, metering data chunks on the gauge its uplink's
-    /// acks leave out; the controller's reader applies those acks and
+    /// feeds its inbox, whose credit the uplink's acks leave out; the controller's reader applies those acks and
     /// resolves the daemon's replies. The worker loop runs only from
     /// [`LoneDaemon::start`] on, so a test can fill the window first.
     #[cfg(unix)]
@@ -4646,10 +4436,10 @@ mod tests {
         correlator: Arc<crate::transport::wire::Correlator>,
         /// The daemon's reader.
         link: std::thread::JoinHandle<()>,
-        gauge: Arc<WorkerGauge>,
+        credit: Arc<inbox::Credit>,
         uplink: WireOut,
         /// Until the worker loop takes it.
-        inbox: Option<Receiver<Msg>>,
+        inbox: Option<InboxRx>,
     }
 
     #[cfg(unix)]
@@ -4663,13 +4453,12 @@ mod tests {
             use crate::transport::worker::ReaderLink;
 
             let (ours, theirs) = std::os::unix::net::UnixStream::pair().unwrap();
-            let gauge = Arc::new(WorkerGauge::default());
-            let held = Some(Arc::clone(&gauge));
+            let (tx, inbox) = inbox::channel(&RuntimeConfig::default());
+            let credit = Arc::clone(&inbox.credit);
+            let held = Some(Arc::clone(&credit));
             let uplink = WireOut::new(Conn::Uds(theirs.try_clone().unwrap()), false, held);
-            let (tx, inbox) = unbounded();
             let link = ReaderLink {
                 uplink: uplink.clone(),
-                gauge: Arc::clone(&gauge),
                 routing: Arc::new(RoutingShared::new(RoutingTable::from_assignment(vec![]))),
                 tx,
                 policy: ReconnectPolicy {
@@ -4689,7 +4478,7 @@ mod tests {
                 readers: Vec::new(),
                 correlator: Arc::new(crate::transport::wire::Correlator::new()),
                 link,
-                gauge,
+                credit,
                 uplink,
                 inbox: Some(inbox),
             };
@@ -4751,22 +4540,24 @@ mod tests {
         /// Block until the daemon's inbox holds `depth` chunks, then check
         /// that it holds still: nothing more arrives.
         fn fill_to(&self, depth: usize) {
-            while self.gauge.depth() < depth {
+            while self.credit.depth() < depth {
                 std::thread::sleep(Duration::from_millis(1));
             }
             std::thread::sleep(Duration::from_millis(50));
-            assert_eq!(self.gauge.depth(), depth, "the window admits no more");
+            assert_eq!(self.credit.depth(), depth, "the window admits no more");
         }
 
         /// Start the worker loop on `topology`.
         fn start(&mut self, topology: Topology) -> std::thread::JoinHandle<()> {
-            let (inbox, gauge) = (self.inbox.take().unwrap(), Arc::clone(&self.gauge));
-            let uplink = self.uplink.clone();
-            std::thread::spawn(move || lone_worker(topology, inbox, gauge, Some(uplink)))
+            let (inbox, uplink) = (self.inbox.take().unwrap(), self.uplink.clone());
+            std::thread::spawn(move || lone_worker(topology, inbox, Some(uplink)))
         }
 
+        /// The inbox's peak depth so far (resets it).
         fn peak(&self) -> usize {
-            self.gauge.peak_depth.load(Ordering::Relaxed)
+            let mut pressure = NodePressure::default();
+            self.credit.collect_into(&mut pressure);
+            pressure.peak_queue_depth
         }
 
         /// Close the controller's end and join every reader: the

@@ -184,7 +184,7 @@ pub struct NodePressure {
     pub dropped: f64,
     /// Data batches still queued in the worker's inbox at period end.
     /// A networked worker's queue figures are its controller-side stub's
-    /// gauge: chunks not yet written to the socket, which fills once the
+    /// inbox: chunks not yet written to the socket, which fills once the
     /// daemon falls a session window behind.
     pub queue_depth: usize,
     /// Largest queued-batch count observed during the period (at least

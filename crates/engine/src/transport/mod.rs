@@ -50,12 +50,11 @@ use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crossbeam::channel::Receiver;
-
 use albic_types::NodeId;
 
 use crate::codec::Reader;
-use crate::runtime::{GaugeMap, Msg, RoutingShared, RuntimeConfig, SenderMap, WorkerGauge};
+use crate::runtime::inbox::InboxRx;
+use crate::runtime::{InboxMap, Msg, RoutingShared, RuntimeConfig};
 use crate::topology::Topology;
 
 /// Everything a transport needs to bring one worker to life. Opaque
@@ -63,23 +62,22 @@ use crate::topology::Topology;
 /// consumes it.
 pub struct WorkerSpawn {
     pub(crate) node: NodeId,
-    pub(crate) inbox: Receiver<Msg>,
-    pub(crate) gauge: Arc<WorkerGauge>,
+    pub(crate) inbox: InboxRx,
     pub(crate) topology: Arc<Topology>,
     pub(crate) routing: Arc<RoutingShared>,
-    pub(crate) senders: SenderMap,
-    pub(crate) gauges: GaugeMap,
+    pub(crate) senders: InboxMap,
     pub(crate) dropped: Arc<AtomicU64>,
     pub(crate) cfg: RuntimeConfig,
 }
 
-/// What a finished worker leaves behind: its inbox receiver, which the
-/// runtime drains into the graveyard so in-flight tuples are not lost.
-pub struct WorkerMailbox(pub(crate) Receiver<Msg>);
+/// What a finished worker leaves behind: the receiving half of its
+/// inbox, which the runtime drains into the graveyard so in-flight tuples
+/// are not lost. Boxed: it holds a whole message inline.
+pub struct WorkerMailbox(pub(crate) Box<InboxRx>);
 
-/// A borrowed view of the per-worker sender map, letting transports
+/// A borrowed view of the per-worker inbox map, letting transports
 /// address control messages to live peers.
-pub struct Peers<'a>(pub(crate) &'a SenderMap);
+pub struct Peers<'a>(pub(crate) &'a InboxMap);
 
 /// A typed transport failure, surfaced instead of a generic io error so
 /// callers (and log readers) can tell a handshake timeout from a binary
@@ -204,14 +202,16 @@ impl Transport for InProcessTransport {
     ) -> Result<JoinHandle<WorkerMailbox>, FailedSpawn> {
         let node = spawn.node;
         spawn_with(format!("albic-worker-{node}"), spawn, |spawn| {
-            WorkerMailbox(crate::runtime::WorkerCtx::from_spawn(spawn, None).run())
+            WorkerMailbox(Box::new(
+                crate::runtime::WorkerCtx::from_spawn(spawn, None).run(),
+            ))
         })
         .map_err(|(e, spawn)| FailedSpawn {
             error: TransportError::SpawnFailed {
                 node,
                 reason: format!("spawn worker thread: {e}"),
             },
-            mailbox: WorkerMailbox(spawn.inbox),
+            mailbox: WorkerMailbox(Box::new(spawn.inbox)),
         })
     }
 

@@ -24,7 +24,7 @@
 //! writer (the stub thread proper) blocks on the worker's inbox and sends
 //! whatever is queued as one `write`; while that write, or a full
 //! session window, blocks it, it pulls nothing more, so the worker's
-//! credit gauge fills and producers block exactly as in-process. The reader blocks on
+//! inbox runs out of credit and producers block exactly as in-process. The reader blocks on
 //! the socket, applies acks, resolves replies and relays `FORWARD`s.
 //! Neither sleeps on the message path.
 //!
@@ -50,14 +50,10 @@ use std::sync::{Arc, Mutex as StdMutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::Receiver;
-
 use albic_types::NodeId;
 
-use crate::runtime::{
-    coalesce, send_gated, GaugeMap, Msg, RoutingShared, RuntimeConfig, SenderMap, WorkerGauge,
-    WORKER_SEND_PATIENCE,
-};
+use crate::runtime::inbox::InboxRx;
+use crate::runtime::{hand_off, InboxMap, Msg, RoutingShared, WORKER_SEND_PATIENCE};
 use crate::transport::session::ReconnectPolicy;
 use crate::transport::wire::{self, Correlator, FrameBuffer, LinkEvent, WireOut};
 use crate::transport::{
@@ -500,7 +496,7 @@ impl Transport for NetTransport {
                             node,
                             reason: format!("launch {}: {e}", self.worker_cmd.display()),
                         },
-                        mailbox: WorkerMailbox(spawn.inbox),
+                        mailbox: WorkerMailbox(Box::new(spawn.inbox)),
                     })
                 }
             }
@@ -541,7 +537,7 @@ impl Transport for NetTransport {
         spawn_with(
             format!("albic-stub-{node}"),
             (spawn, ctx),
-            |(spawn, ctx)| WorkerMailbox(stub_main(spawn, ctx)),
+            |(spawn, ctx)| WorkerMailbox(Box::new(stub_main(spawn, ctx))),
         )
         .map_err(|(e, (spawn, ctx))| {
             self.shared.registry().remove(&node);
@@ -554,7 +550,7 @@ impl Transport for NetTransport {
                     node,
                     reason: format!("spawn stub thread: {e}"),
                 },
-                mailbox: WorkerMailbox(spawn.inbox),
+                mailbox: WorkerMailbox(Box::new(spawn.inbox)),
             }
         })
     }
@@ -756,7 +752,7 @@ struct StubCtx {
 /// thread, then runs the writer until the worker is gone for good.
 /// Returns the inbox for the runtime's graveyard — the stub exiting *is*
 /// the worker dying, as far as the runtime can tell.
-fn stub_main(spawn: WorkerSpawn, ctx: StubCtx) -> Receiver<Msg> {
+fn stub_main(spawn: WorkerSpawn, ctx: StubCtx) -> InboxRx {
     let node = spawn.node;
     // Phase 1: wait for the worker's HELLO (concurrently with every
     // sibling stub — a worker that dies pre-HELLO stalls only itself).
@@ -836,12 +832,9 @@ fn stub_main(spawn: WorkerSpawn, ctx: StubCtx) -> Receiver<Msg> {
     // Phase 3: the session, as two blocking threads over `out`.
     let WorkerSpawn {
         inbox,
-        gauge,
         routing,
         senders,
-        gauges,
         dropped,
-        cfg,
         ..
     } = spawn;
     let correlator = Arc::clone(&ctx.correlator);
@@ -851,9 +844,7 @@ fn stub_main(spawn: WorkerSpawn, ctx: StubCtx) -> Receiver<Msg> {
         ctx,
         routing,
         senders,
-        gauges,
         dropped,
-        cfg,
         replay: Default::default(),
     };
     let Ok(reader) = std::thread::Builder::new()
@@ -864,7 +855,7 @@ fn stub_main(spawn: WorkerSpawn, ctx: StubCtx) -> Receiver<Msg> {
         out.close();
         return inbox;
     };
-    let inbox = stub_writer(inbox, &out, &gauge, &correlator, &cfg);
+    let inbox = stub_writer(inbox, &out, &correlator);
     // Both ways out of the writer have already ended the reader's loop:
     // the reader killed the session itself, or the writer closed it.
     let _ = reader.join();
@@ -873,46 +864,29 @@ fn stub_main(spawn: WorkerSpawn, ctx: StubCtx) -> Receiver<Msg> {
 
 /// The stub's writer, run on the stub thread itself: block on the
 /// worker's inbox, drain whatever else is already queued up to
-/// [`WRITE_BURST_BYTES`], and send the burst as one `write`. Short data
-/// chunks queued back to back are merged up to `batch_size` rows
-/// ([`coalesce`]) before encoding, so a trickle of them costs one frame,
-/// not one each; an encoded chunk's buffer goes back to `gauge`'s spare
-/// list for the next chunk injected for this worker. Returns the inbox
-/// once the session is dead (the reader ended it and woke this thread
-/// through the inbox), or once a `Shutdown`/`Crash` and everything
+/// [`WRITE_BURST_BYTES`], and send the burst as one `write`. The inbox
+/// merges short data chunks queued back to back, so a trickle costs one
+/// frame, not one each; an encoded chunk's buffer goes back to its spare
+/// list. Once the inbox hands a chunk over, the session window holds it:
+/// the daemon acks it only once its worker has dequeued it. Returns the
+/// inbox once the session is dead (the reader ended it and woke this
+/// thread through the inbox), or once a `Shutdown`/`Crash` and everything
 /// queued before it are on the wire.
-fn stub_writer(
-    inbox: Receiver<Msg>,
-    out: &WireOut,
-    gauge: &WorkerGauge,
-    correlator: &Correlator,
-    cfg: &RuntimeConfig,
-) -> Receiver<Msg> {
+fn stub_writer(mut inbox: InboxRx, out: &WireOut, correlator: &Correlator) -> InboxRx {
     let mut burst = Vec::new();
-    // The message `coalesce` stopped at: written before the inbox.
-    let mut stash = None;
     // One yield before parking lets a busy producer top the next burst
     // up; a writer that parked after every chunk would pay a futex wake
     // per chunk.
-    while let Some(first) = stash.take().or_else(|| {
-        inbox.try_recv().ok().or_else(|| {
-            std::thread::yield_now();
-            inbox.recv().ok()
-        })
+    while let Some(first) = inbox.try_next().ok().or_else(|| {
+        std::thread::yield_now();
+        inbox.next()
     }) {
         if out.is_dead() {
             return inbox;
         }
         let (mut closing, mut bytes) = (false, 0);
         let mut next = Some(first);
-        while let Some(mut msg) = next {
-            if let Msg::DataChunk(chunk) = &mut msg {
-                // The chunk left the queue for the wire: release its
-                // credit. The session window holds it from here: the
-                // daemon acks it only once its worker has dequeued it.
-                gauge.dequeued();
-                coalesce(chunk, &inbox, gauge, cfg, &mut stash);
-            }
+        while let Some(msg) = next {
             closing = matches!(msg, Msg::Shutdown | Msg::Crash);
             let frame = match msg {
                 Msg::RoutingUpdate {
@@ -924,7 +898,7 @@ fn stub_writer(
                     // Encoded: the chunk's buffer goes back to the
                     // producers of this inbox.
                     if let Msg::DataChunk(chunk) = msg {
-                        gauge.give_back(chunk, cfg);
+                        inbox.credit.give_back(chunk);
                     }
                     (wire::FRAME_MSG, body)
                 }
@@ -934,7 +908,7 @@ fn stub_writer(
             next = if closing || bytes >= WRITE_BURST_BYTES {
                 None
             } else {
-                stash.take().or_else(|| inbox.try_recv().ok())
+                inbox.try_next().ok()
             };
         }
         if out.send_burst(&mut burst).is_err() {
@@ -956,10 +930,8 @@ struct StubReader {
     out: WireOut,
     ctx: StubCtx,
     routing: Arc<RoutingShared>,
-    senders: SenderMap,
-    gauges: GaugeMap,
+    senders: InboxMap,
     dropped: Arc<AtomicU64>,
-    cfg: RuntimeConfig,
     /// The latest resume's replay thread, joined, never detached.
     replay: std::cell::Cell<Option<JoinHandle<io::Result<()>>>>,
 }
@@ -1109,17 +1081,9 @@ impl StubReader {
                         let n = chunk.visible_len() as u64;
                         // The same gated hand-off a worker thread uses,
                         // including the bounded patience and overflow
-                        // accounting on the destination's gauge.
-                        if send_gated(
-                            &self.senders,
-                            &self.gauges,
-                            self.cfg.channel_capacity,
-                            WORKER_SEND_PATIENCE,
-                            dest,
-                            Msg::DataChunk(chunk),
-                        )
-                        .is_err()
-                        {
+                        // accounting on the destination's inbox.
+                        let chunk = Msg::DataChunk(chunk);
+                        if hand_off(&self.senders, dest, WORKER_SEND_PATIENCE, chunk).is_err() {
                             self.dropped.fetch_add(n, Ordering::Relaxed);
                         }
                     }
@@ -1142,6 +1106,7 @@ impl StubReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::{inbox, RuntimeConfig};
 
     /// A socket file left by a controller that never unlinked it (panic,
     /// SIGKILL) must be probed and reclaimed; a live listener must not.
@@ -1255,8 +1220,8 @@ mod tests {
             handshake_patience: Duration::ZERO,
         };
         let dest = NodeId::new(1);
-        let (tx, inbox) = crossbeam::channel::unbounded();
-        let senders: SenderMap = Arc::default();
+        let (tx, mut inbox) = inbox::channel(&RuntimeConfig::default());
+        let senders: InboxMap = Arc::default();
         senders.write().insert(dest, tx);
         let reader = StubReader {
             node: NodeId::new(0),
@@ -1266,9 +1231,7 @@ mod tests {
                 crate::routing::RoutingTable::from_assignment(vec![]),
             )),
             senders,
-            gauges: Arc::default(),
             dropped: Arc::default(),
-            cfg: RuntimeConfig::default(),
             replay: Default::default(),
         };
         let barrier = Msg::PeerBarrier {
@@ -1278,10 +1241,10 @@ mod tests {
         let forward = wire::encode(&(dest, barrier));
         let long = [&forward[..], &[0]].concat();
         assert!(reader.relay(wire::FRAME_FORWARD, &long).is_err());
-        assert!(inbox.try_recv().is_err(), "a long FORWARD was relayed");
+        assert!(inbox.try_next().is_err(), "a long FORWARD was relayed");
         assert!(reader.relay(wire::FRAME_FORWARD, &forward).is_ok());
         assert!(matches!(
-            inbox.try_recv(),
+            inbox.try_next(),
             Ok(Msg::PeerBarrier { epoch: 1, .. })
         ));
     }
@@ -1310,15 +1273,13 @@ mod tests {
                 out.pump(&mut acks, &mut FrameBuffer::new(), |_, _| LinkEvent::Keep)
             })
         };
-        let (tx, inbox) = crossbeam::channel::unbounded();
-        let gauge = WorkerGauge::default();
+        let (tx, inbox) = inbox::channel(&RuntimeConfig::default());
         const CHUNKS: u64 = 300; // 300 × 256 rows ≈ 2 MiB encoded
         for c in 0..CHUNKS {
             let rows = (0..256).map(|i| Tuple::keyed(&c, Value::Int(i), c));
             assert!(tx
                 .send(Msg::DataChunk(StreamChunk::from_tuples(rows)))
                 .is_ok());
-            gauge.enqueued();
         }
         assert!(tx.send(Msg::Shutdown).is_ok());
         let peer = std::thread::spawn(move || {
@@ -1339,9 +1300,8 @@ mod tests {
             }
             got
         });
-        let cfg = RuntimeConfig::default();
-        let inbox = stub_writer(inbox, &out, &gauge, &Correlator::new(), &cfg);
-        assert!(inbox.try_recv().is_err(), "the inbox comes back drained");
+        let mut inbox = stub_writer(inbox, &out, &Correlator::new());
+        assert!(inbox.try_next().is_err(), "the inbox comes back drained");
         assert!(out.is_dead(), "a written Shutdown closes the session");
         assert_eq!(reader.join().expect("the reader ends"), LinkEvent::Cut);
         let got = peer.join().expect("peer reads every frame");
@@ -1364,8 +1324,11 @@ mod tests {
             .set_read_timeout(Some(Duration::from_secs(10)))
             .expect("timeout");
         let out = WireOut::new(Conn::Uds(ours), false, None);
-        let (tx, inbox) = crossbeam::channel::unbounded();
-        let gauge = WorkerGauge::default();
+        let cfg = RuntimeConfig {
+            batch_size: 4,
+            ..RuntimeConfig::default()
+        };
+        let (tx, inbox) = inbox::channel(&cfg);
         let one_row = |ts: u64| {
             Msg::DataChunk(StreamChunk::from_tuples([Tuple::keyed(
                 &ts,
@@ -1374,7 +1337,6 @@ mod tests {
             )]))
         };
         for ts in 0..10 {
-            gauge.enqueued();
             assert!(tx.send(one_row(ts)).is_ok());
         }
         let routing = Msg::RoutingUpdate {
@@ -1383,7 +1345,6 @@ mod tests {
         };
         assert!(tx.send(routing).is_ok());
         for ts in 10..13 {
-            gauge.enqueued();
             assert!(tx.send(one_row(ts)).is_ok());
         }
         assert!(tx.send(Msg::Shutdown).is_ok());
@@ -1406,13 +1367,9 @@ mod tests {
                 }
             }
         });
-        let cfg = RuntimeConfig {
-            batch_size: 4,
-            ..RuntimeConfig::default()
-        };
-        let inbox = stub_writer(inbox, &out, &gauge, &Correlator::new(), &cfg);
-        assert!(inbox.try_recv().is_err(), "the inbox comes back drained");
-        assert_eq!(gauge.depth(), 0, "one credit released per chunk");
+        let mut inbox = stub_writer(inbox, &out, &Correlator::new());
+        assert!(inbox.try_next().is_err(), "the inbox comes back drained");
+        assert_eq!(inbox.credit.depth(), 0, "one credit released per chunk");
         let frames = peer.join().expect("peer reads every frame");
         let want: Vec<Vec<u64>> = vec![
             vec![0, 1, 2, 3],

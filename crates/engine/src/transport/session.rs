@@ -26,7 +26,7 @@ pub(crate) const ACK_EVERY: u64 = 32;
 
 /// Resend-queue bound, in frames: the session window. A daemon acks a
 /// data chunk only once dequeued, so a slow daemon fills the window and
-/// producers block on its stub's gauge. Small beside a channel capacity,
+/// producers block on its stub's inbox. Small beside a channel capacity,
 /// as a frame the daemon has not dequeued is also held here.
 pub(crate) const SEND_QUEUE_LIMIT: usize = 128;
 

@@ -44,9 +44,8 @@ use super::session::{ReconnectPolicy, RecvSequencer, SendSequencer, SeqVerdict, 
 use crate::checkpoint::{CheckpointMode, SpillExtent};
 use crate::chunk::StreamChunk;
 use crate::codec::{DecodeError, Found, Reader, Writer};
-use crate::runtime::{
-    Activity, InstallReply, Msg, ReplyTo, RuntimeConfig, StateBlob, StatsReply, WorkerGauge,
-};
+use crate::runtime::inbox::Credit;
+use crate::runtime::{Activity, InstallReply, Msg, ReplyTo, RuntimeConfig, StateBlob, StatsReply};
 use crate::stats::{FastMap, StatsCollector};
 
 /// Handshake magic ("ALBIC_W7"): rejects a stray client that is not an
@@ -278,8 +277,8 @@ struct LinkInner {
     /// blocked writers wake.
     dead: AtomicBool,
     compress: bool,
-    /// A daemon's inbox gauge: delivered chunks the ack leaves out.
-    held: Option<Arc<WorkerGauge>>,
+    /// A daemon's inbox credit: delivered chunks the ack leaves out.
+    held: Option<Arc<Credit>>,
 }
 
 struct SeqHalf {
@@ -313,7 +312,7 @@ impl SockHalf {
 }
 
 impl WireOut {
-    pub(crate) fn new(conn: Conn, compress: bool, held: Option<Arc<WorkerGauge>>) -> Self {
+    pub(crate) fn new(conn: Conn, compress: bool, held: Option<Arc<Credit>>) -> Self {
         WireOut {
             inner: Arc::new(LinkInner {
                 seq: StdMutex::new(SeqHalf {

@@ -38,13 +38,12 @@ use std::io::{self, Write};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Sender};
-
 use albic_types::{NodeId, OperatorId};
 
 use crate::operator::{Counting, Identity, Operator, PaddedCounting};
 use crate::routing::RoutingTable;
-use crate::runtime::{Msg, RoutingShared, WorkerCtx, WorkerGauge};
+use crate::runtime::inbox::{self, Inbox};
+use crate::runtime::{Msg, RoutingShared, WorkerCtx};
 use crate::topology::TopologyBuilder;
 use crate::transport::net::{self, Conn};
 use crate::transport::session::ReconnectPolicy;
@@ -188,11 +187,10 @@ fn run_worker(registry: &OperatorRegistry) -> io::Result<()> {
     )));
     routing.install(init.routing_version, init.assignment);
 
-    // The uplink's acks leave out the chunks the inbox gauge holds.
-    let gauge = Arc::new(WorkerGauge::default());
-    let held = Some(Arc::clone(&gauge));
+    // The uplink's acks leave out the chunks the inbox holds.
+    let (tx, rx) = inbox::channel(&init.cfg);
+    let held = Some(Arc::clone(&rx.credit));
     let uplink = WireOut::new(conn.try_clone()?, init.compression, held);
-    let (tx, rx) = unbounded();
 
     // Reader thread: socket → inbox. It owns the only inbox sender, so
     // when the uplink dies for good (reconnect policy exhausted) the
@@ -207,7 +205,6 @@ fn run_worker(registry: &OperatorRegistry) -> io::Result<()> {
     let reader = {
         let link = ReaderLink {
             uplink: uplink.clone(),
-            gauge: Arc::clone(&gauge),
             routing: Arc::clone(&routing),
             tx,
             addr: addr.clone(),
@@ -221,17 +218,15 @@ fn run_worker(registry: &OperatorRegistry) -> io::Result<()> {
             .map_err(|e| io::Error::other(format!("spawn uplink reader: {e}")))?
     };
 
-    // The daemon has no local peers: sender/gauge maps stay empty, so
-    // every remote destination takes the uplink branch of the worker's
-    // send paths.
+    // The daemon has no local peers: its inbox map stays empty, so every
+    // remote destination takes the uplink branch of the worker's send
+    // paths.
     let spawn = WorkerSpawn {
         node,
         inbox: rx,
-        gauge,
         topology,
         routing,
         senders: Arc::default(),
-        gauges: Arc::default(),
         dropped: Arc::default(),
         cfg: init.cfg,
     };
@@ -248,9 +243,8 @@ fn run_worker(registry: &OperatorRegistry) -> io::Result<()> {
 /// the socket dies.
 pub(crate) struct ReaderLink {
     pub(crate) uplink: WireOut,
-    pub(crate) gauge: Arc<WorkerGauge>,
     pub(crate) routing: Arc<RoutingShared>,
-    pub(crate) tx: Sender<Msg>,
+    pub(crate) tx: Inbox,
     pub(crate) addr: String,
     pub(crate) node: NodeId,
     pub(crate) token: String,
@@ -336,12 +330,8 @@ impl ReaderLink {
         }
         match wire::decode::<Msg>(payload, Some(&self.uplink)) {
             Ok(msg) => {
-                if matches!(msg, Msg::DataChunk(_)) {
-                    // Meter before the send: the event loop decrements on
-                    // dequeue, and the uplink's acks leave out the chunks
-                    // in between.
-                    self.gauge.enqueued();
-                }
+                // The inbox meters a data chunk from here until the event
+                // loop takes it, and the uplink's acks leave it out.
                 if self.tx.send(msg).is_err() {
                     return LinkEvent::Fatal; // the event loop is gone
                 }
@@ -362,11 +352,9 @@ mod tests {
     #[test]
     fn dispatch_rejects_a_body_with_a_trailing_byte() {
         let (ours, _theirs) = std::os::unix::net::UnixStream::pair().expect("socket pair");
-        let gauge = Arc::new(WorkerGauge::default());
-        let (tx, inbox) = unbounded();
+        let (tx, mut inbox) = inbox::channel(&crate::runtime::RuntimeConfig::default());
         let link = ReaderLink {
-            uplink: WireOut::new(Conn::Uds(ours), false, Some(Arc::clone(&gauge))),
-            gauge,
+            uplink: WireOut::new(Conn::Uds(ours), false, Some(Arc::clone(&inbox.credit))),
             routing: Arc::new(RoutingShared::new(RoutingTable::from_assignment(vec![]))),
             tx,
             addr: String::new(),
@@ -381,9 +369,9 @@ mod tests {
             assert_eq!(link.dispatch(kind, &long), LinkEvent::Fatal, "kind {kind}");
             assert_eq!(link.dispatch(kind, &body), LinkEvent::Keep, "kind {kind}");
         }
-        assert!(matches!(inbox.try_recv(), Ok(Msg::Shutdown)));
+        assert!(matches!(inbox.try_next(), Ok(Msg::Shutdown)));
         assert!(
-            inbox.try_recv().is_err(),
+            inbox.try_next().is_err(),
             "the long message was not delivered"
         );
         assert_eq!(link.routing.version(), 3);

@@ -11,8 +11,9 @@
 //! Ingest recycles its chunk buffers: a worker hands each consumed chunk
 //! back to its inbox's spare list, and the injector packs its next chunk
 //! for that inbox into it. A warmed-up job should therefore ingest with
-//! no allocation per chunk; what remains is per `inject` call (staging
-//! and bucket vectors), per channel block and per queue peak.
+//! no allocation per chunk. The injector keeps its staging and bucket
+//! vectors between calls on a thread, so nothing is paid per `inject`
+//! call either; what remains is per channel block and per queue peak.
 //!
 //! Spare lists fill lazily: an inbox holds no more spares than chunks it
 //! once had in flight. So a queue that peaks deeper than it ever did before
@@ -70,13 +71,13 @@ const WARMUP: usize = 64 * 1024;
 /// Data chunks queued per inbox (see the module docs).
 const CAPACITY: usize = 16;
 /// The bound on allocations per 1024 injected tuples. A warm job pays
-/// about 1.2: two vectors per `inject` call, a block per 31 messages in
-/// the channel, and a few fresh chunks where a queue peaks deeper. How
-/// the threads are scheduled adds more — buffers handed back while a
-/// spare list is full are freed, and reallocated later: up to 3.7 in
-/// release builds on two CPUs, and 3.8–4.4 in a debug build pinned to
-/// one CPU. An engine that allocates every chunk buffer afresh pays
-/// over 100.
+/// about 0.7 (0.61–0.75 in debug and release builds on two CPUs): a
+/// block per 31 messages in the channel, and a few fresh chunks where a
+/// queue peaks deeper. How the threads are scheduled adds more —
+/// buffers handed back while a spare list is full are freed, and
+/// reallocated later: up to 3.7 in release builds on two CPUs, and
+/// 3.8–4.4 in a debug build pinned to one CPU. An engine that allocates
+/// every chunk buffer afresh pays over 100.
 const MAX_PER_KI: f64 = 8.0;
 
 /// A pool of uniform keys (xorshift64), cycled through by the calls.
