@@ -808,7 +808,7 @@ impl<'a> ChunkSlice<'a> {
 
     /// Chunk row index behind slice row `i`.
     #[inline]
-    fn row(&self, i: usize) -> usize {
+    pub(crate) fn row(&self, i: usize) -> usize {
         match self.sel {
             Some(sel) => sel[i] as usize,
             None => self.start + i,
@@ -862,6 +862,8 @@ impl<'a> ChunkSlice<'a> {
 #[derive(Debug, Default)]
 pub struct ChunkEmissions {
     chunk: StreamChunk,
+    /// Rows `chunk` held before this collector started (not counted).
+    base: usize,
 }
 
 impl ChunkEmissions {
@@ -870,10 +872,14 @@ impl ChunkEmissions {
         Self::default()
     }
 
-    /// Rebuild a collector around a recycled chunk allocation.
-    pub fn from_chunk(mut chunk: StreamChunk) -> Self {
-        chunk.clear();
-        ChunkEmissions { chunk }
+    /// A collector that emits after the rows `chunk` already holds — the
+    /// runtime gathers several calls' emissions in one buffer; `len`
+    /// counts only this collector's rows.
+    pub fn appending(chunk: StreamChunk) -> Self {
+        ChunkEmissions {
+            base: chunk.len(),
+            chunk,
+        }
     }
 
     /// Emit one row without materializing a [`Tuple`].
@@ -895,17 +901,18 @@ impl ChunkEmissions {
 
     /// Number of emitted rows.
     pub fn len(&self) -> usize {
-        self.chunk.len()
+        self.chunk.len() - self.base
     }
 
     /// `true` if nothing was emitted.
     pub fn is_empty(&self) -> bool {
-        self.chunk.is_empty()
+        self.len() == 0
     }
 
-    /// Take the emitted rows as a chunk (group column is unrouted: the
-    /// splice fast path keeps stale upstream groups, so the dispatcher
-    /// always re-assigns per downstream operator).
+    /// Take the chunk back, earlier rows and emitted rows alike (group
+    /// column is unrouted: the splice fast path keeps stale upstream
+    /// groups, so the dispatcher always re-assigns per downstream
+    /// operator).
     pub fn into_chunk(self) -> StreamChunk {
         self.chunk
     }

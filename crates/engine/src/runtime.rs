@@ -66,6 +66,21 @@
 //! being dominated by per-message channel overhead; `batch_size = 1` is
 //! the per-tuple hand-off baseline.
 //!
+//! A worker buckets each inbound chunk by key group and handles each
+//! group's run whole: buffered if the group is mid-migration, forwarded
+//! if it is owned elsewhere, else one operator call. The owned runs append
+//! what they emit to one buffer per emitting operator, and after the run
+//! loop each buffer is dispatched once per downstream operator — one group
+//! assignment and one bucket pass — so a key-group run costs what its rows
+//! cost, however many groups share the chunk. The locally owned rows of
+//! that dispatch form one chunk, the next level, processed only after
+//! every run of this level. Per key group, rows keep arrival order; rows
+//! that different upstream groups send to one downstream group arrive in
+//! upstream-run order, which nothing promises. Nothing on the per-run path
+//! writes a cache line another worker writes: the worker borrows the job's
+//! immutable topology (and its operators) for its whole life, never
+//! cloning a shared `Arc` per run.
+//!
 //! Each worker reads one *inbox* (`runtime::inbox`), a FIFO channel for
 //! data and control messages alike. Its inbound side batches too, without
 //! a timer: it hands out a data chunk topped up with the data chunks
@@ -835,6 +850,15 @@ struct EpochProgress {
     peers_seen: Vec<NodeId>,
 }
 
+/// One operator's emissions while a chunk is routed: the rows its owned
+/// runs emitted, in run order, and beside them the key group each row
+/// came from (what comm accounting charges the flow to).
+#[derive(Default)]
+struct EmitBuf {
+    rows: StreamChunk,
+    from: Vec<u32>,
+}
+
 pub(crate) struct WorkerCtx {
     node: NodeId,
     topology: Arc<Topology>,
@@ -862,14 +886,14 @@ pub(crate) struct WorkerCtx {
     /// collectors, local re-dispatch), at most [`CHUNK_POOL_LIMIT`]; the
     /// rest go back to this worker's inbox for its producers.
     chunk_pool: Vec<StreamChunk>,
-    /// Counting-sort scratch for bucketing inbound chunks by group.
+    /// Counting-sort scratch for bucketing a chunk by group: an inbound
+    /// chunk during its run loop, then its emissions once per downstream
+    /// operator.
     sorter: ChunkSorter,
-    /// Second sorter for emission routing, which nests inside the
-    /// inbound-chunk run loop while `sorter` is in use.
-    emit_sorter: ChunkSorter,
-    /// Locally emitted chunks awaiting routing (operator chains on one
-    /// worker are walked iteratively, not by recursion).
-    chunk_worklist: Vec<StreamChunk>,
+    /// What the owned runs of the chunk being routed emitted, one buffer
+    /// per emitting operator (indexed by operator id), dispatched once
+    /// after the run loop.
+    emitted: Vec<EmitBuf>,
     stats: StatsCollector,
     /// Data chunks dequeued plus data chunks sent to peers: the monotonic
     /// counter a counting round ([`Runtime::quiesce`]) compares.
@@ -919,6 +943,11 @@ impl WorkerCtx {
         // table under a current version.
         let routing_version = routing.version();
         let routing_cache = routing.snapshot();
+        let emitted = topology
+            .operators()
+            .iter()
+            .map(|_| EmitBuf::default())
+            .collect();
         WorkerCtx {
             node,
             topology,
@@ -935,8 +964,7 @@ impl WorkerCtx {
             oldest_pending: None,
             chunk_pool: Vec::new(),
             sorter: ChunkSorter::default(),
-            emit_sorter: ChunkSorter::default(),
-            chunk_worklist: Vec::new(),
+            emitted,
             stats: StatsCollector::new(),
             activity: 0,
             dirty: FastMap::default(),
@@ -955,6 +983,10 @@ impl WorkerCtx {
     /// must not be destroyed with the channel — the graveyard is
     /// re-drained at every settle/period boundary instead.
     pub(crate) fn run(mut self) -> InboxRx {
+        // The topology is immutable for the job's life: one clone here
+        // lets every message borrow it, so the data path never writes the
+        // shared refcount.
+        let topology = Arc::clone(&self.topology);
         loop {
             // Drain without blocking; flush the outbox before sleeping so
             // an idle worker never sits on a partial batch.
@@ -969,7 +1001,7 @@ impl WorkerCtx {
                 }
                 Err(TryRecvError::Disconnected) => break,
             };
-            if !self.handle(msg) {
+            if !self.handle(&topology, msg) {
                 break;
             }
             // Busy stream: cap the age of pending batches.
@@ -993,7 +1025,7 @@ impl WorkerCtx {
         while let Ok(msg) = self.inbox.try_next() {
             if let Msg::DataChunk(chunk) = msg {
                 self.stats.record_ingest(chunk.visible_len() as f64);
-                self.on_chunk(chunk);
+                self.on_chunk(&topology, chunk);
             }
         }
         // Best-effort flush so a shutdown never strands coalesced tuples.
@@ -1004,7 +1036,7 @@ impl WorkerCtx {
     /// Handle one message; returns `false` on shutdown. Every control
     /// message flushes the outbox first, so the data plane it observes is
     /// exactly what an unbatched engine would have already sent.
-    fn handle(&mut self, msg: Msg) -> bool {
+    fn handle(&mut self, topology: &Topology, msg: Msg) -> bool {
         // A crash must not flush or acknowledge anything — it is the one
         // message that models losing the worker mid-flight.
         if matches!(msg, Msg::Crash) {
@@ -1022,7 +1054,7 @@ impl WorkerCtx {
                 }
                 self.activity += 1;
                 self.stats.record_ingest(chunk.visible_len() as f64);
-                self.on_chunk(chunk);
+                self.on_chunk(topology, chunk);
             }
             Msg::PrepareReceive { kg, ack } => {
                 self.buffers.entry(kg.raw()).or_default();
@@ -1033,7 +1065,7 @@ impl WorkerCtx {
                 // with the buffer gone, on_chunk forwards the rows to the
                 // group's (restored) owner instead of swallowing them.
                 if let Some(buffered) = self.buffers.remove(&kg.raw()) {
-                    self.on_chunk(buffered);
+                    self.on_chunk(topology, buffered);
                 }
             }
             Msg::Install {
@@ -1044,7 +1076,7 @@ impl WorkerCtx {
             } => {
                 self.install_state(kg, op, &state.bytes);
                 if let Some(buffered) = self.buffers.remove(&kg.raw()) {
-                    self.on_chunk(buffered);
+                    self.on_chunk(topology, buffered);
                 }
                 let _ = done.send((
                     kg,
@@ -1071,7 +1103,7 @@ impl WorkerCtx {
                 let _ = ack.send((self.node, self.activity));
             }
             Msg::FlushWindows { ack } => {
-                self.flush_windows();
+                self.flush_windows(topology);
                 // What the windows emitted across workers is sent, and
                 // counted, before the ack.
                 self.flush_outbox();
@@ -1081,8 +1113,7 @@ impl WorkerCtx {
                 let group_ids: Vec<u32> = self.states.keys().copied().collect();
                 for g in group_ids {
                     let kg = KeyGroupId::new(g);
-                    let op = self.topology.operator_of_group(kg);
-                    let logic = Arc::clone(&self.topology.operator(op).logic);
+                    let logic = &topology.operator(topology.operator_of_group(kg)).logic;
                     if let Some(state) = self.states.get(&g) {
                         self.stats
                             .set_state_bytes(kg, logic.state_size(state) as f64);
@@ -1095,9 +1126,9 @@ impl WorkerCtx {
                 let _ = reply.send((self.node, snapshot, states, failures));
             }
             Msg::ProbeState { kg, reply } => {
-                let op = self.topology.operator_of_group(kg);
+                let op = topology.operator_of_group(kg);
                 self.ensure_resident(kg, op);
-                let logic = Arc::clone(&self.topology.operator(op).logic);
+                let logic = &topology.operator(op).logic;
                 let bytes = self.states.get(&kg.raw()).map(|s| logic.serialize_state(s));
                 let _ = reply.send(bytes);
             }
@@ -1125,7 +1156,7 @@ impl WorkerCtx {
                 self.routing_cache = self.routing.snapshot();
                 for (raw, state) in states {
                     let kg = KeyGroupId::new(raw);
-                    let op = self.topology.operator_of_group(kg);
+                    let op = topology.operator_of_group(kg);
                     self.install_state(kg, op, &state.bytes);
                 }
                 // Cold groups are not installed eagerly: the worker only
@@ -1180,8 +1211,7 @@ impl WorkerCtx {
     /// [`Msg::Rollback`] handler clears the dirty set afterwards, since a
     /// rollback restores exactly the store's own image).
     fn install_state(&mut self, kg: KeyGroupId, op: OperatorId, bytes: &[u8]) {
-        let logic = Arc::clone(&self.topology.operator(op).logic);
-        let state = logic.deserialize_state(bytes);
+        let state = self.topology.operator(op).logic.deserialize_state(bytes);
         self.states.insert(kg.raw(), state);
         self.dirty.insert(kg.raw(), ());
         self.spilled.remove(&kg.raw());
@@ -1202,8 +1232,7 @@ impl WorkerCtx {
             return;
         };
         if let Some(bytes) = self.read_spilled(ext) {
-            let logic = Arc::clone(&self.topology.operator(op).logic);
-            let state = logic.deserialize_state(&bytes);
+            let state = self.topology.operator(op).logic.deserialize_state(&bytes);
             self.states.insert(g, state);
             // Faulting in is a read, not a write: the group stays clean
             // (its checkpoint image on disk is still current) until a
@@ -1416,20 +1445,19 @@ impl WorkerCtx {
 
     /// Period end: flush every owned group's window
     /// ([`crate::operator::Operator::on_period_end`]) and send what it
-    /// emitted down the same chunk path as ordinary emissions — one chunk
-    /// per flushing group, whose locally owned rows are processed before
-    /// the next group flushes.
-    fn flush_windows(&mut self) {
+    /// emitted down the same dispatch as ordinary emissions — a one-group
+    /// batch per flushing group, whose locally owned rows are processed
+    /// before the next group flushes (chained windows depend on it).
+    fn flush_windows(&mut self, topology: &Topology) {
         let group_ids: Vec<u32> = self.states.keys().copied().collect();
-        let mut work = std::mem::take(&mut self.chunk_worklist);
         for g in group_ids {
             let kg = KeyGroupId::new(g);
             // Only flush groups this worker still owns.
             if self.owner_of(kg) != self.node {
                 continue;
             }
-            let op = self.topology.operator_of_group(kg);
-            let logic = Arc::clone(&self.topology.operator(op).logic);
+            let op = topology.operator_of_group(kg);
+            let logic = &topology.operator(op).logic;
             let Some(state) = self.states.get_mut(&g) else {
                 continue;
             };
@@ -1441,12 +1469,15 @@ impl WorkerCtx {
             if out.is_empty() {
                 continue;
             }
-            self.dispatch_chunk(op, kg, StreamChunk::from_tuples(out.drain()), &mut work);
-            while let Some(c) = work.pop() {
-                self.route_chunk(c, &mut work);
+            let buf = &mut self.emitted[op.index()];
+            for t in out.drain() {
+                buf.rows.push_tuple(t);
+            }
+            buf.from.resize(buf.rows.len(), g);
+            if let Some(local) = self.dispatch_emitted(topology) {
+                self.on_chunk(topology, local);
             }
         }
-        self.chunk_worklist = work;
     }
 
     /// Flush every pending outbound chunk.
@@ -1490,15 +1521,12 @@ impl WorkerCtx {
 
     /// Entry point for a chunk arriving at this worker — an inbound
     /// [`Msg::DataChunk`] or a migration buffer being replayed: route and
-    /// process the chunk, then drain every locally emitted chunk
-    /// iteratively.
-    fn on_chunk(&mut self, chunk: StreamChunk) {
-        let mut work = std::mem::take(&mut self.chunk_worklist);
-        work.push(chunk);
-        while let Some(c) = work.pop() {
-            self.route_chunk(c, &mut work);
+    /// process the chunk, then each level of local emissions in turn.
+    fn on_chunk(&mut self, topology: &Topology, chunk: StreamChunk) {
+        let mut next = Some(chunk);
+        while let Some(c) = next {
+            next = self.route_chunk(topology, c);
         }
-        self.chunk_worklist = work;
     }
 
     /// Bucket a routed chunk by its group column (one stable counting
@@ -1507,13 +1535,14 @@ impl WorkerCtx {
     /// already in group order), then handle each group run as a unit:
     /// groups buffering for a migration capture their rows, groups owned
     /// elsewhere are spliced into the outbox, and owned runs get one
-    /// virtual call each.
-    fn route_chunk(&mut self, chunk: StreamChunk, work: &mut Vec<StreamChunk>) {
+    /// virtual call each. What the owned runs emitted is dispatched once
+    /// afterwards; returns its locally owned rows, the next level.
+    fn route_chunk(&mut self, topology: &Topology, chunk: StreamChunk) -> Option<StreamChunk> {
         if chunk.is_empty() {
             self.recycle_chunk(chunk);
-            return;
+            return None;
         }
-        let num_groups = self.topology.num_key_groups() as usize;
+        let num_groups = topology.num_key_groups() as usize;
         let mut sorter = std::mem::take(&mut self.sorter);
         let permuted = sorter.bucket(&chunk, num_groups);
         for &(g, start, end) in sorter.runs() {
@@ -1536,112 +1565,90 @@ impl WorkerCtx {
                 // In-flight rows for a group that moved away: forward.
                 self.splice_out(owner, &rows);
             } else {
-                self.process_run(kg, &rows, work);
+                self.process_run(topology, kg, &rows);
             }
         }
         self.sorter = sorter;
         self.recycle_chunk(chunk);
+        self.dispatch_emitted(topology)
     }
 
     /// Process one owned key-group run with a single
-    /// [`crate::operator::Operator::process_chunk`] call and dispatch
-    /// what it emitted.
-    fn process_run(&mut self, kg: KeyGroupId, rows: &ChunkSlice<'_>, work: &mut Vec<StreamChunk>) {
-        let op = self.topology.operator_of_group(kg);
+    /// [`crate::operator::Operator::process_chunk`] call, appending what
+    /// it emitted to its operator's emissions buffer.
+    fn process_run(&mut self, topology: &Topology, kg: KeyGroupId, rows: &ChunkSlice<'_>) {
+        let op = topology.operator_of_group(kg);
         self.ensure_resident(kg, op);
-        let logic = Arc::clone(&self.topology.operator(op).logic);
-        let out_buf = self.take_chunk();
+        let logic = &topology.operator(op).logic;
         let state = self
             .states
             .entry(kg.raw())
             .or_insert_with(|| logic.new_state());
-        let mut out = ChunkEmissions::from_chunk(out_buf);
+        let buf = &mut self.emitted[op.index()];
+        let mut out = ChunkEmissions::appending(std::mem::take(&mut buf.rows));
         logic.process_chunk(rows, state, &mut out);
+        buf.rows = out.into_chunk();
+        buf.from.resize(buf.rows.len(), kg.raw());
         self.dirty.insert(kg.raw(), ());
         self.stats
             .record_processed(kg, rows.len() as f64, logic.cost_per_tuple());
-        let emitted = out.into_chunk();
-        if emitted.is_empty() {
-            self.recycle_chunk(emitted);
-            return;
-        }
-        self.dispatch_chunk(op, kg, emitted, work);
     }
 
-    /// Route a run's emissions to every downstream operator: one
-    /// vectorized group assignment per operator, then comm accounting and
-    /// splicing per destination run.
-    fn dispatch_chunk(
-        &mut self,
-        op: OperatorId,
-        from_kg: KeyGroupId,
-        mut emitted: StreamChunk,
-        work: &mut Vec<StreamChunk>,
-    ) {
-        // Borrow the topology through a cloned Arc so the downstream
-        // list needs no per-dispatch Vec allocation.
-        let topology = Arc::clone(&self.topology);
-        let downstream = topology.downstream(op);
-        let Some(last) = downstream.len().checked_sub(1) else {
-            self.recycle_chunk(emitted);
-            return;
-        };
-        for (i, &dop) in downstream.iter().enumerate() {
-            let mut c = if i == last {
-                std::mem::take(&mut emitted)
-            } else {
-                emitted.clone()
-            };
-            c.assign_groups(dop, &topology);
-            self.route_emitted(from_kg, c, work);
-        }
-    }
-
-    /// Route one emissions chunk already routed for its destination
-    /// operator: record comm per destination run, splice cross-node runs
-    /// into the outbox, and queue locally owned rows on the worklist.
-    fn route_emitted(
-        &mut self,
-        from_kg: KeyGroupId,
-        chunk: StreamChunk,
-        work: &mut Vec<StreamChunk>,
-    ) {
-        if chunk.is_empty() {
-            self.recycle_chunk(chunk);
-            return;
-        }
-        let num_groups = self.topology.num_key_groups() as usize;
-        // A dedicated sorter: this runs nested inside `route_chunk`, which
-        // holds `self.sorter` for the duration of its own run loop.
-        let mut sorter = std::mem::take(&mut self.emit_sorter);
-        let permuted = sorter.bucket(&chunk, num_groups);
+    /// Route every emissions buffer to each downstream operator of its
+    /// emitter: one vectorized group assignment and one bucket pass per
+    /// (emitter, downstream operator), comm recorded per contiguous
+    /// (source, destination) group segment, cross-node runs spliced into
+    /// the outbox. Returns the locally owned rows as one chunk.
+    fn dispatch_emitted(&mut self, topology: &Topology) -> Option<StreamChunk> {
+        let num_groups = topology.num_key_groups() as usize;
+        let mut sorter = std::mem::take(&mut self.sorter);
         let mut local: Option<StreamChunk> = None;
-        for &(g, start, end) in sorter.runs() {
-            let dkg = KeyGroupId::new(g);
-            let (start, end) = (start as usize, end as usize);
-            let rows = if permuted {
-                ChunkSlice::selected(&chunk, &sorter.perm()[start..end])
-            } else {
-                ChunkSlice::new(&chunk, start, end)
-            };
-            let dest = self.owner_of(dkg);
-            let crossed = dest != self.node;
-            self.stats
-                .record_comm(from_kg, dkg, rows.len() as f64, crossed);
-            if crossed {
-                self.splice_out(dest, &rows);
-            } else {
-                if local.is_none() {
-                    local = Some(self.take_chunk());
-                }
-                local.as_mut().expect("just filled").append_slice(&rows);
+        for op in 0..self.emitted.len() {
+            if self.emitted[op].rows.is_empty() {
+                continue;
             }
+            let mut buf = std::mem::take(&mut self.emitted[op]);
+            for &dop in topology.downstream(OperatorId::new(op as u32)) {
+                buf.rows.assign_groups(dop, topology);
+                let permuted = sorter.bucket(&buf.rows, num_groups);
+                for &(g, start, end) in sorter.runs() {
+                    let dkg = KeyGroupId::new(g);
+                    let (start, end) = (start as usize, end as usize);
+                    let rows = if permuted {
+                        ChunkSlice::selected(&buf.rows, &sorter.perm()[start..end])
+                    } else {
+                        ChunkSlice::new(&buf.rows, start, end)
+                    };
+                    let dest = self.owner_of(dkg);
+                    let crossed = dest != self.node;
+                    let mut seg = 0;
+                    while seg < rows.len() {
+                        let src = buf.from[rows.row(seg)];
+                        let mut end = seg + 1;
+                        while end < rows.len() && buf.from[rows.row(end)] == src {
+                            end += 1;
+                        }
+                        let n = (end - seg) as f64;
+                        self.stats
+                            .record_comm(KeyGroupId::new(src), dkg, n, crossed);
+                        seg = end;
+                    }
+                    if crossed {
+                        self.splice_out(dest, &rows);
+                    } else {
+                        if local.is_none() {
+                            local = Some(self.take_chunk());
+                        }
+                        local.as_mut().expect("just filled").append_slice(&rows);
+                    }
+                }
+            }
+            buf.rows.clear();
+            buf.from.clear();
+            self.emitted[op] = buf;
         }
-        self.emit_sorter = sorter;
-        if let Some(l) = local {
-            work.push(l);
-        }
-        self.recycle_chunk(chunk);
+        self.sorter = sorter;
+        local
     }
 
     /// Splice a run into the pending outbound chunk for `dest`; hand the
@@ -2858,10 +2865,16 @@ impl Runtime {
             return false;
         }
         // Wait (bounded) for the thread to actually exit, so a scripted
-        // kill has taken full effect before the script continues.
-        let deadline = Instant::now() + FAULT_PATIENCE;
-        while self.worker_alive(node) && Instant::now() < deadline {
-            std::thread::sleep(PRESSURE_POLL);
+        // kill has taken full effect before the script continues. As in
+        // `wait_reply`: yield between looks for one `PRESSURE_POLL` (a
+        // worker dies at its next message boundary), then sleep.
+        let started = Instant::now();
+        while self.worker_alive(node) && started.elapsed() < FAULT_PATIENCE {
+            if started.elapsed() < PRESSURE_POLL {
+                std::thread::yield_now();
+            } else {
+                std::thread::sleep(PRESSURE_POLL);
+            }
         }
         !self.worker_alive(node)
     }
@@ -4850,5 +4863,293 @@ mod tests {
             assert_eq!(rt.recover().failed, vec![NodeId::new(1)]);
             rt.shutdown();
         });
+    }
+
+    /// Added by the re-keying recorder to what it forwards, so a sink can
+    /// tell the two paths into it apart.
+    const VIA_MID: i64 = 1 << 40;
+    /// Distinct keys of the dispatch tests; tuple `seq` has key
+    /// `seq % DISPATCH_KEYS`.
+    const DISPATCH_KEYS: i64 = 1_000;
+
+    /// Records the sequence number (the `Int` value) of every tuple it
+    /// processes, in arrival order, and forwards the tuple — re-keyed and
+    /// tagged with [`VIA_MID`] when `rekey` is set.
+    struct Recorder {
+        rekey: bool,
+    }
+
+    fn rekeyed(key: u64) -> u64 {
+        hash_key(&key.wrapping_mul(31).wrapping_add(7))
+    }
+
+    impl crate::operator::Operator for Recorder {
+        fn name(&self) -> &str {
+            "recorder"
+        }
+        fn new_state(&self) -> StateBox {
+            Box::new(Vec::<i64>::new())
+        }
+        fn serialize_state(&self, state: &StateBox) -> Vec<u8> {
+            let seqs = state.downcast_ref::<Vec<i64>>().unwrap();
+            seqs.iter().flat_map(|v| v.to_le_bytes()).collect()
+        }
+        fn deserialize_state(&self, bytes: &[u8]) -> StateBox {
+            let seqs: Vec<i64> = bytes
+                .chunks_exact(8)
+                .map(|b| i64::from_le_bytes(b.try_into().unwrap()))
+                .collect();
+            Box::new(seqs)
+        }
+        fn process(&self, tuple: &Tuple, state: &mut StateBox, out: &mut Emissions) {
+            let Value::Int(seq) = tuple.value else {
+                panic!("recorder input carries its sequence number");
+            };
+            state.downcast_mut::<Vec<i64>>().unwrap().push(seq);
+            out.emit(match self.rekey {
+                true => Tuple::raw(rekeyed(tuple.key), Value::Int(seq + VIA_MID), tuple.ts),
+                false => tuple.clone(),
+            });
+        }
+    }
+
+    /// `src → mid → sink` plus `src → sink`: `src` fans out to two
+    /// operators, and `mid → sink` re-keys. `groups` per operator.
+    fn recorder_topology(groups: u32) -> (Topology, [OperatorId; 3]) {
+        let mut b = TopologyBuilder::new();
+        let src = b.source("src", groups, Arc::new(Recorder { rekey: false }));
+        let mid = b.operator("mid", groups, Arc::new(Recorder { rekey: true }));
+        let sink = b.operator("sink", groups, Arc::new(Recorder { rekey: false }));
+        b.edge(src, mid).edge(src, sink).edge(mid, sink);
+        (b.build().unwrap(), [src, mid, sink])
+    }
+
+    fn seq_tuple(seq: i64) -> Tuple {
+        Tuple::keyed(&(seq % DISPATCH_KEYS), Value::Int(seq), 0)
+    }
+
+    /// The sequential oracle: what each group of the recorder topology
+    /// records for `seqs`, processed one tuple at a time in order, keyed
+    /// by global group id; only groups `here` accepts are processed.
+    fn oracle_records(
+        topology: &Topology,
+        seqs: impl Iterator<Item = i64>,
+        here: impl Fn(u32) -> bool,
+    ) -> FastMap<u32, Vec<i64>> {
+        let [src, mid, sink] = [0, 1, 2].map(OperatorId::new);
+        let mut records: FastMap<u32, Vec<i64>> = FastMap::default();
+        let mut record = |op: OperatorId, key: u64, v: i64| {
+            let g = topology.group_for_key(op, key).raw();
+            let processed = here(g);
+            if processed {
+                records.entry(g).or_default().push(v);
+            }
+            processed
+        };
+        for seq in seqs {
+            let key = seq_tuple(seq).key;
+            if record(src, key, seq) {
+                record(sink, key, seq);
+                if record(mid, key, seq) {
+                    record(sink, rekeyed(key), seq + VIA_MID);
+                }
+            }
+        }
+        records
+    }
+
+    /// The comm counters the recorder topology's flows for `seqs` add up
+    /// to when `node_of` places every group and the groups `here` accepts
+    /// are the ones that process (and so record their outbound flows).
+    fn oracle_comm(
+        topology: &Topology,
+        seqs: impl Iterator<Item = i64>,
+        node_of: impl Fn(u32) -> NodeId,
+        here: impl Fn(u32) -> bool,
+    ) -> StatsCollector {
+        let [src, mid, sink] = [0, 1, 2].map(OperatorId::new);
+        let mut comm = StatsCollector::new();
+        let mut flow = |from: u32, to: u32| {
+            let crossed = node_of(from) != node_of(to);
+            comm.record_comm(KeyGroupId::new(from), KeyGroupId::new(to), 1.0, crossed);
+        };
+        for seq in seqs {
+            let key = seq_tuple(seq).key;
+            let [s, m] = [src, mid].map(|op| topology.group_for_key(op, key).raw());
+            if !here(s) {
+                continue;
+            }
+            flow(s, m);
+            flow(s, topology.group_for_key(sink, key).raw());
+            if here(m) {
+                flow(m, topology.group_for_key(sink, rekeyed(key)).raw());
+            }
+        }
+        comm
+    }
+
+    /// A group's records in the order the data plane promises: all of
+    /// them, except that what reaches a group from different upstream
+    /// groups (here: the re-keyed path, per source key) may interleave.
+    fn promised_order(mut seqs: Vec<i64>) -> Vec<i64> {
+        seqs.sort_by_key(|&v| match v >= VIA_MID {
+            true => (1, (v - VIA_MID) % DISPATCH_KEYS),
+            false => (0, 0),
+        });
+        seqs
+    }
+
+    fn recorded(bytes: Option<Vec<u8>>) -> Vec<i64> {
+        use crate::operator::Operator;
+        let state = Recorder { rekey: false }.deserialize_state(&bytes.unwrap_or_default());
+        state.downcast_ref::<Vec<i64>>().unwrap().clone()
+    }
+
+    fn assert_comm_eq(got: &StatsCollector, want: &StatsCollector) {
+        assert_eq!(got.out_matrix, want.out_matrix, "out_matrix");
+        assert_eq!(got.cross_in, want.cross_in, "cross_in");
+        assert_eq!(got.cross_out, want.cross_out, "cross_out");
+    }
+
+    /// Many short key-group runs per chunk through a fan-out and a
+    /// re-keying edge on 2 workers: every group records exactly the
+    /// oracle's tuples, in injection order wherever one upstream group
+    /// feeds it, and the period's comm counters equal the input's flows.
+    #[test]
+    fn many_key_groups_through_a_fan_out_and_a_rekeying_edge_match_the_oracle() {
+        let (topology, [src, ..]) = recorder_topology(64);
+        let cluster = Cluster::homogeneous(2);
+        let nodes: Vec<NodeId> = cluster.nodes().iter().map(|n| n.id).collect();
+        let routing = RoutingTable::round_robin(topology.num_key_groups(), &nodes);
+        let rt = start_in_process(topology, cluster, routing, RuntimeConfig::default());
+        let n = 20_000;
+        for call in 0..n / 500 {
+            rt.inject(src, (call * 500..(call + 1) * 500).map(seq_tuple));
+        }
+        rt.quiesce();
+        let topology = Arc::clone(&rt.topology);
+        let want = oracle_records(&topology, 0..n, |_| true);
+        for g in 0..topology.num_key_groups() {
+            let got = recorded(rt.probe_state(KeyGroupId::new(g)));
+            let want = want.get(&g).cloned().unwrap_or_default();
+            assert_eq!(promised_order(got), promised_order(want), "group {g}");
+        }
+        let (replies, complete) = rt.fan_out(|_, reply| Msg::CollectStats {
+            capture: None,
+            reply,
+        });
+        assert!(complete);
+        let mut merged = StatsCollector::new();
+        for (_, c, _, _) in replies {
+            merged.merge(&c);
+        }
+        let node_of = |g| rt.routing.read().node_of(KeyGroupId::new(g));
+        assert_comm_eq(&merged, &oracle_comm(&topology, 0..n, node_of, |_| true));
+        rt.shutdown();
+    }
+
+    /// One inbound chunk holding a group mid-migration (buffered), a
+    /// group owned elsewhere (forwarded) and owned groups, followed by
+    /// the buffered group's install and a second chunk: each owned group
+    /// records its rows in arrival order, the buffered rows replay ahead
+    /// of later ones, and the forwarded rows and cross-node emissions
+    /// reach the peer in order.
+    #[test]
+    fn a_chunk_mixing_buffered_forwarded_and_owned_groups_dispatches_each_its_way() {
+        use crate::operator::Operator;
+        let (topology, [src, mid, _]) = recorder_topology(4);
+        let topology = Arc::new(topology);
+        let (n0, n1) = (NodeId::new(0), NodeId::new(1));
+        // Source keys split over all four source groups.
+        let group_of = |seq: i64| topology.group_for_key(src, seq_tuple(seq).key).raw();
+        let (buffered, forwarded) = (group_of(0), group_of(1));
+        let crossing = (2..)
+            .map(group_of)
+            .find(|g| ![buffered, forwarded].contains(g));
+        let crossing = crossing.unwrap();
+        // `crossing`'s `mid` group lives on the peer: its emissions there
+        // cross; everything else not named is owned.
+        let crossing_mid = crossing + topology.groups_of(mid).start;
+        let mut table = RoutingTable::round_robin(topology.num_key_groups(), &[n0]);
+        table.reroute(KeyGroupId::new(forwarded), n1);
+        table.reroute(KeyGroupId::new(crossing_mid), n1);
+        let node_of = |g: u32| table.node_of(KeyGroupId::new(g));
+        let here = |g: u32| node_of(g) == n0;
+
+        let routed = |seqs: std::ops::Range<i64>| {
+            let mut chunk = StreamChunk::from_tuples(seqs.map(seq_tuple));
+            chunk.assign_groups(src, &topology);
+            Msg::DataChunk(chunk)
+        };
+        let (ack, _acks) = unbounded();
+        let (done, _done) = unbounded();
+        let (stats_tx, stats_rx) = unbounded();
+        let (probe_tx, probe_rx) = unbounded();
+        let blank =
+            Recorder { rekey: false }.serialize_state(&Recorder { rekey: false }.new_state());
+        let mut msgs = vec![
+            Msg::PrepareReceive {
+                kg: KeyGroupId::new(buffered),
+                ack: ReplyTo::Chan(ack),
+            },
+            routed(0..40),
+            Msg::Install {
+                kg: KeyGroupId::new(buffered),
+                op: src,
+                state: StateBlob::new(blank),
+                done: ReplyTo::Chan(done),
+            },
+            routed(40..80),
+            Msg::CollectStats {
+                capture: None,
+                reply: ReplyTo::Chan(stats_tx),
+            },
+        ];
+        let groups = topology.num_key_groups();
+        msgs.extend((0..groups).map(|g| Msg::ProbeState {
+            kg: KeyGroupId::new(g),
+            reply: ReplyTo::Chan(probe_tx.clone()),
+        }));
+        msgs.push(Msg::Shutdown);
+
+        let cfg = RuntimeConfig::default();
+        let (peer_tx, mut peer_rx) = inbox::channel(&cfg);
+        let senders: InboxMap = Arc::default();
+        senders.write().insert(n1, peer_tx);
+        let spawn = WorkerSpawn {
+            node: n0,
+            inbox: inbox_of(cfg.batch_size, msgs),
+            topology: Arc::clone(&topology),
+            routing: Arc::new(RoutingShared::new(table.clone())),
+            senders,
+            dropped: Arc::default(),
+            cfg,
+        };
+        let _ = WorkerCtx::from_spawn(spawn, None).run();
+
+        let want = oracle_records(&topology, 0..80, here);
+        for g in 0..groups {
+            let got = recorded(probe_rx.recv().unwrap());
+            let want = want.get(&g).cloned().unwrap_or_default();
+            assert_eq!(promised_order(got), promised_order(want), "group {g}");
+        }
+        let stats = stats_rx.recv().unwrap().1;
+        assert_comm_eq(&stats, &oracle_comm(&topology, 0..80, node_of, here));
+
+        // The peer got the forwarded source rows and `crossing`'s
+        // emissions to its `mid` group, each group's in arrival order.
+        let mut at_peer: FastMap<u32, Vec<i64>> = FastMap::default();
+        while let Ok(Msg::DataChunk(chunk)) = peer_rx.try_next() {
+            for i in 0..chunk.len() {
+                let Value::Int(seq) = chunk.value_at(i) else {
+                    panic!("an Int row");
+                };
+                at_peer.entry(chunk.group_at(i)).or_default().push(seq);
+            }
+        }
+        let rows_of = |g: u32| (0..80).filter(|&s| group_of(s) == g).collect::<Vec<i64>>();
+        assert_eq!(at_peer.len(), 2, "{at_peer:?}");
+        assert_eq!(at_peer[&forwarded], rows_of(forwarded));
+        assert_eq!(at_peer[&crossing_mid], rows_of(crossing));
     }
 }

@@ -493,7 +493,7 @@ fn mid_chunk_migration_matches_row_oracle() {
 /// Period-end emissions reach a downstream operator on another worker:
 /// a window on node 0 flushes into counters spread over nodes 1 and 0,
 /// so each flush takes both the cross-worker hand-off and the local
-/// worklist. Every key is seen every period, so the counters must total
+/// next level. Every key is seen every period, so the counters must total
 /// exactly `KEYS` per period — each emission counted once — and the final
 /// states and every per-period signal must equal the reference's.
 #[test]
