@@ -173,21 +173,21 @@ fn run_level(cfg: RuntimeConfig, groups: u32, offered: usize, wave: usize) -> Le
 /// warm-up pass, then the median of [`REPS`] measured repetitions per
 /// level (median by throughput — its latencies come with it, so the
 /// reported percentiles belong to a coherent run).
-fn run_config(cfg: RuntimeConfig, groups: u32, levels: &[usize], wave: usize) -> ConfigResult {
+fn run_config(cfg: RuntimeConfig, levels: &[usize], wave: usize) -> ConfigResult {
     let mut out = Vec::new();
     let mut best_tps = 0.0f64;
     let (mut best_p50, mut best_p99) = (0.0, 0.0);
     for &offered in levels {
         // Warm-up pass: first-touch page faults, thread spawn, branch
         // training — all discarded.
-        let _ = run_level(cfg, groups, offered, wave);
+        let _ = run_level(cfg, KEY_GROUPS, offered, wave);
         let mut reps: Vec<LevelResult> = (0..REPS)
-            .map(|_| run_level(cfg, groups, offered, wave))
+            .map(|_| run_level(cfg, KEY_GROUPS, offered, wave))
             .collect();
         reps.sort_by(|a, b| a.tuples_per_sec.total_cmp(&b.tuples_per_sec));
         let median = reps.swap_remove(REPS / 2);
         eprintln!(
-            "  batch={:<3} groups={groups:<2} offered={:>7} tuples  {:>10.0} t/s  settle p50={:.3}ms p99={:.3}ms",
+            "  batch={:<3} offered={:>7} tuples  {:>10.0} t/s  settle p50={:.3}ms p99={:.3}ms",
             cfg.batch_size,
             median.offered_tuples,
             median.tuples_per_sec,
@@ -401,7 +401,6 @@ fn main() {
             batch_size: 1,
             ..RuntimeConfig::default()
         },
-        KEY_GROUPS,
         &levels,
         wave,
     );
@@ -411,13 +410,12 @@ fn main() {
             batch_size: 256,
             ..RuntimeConfig::default()
         },
-        KEY_GROUPS,
         &levels,
         wave,
     );
 
     eprintln!("trickle (default batch_size, {TRICKLE_CALL} tuples per inject call):");
-    let trickle = run_config(RuntimeConfig::default(), KEY_GROUPS, &levels, TRICKLE_CALL);
+    let trickle = run_config(RuntimeConfig::default(), &levels, TRICKLE_CALL);
 
     eprintln!("groups (default batch_size, {groups_level} tuples, {GROUP_PAIRS} pairs):");
     let (few_tps, many_tps, groups_ratio) = run_groups(groups_level, wave);

@@ -24,9 +24,9 @@
 //!
 //! Chunks are an engine-internal transport format; operators and tests
 //! can round-trip through rows with [`StreamChunk::from_tuples`] /
-//! [`StreamChunk::tuple_at`] — the runtime itself uses the former to
-//! turn an operator's period-end [`crate::operator::Emissions`] into a
-//! chunk.
+//! [`StreamChunk::tuple_at`] — the runtime itself appends an operator's
+//! period-end [`crate::operator::Emissions`] row by row
+//! ([`StreamChunk::push_tuple`]).
 
 use albic_types::OperatorId;
 

@@ -882,8 +882,8 @@ pub(crate) struct WorkerCtx {
     chunk_outbox: FastMap<NodeId, StreamChunk>,
     /// When the oldest pending outbound tuple was enqueued.
     oldest_pending: Option<Instant>,
-    /// Recycled [`StreamChunk`] allocations (sort targets, emission
-    /// collectors, local re-dispatch), at most [`CHUNK_POOL_LIMIT`]; the
+    /// Recycled [`StreamChunk`] allocations (next-level local chunks,
+    /// pending outbound chunks), at most [`CHUNK_POOL_LIMIT`]; the
     /// rest go back to this worker's inbox for its producers.
     chunk_pool: Vec<StreamChunk>,
     /// Counting-sort scratch for bucketing a chunk by group: an inbound
